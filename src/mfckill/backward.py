@@ -28,10 +28,12 @@ from .forward import (
     CommonNoisePath,
     ForwardTrajectory1D,
     ForwardTrajectory2D,
+    StepOperators,
     diffuse,
-    diffusion_banded,
     shift_density,
     upwind_transport_adjoint,
+    weighted_l2_sq,
+    y_column,
 )
 from .hamiltonians import MU_FLOOR, f_nu, f_tilde_mu, minimize_hamiltonian, minimize_k_tilde
 from .measures import SubProb1D, s_map, trapezoid_weights
@@ -66,9 +68,6 @@ class BSPDESolution:
     def is_2d(self) -> bool:
         return self.u.ndim == 3
 
-    def grad_x(self, k: int) -> np.ndarray:
-        return central_grad(self.u[k], self.grid.dx)
-
 
 def central_grad(u: np.ndarray, dx: float) -> np.ndarray:
     """Centered interior differences, one-sided at the ends (axis 0)."""
@@ -77,16 +76,6 @@ def central_grad(u: np.ndarray, dx: float) -> np.ndarray:
     out[0] = (u[1] - u[0]) / dx
     out[-1] = (u[-1] - u[-2]) / dx
     return out
-
-
-def _face_average(b_nodes: np.ndarray) -> np.ndarray:
-    return 0.5 * (b_nodes[1:] + b_nodes[:-1])
-
-
-def _weighted_l2_sq(vals: np.ndarray, wx: np.ndarray, wy: np.ndarray | None) -> float:
-    if vals.ndim == 1:
-        return float((vals**2) @ wx)
-    return float(wx @ (vals**2) @ wy)
 
 
 def energy_report(solution: BSPDESolution, terminal: np.ndarray) -> dict:
@@ -99,11 +88,11 @@ def energy_report(solution: BSPDESolution, terminal: np.ndarray) -> dict:
     grad_sum = 0.0
     q_sum = 0.0
     for k in range(solution.u.shape[0]):
-        sup_u = max(sup_u, _weighted_l2_sq(solution.u[k], wx, wy))
+        sup_u = max(sup_u, weighted_l2_sq(solution.u[k], wx, wy))
         gr = central_grad(solution.u[k], grid.dx)
-        grad_sum += _weighted_l2_sq(gr, wx, wy) * dt
-        q_sum += _weighted_l2_sq(solution.q[k], wx, wy) * dt
-    psi_sq = _weighted_l2_sq(np.asarray(terminal, dtype=float), wx, wy)
+        grad_sum += weighted_l2_sq(gr, wx, wy) * dt
+        q_sum += weighted_l2_sq(solution.q[k], wx, wy) * dt
+    psi_sq = weighted_l2_sq(np.asarray(terminal, dtype=float), wx, wy)
     lhs = sup_u + grad_sum + q_sum
     c = 0.0 if lhs <= 1e-300 else lhs / (1.0 + psi_sq)
     return {
@@ -207,16 +196,9 @@ def solve_backward_1d(
 
     for k in range(nt - 1, -1, -1):
         t = times[k]
-        sig = np.asarray(spec.sigma(t, x), dtype=float)
-        a = 0.5 * sig**2 if increments is not None else 0.5 * (sig**2 + spec.sigma0(t) ** 2)
-        ab_t = diffusion_banded(a, dt, dx, transpose=True)
-        kill = np.exp(-np.asarray(spec.lam(t, x), dtype=float) * dt)
         nu_vals = nu_traj.values[k]
-        nu = NuHandle(x, nu_vals)
+        ops = StepOperators(spec, grid, t, NuHandle(x, nu_vals), noise, transpose=True)
         nu_sub = SubProb1D(x, np.maximum(nu_vals, 0.0))
-        fac = np.asarray(spec.b1_factor(t, x), dtype=float)
-        b0 = np.asarray(spec.b0(t, x, nu), dtype=float)
-        f0 = np.asarray(spec.f0(t, x, nu), dtype=float)
 
         v = u[k + 1]
         if increments is not None:
@@ -225,11 +207,10 @@ def solve_backward_1d(
         def step_map(w):
             p = central_grad(w, dx)
             gmin = minimize_hamiltonian(t, x, p, spec)
-            b = b0 + fac * gmin
-            expl = upwind_transport_adjoint(w, _face_average(b), dx)
-            expl = expl + f0 + np.asarray(spec.f1(t, x, gmin), dtype=float)
+            expl = upwind_transport_adjoint(w, ops.face_drift(gmin), dx)
+            expl = expl + ops.f0 + np.asarray(spec.f1(t, x, gmin), dtype=float)
             expl = expl + f_nu(t, x, nu_sub, p, spec)
-            return diffuse(kill * (v + dt * expl), ab_t)
+            return diffuse(ops.kill * (v + dt * expl), ops.matrix)
 
         w0 = _warm_start(u, k, nt, v, increments is not None)
         u[k], it, rho = _run_fixed_point(step_map, w0, t, eta, tol_fp, max_fp, damping)
@@ -255,6 +236,22 @@ def _y_upwind_adjoint_rate(w: np.ndarray, lam_nodes: np.ndarray, dy: float,
     upper[:, :-1] = w[:, 1:]
     upper[:, -1] = ghost_decay * w[:, -1]
     return lam_nodes[:, None] * (upper - w) / dy
+
+
+def terminal_cost_injection(spec: ModelSpec, g: FeedbackControl,
+                            mu_traj: ForwardTrajectory2D, weight: float) -> np.ndarray:
+    """The end-point running cost the dual state carries above the psi data.
+
+    weight dt e^{-y} (f0 + f1) at t_N, with f0 taken at the survival
+    marginal of mu at step N, matching the last term of the cost sum.
+    """
+    grid = mu_traj.grid
+    x, nt = grid.x, grid.nt
+    t = mu_traj.times[nt]
+    ops = StepOperators(spec, grid, t, NuHandle(x, s_map(mu_traj.at(nt)).values))
+    f_end = ops.f0[:, None] + np.asarray(spec.f1(t, x[:, None], y_column(g.at_step(nt))),
+                                         dtype=float)
+    return weight * ops.dt * np.exp(-grid.y)[None, :] * f_end
 
 
 def solve_backward_2d(
@@ -310,7 +307,6 @@ def solve_backward_2d(
     u[nt] = terminal
     iters = []
     contr = []
-    ey = np.exp(-np.maximum(y, 0.0))
     ey_signed = np.exp(-y)
 
     if cost_weights is None:
@@ -320,43 +316,28 @@ def solve_backward_2d(
     # internal marching variable: the dual state including the terminal
     # half-weight cost injection; the stored terminal slice stays = psi data
     carry = terminal.copy()
+    if g is not None:
+        carry = carry + terminal_cost_injection(spec, g, mu_traj, cost_weights[nt])
 
     for k in range(nt - 1, -1, -1):
         t = times[k]
-        sig = np.asarray(spec.sigma(t, x), dtype=float)
-        a = 0.5 * sig**2 if increments is not None else 0.5 * (sig**2 + spec.sigma0(t) ** 2)
-        ab_t = diffusion_banded(a, dt, dx, transpose=True)
-        lam = np.asarray(spec.lam(t, x), dtype=float)
         mu_k = mu_traj.at(k)
-        nu_sub = s_map(mu_k)
-        nu = NuHandle(x, nu_sub.values)
-        fac = np.asarray(spec.b1_factor(t, x), dtype=float)
-        b0 = np.asarray(spec.b0(t, x, nu), dtype=float)
-        f0 = np.asarray(spec.f0(t, x, nu), dtype=float)
-
-        if g is not None and k == nt - 1:
-            # terminal cost injection for exact duality with the cost sum
-            gN = g.at_step(nt)
-            gN2 = gN[:, None] if gN.ndim == 1 else gN
-            fN = np.asarray(spec.f0(times[nt], x, nu), dtype=float)[:, None] \
-                + np.asarray(spec.f1(times[nt], x, gN2), dtype=float)
-            carry = carry + cost_weights[nt] * dt * ey_signed[None, :] * fN
+        nu = NuHandle(x, s_map(mu_k).values)
+        ops = StepOperators(spec, grid, t, nu, noise, transpose=True)
 
         v = carry
         if increments is not None:
             v = shift_density(v, -spec.sigma0(t) * increments[k], dx)
 
         if g is not None:
-            gv = g.at_step(k)
-            gv2 = gv[:, None] if gv.ndim == 1 else gv
-            b = b0[:, None] + fac[:, None] * gv2
-            expl = upwind_transport_adjoint(v, _face_average(b), dx)
-            expl = expl + _y_upwind_adjoint_rate(v, lam, dy, decay)
+            gv = y_column(g.at_step(k))
+            expl = upwind_transport_adjoint(v, ops.face_drift(gv), dx)
+            expl = expl + _y_upwind_adjoint_rate(v, ops.lam, dy, decay)
             if spec.db0 is not None or spec.df0 is not None:
                 pv = central_grad(v, dx)
                 expl = expl + f_tilde_mu(t, x[:, None], y[None, :], mu_k, pv, spec)
-            out = diffuse(v + dt * expl, ab_t)
-            fk = f0[:, None] + np.asarray(spec.f1(t, x, gv2), dtype=float)
+            out = diffuse(v + dt * expl, ops.matrix)
+            fk = ops.f0[:, None] + np.asarray(spec.f1(t, x[:, None], gv), dtype=float)
             out = out + cost_weights[k] * dt * ey_signed[None, :] * fk
             u[k] = out
             carry = out
@@ -371,14 +352,13 @@ def solve_backward_2d(
                 p = central_grad(w, dx)
                 g_min = minimize_k_tilde(t, x[:, None], y[None, :], p, nu, spec)
                 g_loc = np.where(mu_pos, g_min, g_fb[:, None])
-                b = b0[:, None] + fac[:, None] * g_loc
-                expl = upwind_transport_adjoint(w, _face_average(b), dx)
-                f_loc = f0[:, None] + np.asarray(spec.f1(t, x[:, None], g_loc), dtype=float)
+                expl = upwind_transport_adjoint(w, ops.face_drift(g_loc), dx)
+                f_loc = ops.f0[:, None] + np.asarray(spec.f1(t, x[:, None], g_loc), dtype=float)
                 expl = expl + ey_signed[None, :] * f_loc
-                expl = expl + _y_upwind_adjoint_rate(w, lam, dy, decay)
+                expl = expl + _y_upwind_adjoint_rate(w, ops.lam, dy, decay)
                 if spec.db0 is not None or spec.df0 is not None:
                     expl = expl + f_tilde_mu(t, x[:, None], y[None, :], mu_k, p, spec)
-                return diffuse(v + dt * expl, ab_t)
+                return diffuse(v + dt * expl, ops.matrix)
 
             w0 = _warm_start(u, k, nt, v, increments is not None)
             u[k], it, rho = _run_fixed_point(step_map, w0, t, eta, tol_fp, max_fp, damping)

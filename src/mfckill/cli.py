@@ -8,7 +8,7 @@ Configuration is a UTF-8 JSON document::
       "grid":   {"x_min": -4.0, "x_max": 4.0, "nx": 161,
                   "y_max": 2.4, "ny": 24, "nt": 160, "extension_ell": 0.0},
       "solver": {"tol_pi": 1e-6, "tol_fp": 1e-10, "damping": 0.5,
-                  "max_iter": 200, "mu_floor": 1e-12, "eps_neg": -1e-12},
+                  "max_iter": 200, "mu_floor": 1e-12},
       "experiment": "solve",
       "seed": 0,
       "control": 0.0,            # constant feedback for forward/backward runs
@@ -68,7 +68,6 @@ _DEF_SOLVER = {
     "damping": 0.5,
     "max_iter": 200,
     "mu_floor": 1e-12,
-    "eps_neg": -1e-12,
 }
 
 
@@ -105,7 +104,9 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         )
         solver = dict(_DEF_SOLVER, **raw.get("solver", {}))
         for key, val in solver.items():
-            if key != "eps_neg" and not val > 0:
+            if key not in _DEF_SOLVER:
+                raise ConfigError(f"unknown solver key {key!r}; known: {sorted(_DEF_SOLVER)}")
+            if not val > 0:
                 raise ConfigError(f"solver tolerance {key} must be positive")
         exp = raw.get("experiment", "solve")
         if exp not in EXPERIMENTS:

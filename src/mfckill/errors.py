@@ -52,7 +52,8 @@ class ArgumentConflict(MFCKillError):
 
 
 class NonfiniteInput(MFCKillError):
-    """A Hamiltonian query contained NaN or infinity."""
+    """A solver input (a density, a field, a coefficient or a Hamiltonian
+    query) contained NaN or infinity."""
 
 
 class PicardStalled(MFCKillError):

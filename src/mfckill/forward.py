@@ -8,19 +8,22 @@ whole density by sigma0 dW.  With noise the diffusion coefficient drops
 to sigma^2/2; the noise enters purely as transport.
 
 The splitting order is fixed so that the linear backward stepper is the
-exact algebraic transpose of a forward step; see backward.py.
+exact algebraic transpose of a forward step; see backward.py.  Both
+marchers read the model through `StepOperators`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgtsv
 
 from .controls import FeedbackControl
-from .errors import CFLViolation, ControlOutOfBox, GridMismatch
-from .measures import Density2D, SubProb1D, trapezoid_weights
+from .errors import CFLViolation, ControlOutOfBox, GridMismatch, NonfiniteInput
+from .measures import Density2D, SubProb1D, survival_quadrature, trapezoid_weights
 from .model import Grid, ModelSpec, NuHandle
 
 __all__ = [
@@ -89,36 +92,101 @@ def shift_density(values: np.ndarray, offset: float, dx: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def diffusion_banded(a_nodes: np.ndarray, dt: float, dx: float,
-                     transpose: bool = False) -> np.ndarray:
-    """Banded matrix of I - dt * L for scipy.linalg.solve_banded.
+def diffuse(values: np.ndarray, matrix: tuple) -> np.ndarray:
+    """Solve one implicit diffusion step with a `StepOperators.matrix`."""
+    if not np.all(np.isfinite(values)):
+        raise NonfiniteInput("diffusion step received non-finite values")
+    *_, out, info = dgtsv(*matrix, values)
+    if info != 0:
+        raise LinAlgError(f"singular diffusion matrix (gtsv info {info})")
+    return out
 
-    L is the conservative centered discretization of (a rho)_xx with
-    zero-flux closure; its transpose is the centered a u_xx with the
-    natural one-sided closure.
+
+def face_average(b_nodes: np.ndarray) -> np.ndarray:
+    """Node values averaged onto the nx - 1 cell faces (axis 0)."""
+    return 0.5 * (b_nodes[1:] + b_nodes[:-1])
+
+
+def y_column(values: np.ndarray) -> np.ndarray:
+    """View a (nx,) feedback as (nx, 1) so it broadcasts along y."""
+    return values[:, None] if values.ndim == 1 else values
+
+
+class StepOperators:
+    """What one time step of a marcher reads from the model.
+
+    Coefficients are evaluated at time `t` and, for b0/f0, at the
+    measure `nu`, each on first use.  The diffusion coefficient is
+    (sigma^2 + sigma0^2)/2, or sigma^2/2 when a common-noise path moves
+    the density instead.  `matrix` is I - dt L, with L the conservative
+    centered (a rho)_xx under zero-flux closure, or its transpose (the
+    centered a u_xx) when `transpose` is set, as its three diagonals;
+    every `diffuse` call of the step solves with it.  The forward and
+    backward marchers build their steps here, which is what makes a
+    backward step the exact algebraic transpose of a forward one.
     """
-    n = a_nodes.size
-    r = dt / dx**2
-    ab = np.zeros((3, n))
-    if not transpose:
-        ab[1, :] = 1.0 + 2.0 * r * a_nodes
-        ab[1, 0] = 1.0 + r * a_nodes[0]
-        ab[1, -1] = 1.0 + r * a_nodes[-1]
-        ab[0, 1:] = -r * a_nodes[1:]     # upper: couples rho_{i+1} in row i
-        ab[2, :-1] = -r * a_nodes[:-1]   # lower: couples rho_{i-1} in row i
-    else:
-        ab[1, :] = 1.0 + 2.0 * r * a_nodes
-        ab[1, 0] = 1.0 + r * a_nodes[0]
-        ab[1, -1] = 1.0 + r * a_nodes[-1]
-        ab[0, 1:] = -r * a_nodes[:-1]    # row i couples u_{i+1} with a_i
-        ab[2, :-1] = -r * a_nodes[1:]    # row i couples u_{i-1} with a_i
-    return ab
 
+    def __init__(self, spec: ModelSpec, grid: Grid, t: float,
+                 nu: NuHandle | None = None,
+                 noise: CommonNoisePath | None = None, transpose: bool = False):
+        self.spec, self.t, self.nu = spec, t, nu
+        self.x, self.dx, self.dt = grid.x, grid.dx, grid.dt(spec.T)
+        self.noisy = noise is not None
+        self.transpose = transpose
 
-def diffuse(values: np.ndarray, ab: np.ndarray) -> np.ndarray:
-    flat = values if values.ndim == 2 else values[:, None]
-    out = solve_banded((1, 1), ab, flat)
-    return out if values.ndim == 2 else out[:, 0]
+    def _coeff(self, fn, *args) -> np.ndarray:
+        return np.asarray(fn(self.t, self.x, *args), dtype=float)
+
+    @cached_property
+    def a(self) -> np.ndarray:
+        sig = self._coeff(self.spec.sigma)
+        if self.noisy:
+            return 0.5 * sig**2
+        return 0.5 * (sig**2 + self.spec.sigma0(self.t) ** 2)
+
+    @cached_property
+    def matrix(self) -> tuple:
+        """(lower, main, upper) diagonals of the implicit diffusion matrix."""
+        a = self.a
+        if not np.all(np.isfinite(a)):
+            raise NonfiniteInput("diffusion coefficient is not finite")
+        r = self.dt / self.dx**2
+        diag = 1.0 + 2.0 * r * a
+        diag[0] = 1.0 + r * a[0]
+        diag[-1] = 1.0 + r * a[-1]
+        # row i couples rho_{i+1} through a_{i+1}; the transpose uses a_i
+        upper, lower = (a[:-1], a[1:]) if self.transpose else (a[1:], a[:-1])
+        return -r * lower, diag, -r * upper
+
+    @cached_property
+    def lam(self) -> np.ndarray:
+        return self._coeff(self.spec.lam)
+
+    @cached_property
+    def kill(self) -> np.ndarray:
+        """Exact killing factor e^{-lam dt} of the step."""
+        return np.exp(-self.lam * self.dt)
+
+    @cached_property
+    def fac(self) -> np.ndarray:
+        return self._coeff(self.spec.b1_factor)
+
+    @cached_property
+    def b0(self) -> np.ndarray:
+        return self._coeff(self.spec.b0, self.nu)
+
+    @cached_property
+    def f0(self) -> np.ndarray:
+        return self._coeff(self.spec.f0, self.nu)
+
+    def drift(self, g: np.ndarray) -> np.ndarray:
+        """Node drift b0 + b1_factor g for a (nx,) or (nx, m) feedback."""
+        if g.ndim == 2:
+            return self.b0[:, None] + self.fac[:, None] * g
+        return self.b0 + self.fac * g
+
+    def face_drift(self, g: np.ndarray) -> np.ndarray:
+        return face_average(self.drift(g))
 
 
 def upwind_face_flux(values: np.ndarray, b_face: np.ndarray) -> np.ndarray:
@@ -176,20 +244,6 @@ def y_transport(values: np.ndarray, lam_nodes: np.ndarray, dt: float,
     return out
 
 
-def y_transport_adjoint(u: np.ndarray, lam_nodes: np.ndarray, dt: float,
-                        dy: float, ghost_decay: float) -> np.ndarray:
-    """One-sided (forward-in-y) transpose: u += dt lam (u(y+dy)-u(y))/dy.
-
-    The top row uses the extrapolated ghost value u_top * ghost_decay;
-    ghost_decay = 1 reproduces the exact transpose of `y_transport`.
-    """
-    c = (dt / dy) * lam_nodes[:, None]
-    upper = np.empty_like(u)
-    upper[:, :-1] = u[:, 1:]
-    upper[:, -1] = ghost_decay * u[:, -1]
-    return u + c * (upper - u)
-
-
 # ---------------------------------------------------------------------------
 # Trajectory containers
 # ---------------------------------------------------------------------------
@@ -216,9 +270,6 @@ class ForwardTrajectory1D:
 
     def at(self, k: int) -> SubProb1D:
         return SubProb1D(self.grid.x, self.values[k])
-
-    def nu_handle(self, k: int) -> NuHandle:
-        return NuHandle(self.grid.x, self.values[k])
 
 
 @dataclass
@@ -250,32 +301,16 @@ def _check_cfl(bmax: float, lmax: float, dt: float, dx: float, dy: float | None)
         )
 
 
-def _control_values(spec: ModelSpec, g: FeedbackControl, k: int,
-                    want_2d: bool) -> np.ndarray:
+def _control_values(spec: ModelSpec, g: FeedbackControl, k: int) -> np.ndarray:
     gv = g.at_step(k)
     lo, hi = spec.box_array[0]
     if gv.min() < lo - 1e-12 or gv.max() > hi + 1e-12:
         raise ControlOutOfBox("control leaves the box at step %d" % k)
-    if want_2d and gv.ndim == 1:
-        return gv[:, None]
     return gv
 
 
-def _drift_nodes(spec: ModelSpec, t: float, x: np.ndarray, nu: NuHandle,
-                 gv: np.ndarray) -> np.ndarray:
-    fac = np.asarray(spec.b1_factor(t, x), dtype=float)
-    b0 = np.asarray(spec.b0(t, x, nu), dtype=float)
-    if gv.ndim == 2:
-        return b0[:, None] + fac[:, None] * gv
-    return b0 + fac * gv
-
-
-def _face_average(b_nodes: np.ndarray) -> np.ndarray:
-    return 0.5 * (b_nodes[1:] + b_nodes[:-1]) if b_nodes.ndim == 1 else \
-        0.5 * (b_nodes[1:, :] + b_nodes[:-1, :])
-
-
-def _l2_sq(vals: np.ndarray, wx: np.ndarray, wy: np.ndarray | None) -> float:
+def weighted_l2_sq(vals: np.ndarray, wx: np.ndarray, wy: np.ndarray | None) -> float:
+    """Trapezoid L2 norm squared of a (nx,) profile, or (nx, ny) with `wy`."""
     if wy is None:
         return float((vals**2) @ wx)
     return float(wx @ (vals**2) @ wy)
@@ -311,9 +346,8 @@ def solve_forward_1d(
     if initial is None:
         # weighted x marginal of the initial joint density
         yq = np.linspace(0.0, max(grid.y_max, 6.0), 2001)
-        wyq = trapezoid_weights(yq.size, yq[1] - yq[0])
         rho2 = spec.initial_density_2d(x[:, None], yq[None, :])
-        vals0 = rho2 @ (np.exp(-yq) * wyq)
+        vals0 = rho2 @ survival_quadrature(yq, yq[1] - yq[0])[2]
     else:
         vals0 = np.asarray(initial, dtype=float).copy()
 
@@ -322,7 +356,7 @@ def solve_forward_1d(
     mass = np.empty(nt + 1)
     mass[0] = vals0.sum() * dx
 
-    sup_sq = _l2_sq(vals0, wx, None)
+    sup_sq = weighted_l2_sq(vals0, wx, None)
     h10_sum = 0.0
     init_sq = sup_sq
 
@@ -335,21 +369,16 @@ def solve_forward_1d(
     leakage = 0.0
     for k in range(nt):
         t = times[k]
-        sig = np.asarray(spec.sigma(t, x), dtype=float)
-        if increments is None:
-            a = 0.5 * (sig**2 + spec.sigma0(t) ** 2)
-        else:
-            a = 0.5 * sig**2
-        nu = NuHandle(x, rho)
-        gv = _control_values(spec, g, k, want_2d=False)
+        gv = _control_values(spec, g, k)
         if gv.ndim == 2:
             raise GridMismatch("1d solver requires a y-independent feedback")
-        b = _drift_nodes(spec, t, x, nu, gv)
+        ops = StepOperators(spec, grid, t, NuHandle(x, rho), noise)
+        b = ops.drift(gv)
         _check_cfl(float(np.max(np.abs(b))), 0.0, dt, dx, None)
 
-        rho = diffuse(rho, diffusion_banded(a, dt, dx))
-        rho = rho * np.exp(-np.asarray(spec.lam(t, x), dtype=float) * dt)
-        rho = rho + dt * upwind_flux_divergence(rho, _face_average(b), dx)
+        rho = diffuse(rho, ops.matrix)
+        rho = rho * ops.kill
+        rho = rho + dt * upwind_flux_divergence(rho, face_average(b), dx)
         if increments is not None:
             pre = rho.sum()
             rho = shift_density(rho, spec.sigma0(t) * increments[k], dx)
@@ -357,8 +386,8 @@ def solve_forward_1d(
 
         out[k + 1] = rho
         mass[k + 1] = rho.sum() * dx
-        sup_sq = max(sup_sq, _l2_sq(rho, wx, None))
-        h10_sum += (_l2_sq(rho, wx, None) + _h10_sq(rho, dx, wx, None)) * dt
+        sup_sq = max(sup_sq, weighted_l2_sq(rho, wx, None))
+        h10_sum += (weighted_l2_sq(rho, wx, None) + _h10_sq(rho, dx, wx, None)) * dt
 
     energy = EnergyRecord(sup_sq, h10_sum, init_sq,
                           (sup_sq + h10_sum) / init_sq if init_sq > 0 else 0.0)
@@ -384,6 +413,7 @@ def solve_forward_2d(
     nt = grid.nt
     wx = trapezoid_weights(grid.nx, dx)
     wy = trapezoid_weights(grid.ny_total, dy)
+    keep, _, survival = survival_quadrature(y, dy)
 
     if initial is None:
         vals0 = np.asarray(spec.initial_density_2d(x[:, None], y[None, :]), dtype=float)
@@ -397,7 +427,7 @@ def solve_forward_2d(
     mass = np.empty(nt + 1)
     mass[0] = vals0.sum() * dx * dy
 
-    sup_sq = _l2_sq(vals0, wx, wy)
+    sup_sq = weighted_l2_sq(vals0, wx, wy)
     init_sq = sup_sq
     h10_sum = 0.0
 
@@ -410,24 +440,13 @@ def solve_forward_2d(
     leakage = 0.0
     for k in range(nt):
         t = times[k]
-        sig = np.asarray(spec.sigma(t, x), dtype=float)
-        if increments is None:
-            a = 0.5 * (sig**2 + spec.sigma0(t) ** 2)
-        else:
-            a = 0.5 * sig**2
-        lam = np.asarray(spec.lam(t, x), dtype=float)
-        keep = y >= 0.0
-        wy_pos = trapezoid_weights(int(keep.sum()), dy)
-        nu_vals = mu[:, keep] @ (np.exp(-y[keep]) * wy_pos)
-        nu = NuHandle(x, nu_vals)
-        gv = _control_values(spec, g, k, want_2d=True)
-        b = _drift_nodes(spec, t, x, nu, gv)
-        bmax = float(np.max(np.abs(b)))
-        _check_cfl(bmax, float(lam.max()), dt, dx, dy)
+        ops = StepOperators(spec, grid, t, NuHandle(x, mu[:, keep] @ survival), noise)
+        b = ops.drift(y_column(_control_values(spec, g, k)))
+        _check_cfl(float(np.max(np.abs(b))), float(ops.lam.max()), dt, dx, dy)
 
-        mu = diffuse(mu, diffusion_banded(a, dt, dx))
-        expl = upwind_flux_divergence(mu, _face_average(b), dx)
-        mu = y_transport(mu, lam, dt, dy) + dt * expl
+        mu = diffuse(mu, ops.matrix)
+        expl = upwind_flux_divergence(mu, face_average(b), dx)
+        mu = y_transport(mu, ops.lam, dt, dy) + dt * expl
         if increments is not None:
             pre = mu.sum()
             mu = shift_density(mu, spec.sigma0(t) * increments[k], dx)
@@ -435,8 +454,8 @@ def solve_forward_2d(
 
         out[k + 1] = mu
         mass[k + 1] = mu.sum() * dx * dy
-        sup_sq = max(sup_sq, _l2_sq(mu, wx, wy))
-        h10_sum += (_l2_sq(mu, wx, wy) + _h10_sq(mu, dx, wx, wy)) * dt
+        sup_sq = max(sup_sq, weighted_l2_sq(mu, wx, wy))
+        h10_sum += (weighted_l2_sq(mu, wx, wy) + _h10_sq(mu, dx, wx, wy)) * dt
 
     energy = EnergyRecord(sup_sq, h10_sum, init_sq,
                           (sup_sq + h10_sum) / init_sq if init_sq > 0 else 0.0)

@@ -52,119 +52,31 @@ def _golden_min(obj, lo: np.ndarray, hi: np.ndarray, tol: float = 1e-9,
     return 0.5 * (a + b)
 
 
-def _proj_grad_min(obj, grad, box: np.ndarray, start: np.ndarray,
-                   max_iter: int = 200, tol: float = 1e-10) -> np.ndarray:
-    """Projected gradient with Armijo backtracking on a box (d_G > 1)."""
-    g = np.asarray(start, dtype=float).copy()
-    f = obj(g)
-    step = 1.0
-    for _ in range(max_iter):
-        dgrad = grad(g)
-        trial_step = min(step * 2.0, 8.0)
-        while True:
-            cand = np.clip(g - trial_step * dgrad, box[:, 0], box[:, 1])
-            fc = obj(cand)
-            if fc <= f - 1e-4 * float(dgrad @ (g - cand)) or trial_step < 1e-14:
-                break
-            trial_step *= 0.5
-        if np.max(np.abs(cand - g)) < tol:
-            g, f = cand, fc
-            break
-        g, f, step = cand, fc, trial_step
-    return g
-
-
-def _fd_grad(f1, t, x, g, h=1e-6):
-    g = np.asarray(g, dtype=float)
-    out = np.empty_like(g)
-    for i in range(g.size):
-        e = np.zeros_like(g)
-        e[i] = h
-        out[i] = (float(f1(t, x, g + e)) - float(f1(t, x, g - e))) / (2 * h)
-    return out
-
-
 def minimize_hamiltonian(t, x, p, spec: ModelSpec, tol: float = 1e-9):
     """Minimizer over the control box of h -> b1(t,x,h) p + f1(t,x,h).
 
     Closed form when f1 is declared quadratic, vectorized golden-section
-    for scalar controls, projected gradient with Armijo backtracking from
-    the box center otherwise.  `x` and `p` may be arrays (broadcast).
+    otherwise.  `x` and `p` may be arrays (broadcast).
     """
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(p))):
         raise NonfiniteInput("minimize_hamiltonian received non-finite input")
-    box = spec.box_array
     if spec.control_minimizer is not None:
         return spec.control_minimizer(t, x, p, 1.0)
-    if spec.d_g == 1:
-        lo, hi = box[0]
-        fac = np.asarray(spec.b1_factor(t, x), dtype=float)
-        if spec.f1_quad_coeff is not None:
-            c = spec.f1_quad_coeff
-            return np.clip(-fac * p / c, lo, hi)
-        shape = np.broadcast(x, p).shape
-        lo_a = np.full(shape, lo)
-        hi_a = np.full(shape, hi)
-
-        def obj(g):
-            return fac * g * p + np.asarray(spec.f1(t, x, g), dtype=float)
-
-        return _golden_min(obj, lo_a, hi_a, tol=tol)
-
-    # d_G > 1: scalar query only
-    fac = np.asarray(spec.b1_factor(t, float(x)), dtype=float)
+    lo, hi = spec.box_array[0]
+    fac = np.asarray(spec.b1_factor(t, x), dtype=float)
+    if spec.f1_quad_coeff is not None:
+        c = spec.f1_quad_coeff
+        return np.clip(-fac * p / c, lo, hi)
+    shape = np.broadcast(x, p).shape
+    lo_a = np.full(shape, lo)
+    hi_a = np.full(shape, hi)
 
     def obj(g):
-        return float(fac @ g) * float(p) + float(spec.f1(t, float(x), g))
+        return fac * g * p + np.asarray(spec.f1(t, x, g), dtype=float)
 
-    if spec.df1 is not None:
-        def grad(g):
-            return fac * float(p) + np.asarray(spec.df1(t, float(x), g), dtype=float)
-    else:
-        def grad(g):
-            return fac * float(p) + _fd_grad(spec.f1, t, float(x), g)
-
-    center = box.mean(axis=1)
-    return _proj_grad_min(obj, grad, box, center, tol=tol)
-
-
-def minimize_hamiltonian_restarts(t, x, p, spec: ModelSpec, tol: float = 1e-9):
-    """Minimize restarting from every box corner plus the center.
-
-    Ties between converged candidates (values equal to 1e-12) are broken
-    by the lexicographically smallest minimizer.
-    """
-    from itertools import product
-
-    box = spec.box_array
-    fac = np.atleast_1d(np.asarray(spec.b1_factor(t, x), dtype=float))
-
-    def val(g):
-        return float(fac @ np.atleast_1d(g)) * float(p) + float(
-            spec.f1(t, x, g if spec.d_g > 1 else float(np.atleast_1d(g)[0]))
-        )
-
-    cands = [np.atleast_1d(minimize_hamiltonian(t, x, p, spec, tol=tol))]
-    if spec.d_g == 1:
-        # golden section is start-independent; corner restarts reduce to it
-        cands.append(cands[0])
-    else:
-        if spec.df1 is not None:
-            def grad(g):
-                return fac * float(p) + np.asarray(spec.df1(t, float(x), g), dtype=float)
-        else:
-            def grad(g):
-                return fac * float(p) + _fd_grad(spec.f1, t, float(x), g)
-
-        def obj(g):
-            return float(fac @ g) * float(p) + float(spec.f1(t, float(x), g))
-
-        for corner in product(*[tuple(b) for b in box]):
-            cands.append(_proj_grad_min(obj, grad, box, np.array(corner, dtype=float)))
-    best = min(cands, key=lambda g: (round(val(g), 12), tuple(np.round(g, 12))))
-    return best if spec.d_g > 1 else float(best[0])
+    return _golden_min(obj, lo_a, hi_a, tol=tol)
 
 
 def h_nu(t, x, r, p, nu: NuHandle, spec: ModelSpec):

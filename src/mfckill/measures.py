@@ -133,6 +133,14 @@ class Density2D:
                    fmt="%.17g")
 
 
+def survival_quadrature(y: np.ndarray, dy: float):
+    """Quadrature over the y >= 0 nodes: (mask, trapezoid weights w_y,
+    survival kernel e^{-y} w_y)."""
+    keep = y >= 0.0
+    wy = trapezoid_weights(int(keep.sum()), dy)
+    return keep, wy, np.exp(-y[keep]) * wy
+
+
 def s_map(mu: Density2D) -> SubProb1D:
     """Survival-weighted x marginal: nu(x) = int e^{-y} mu(x, y) dy.
 
@@ -140,11 +148,8 @@ def s_map(mu: Density2D) -> SubProb1D:
     (present only on extended grids) carry no physical mass and are
     excluded so the result is insensitive to ghost data.
     """
-    keep = mu.y >= 0.0
-    wy = trapezoid_weights(int(keep.sum()), mu.dy)
-    kernel = np.exp(-mu.y[keep]) * wy
-    nu_vals = mu.values[:, keep] @ kernel
-    return SubProb1D(mu.x, nu_vals)
+    keep, _, kernel = survival_quadrature(mu.y, mu.dy)
+    return SubProb1D(mu.x, mu.values[:, keep] @ kernel)
 
 
 # ---------------------------------------------------------------------------

@@ -8,22 +8,30 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backward import BSPDESolution, central_grad, solve_backward_1d, solve_backward_2d
+from .backward import (
+    BSPDESolution,
+    central_grad,
+    solve_backward_1d,
+    solve_backward_2d,
+    terminal_cost_injection,
+)
 from .controls import FeedbackControl
 from .errors import DirectionLeavesBox, GridMismatch, PicardStalled
 from .forward import (
     CommonNoisePath,
     ForwardTrajectory1D,
     ForwardTrajectory2D,
+    StepOperators,
     diffuse,
-    diffusion_banded,
+    face_average,
     face_flux_divergence,
     shift_density,
     solve_forward_1d,
     solve_forward_2d,
+    y_column,
 )
 from .hamiltonians import MU_FLOOR, k_tilde, minimize_hamiltonian, minimize_k_tilde
-from .measures import s_map, trapezoid_weights
+from .measures import s_map, survival_quadrature, trapezoid_weights
 from .model import Grid, ModelSpec, NuHandle
 
 __all__ = [
@@ -89,30 +97,24 @@ def evaluate_cost(
         dt = grid.dt(spec.T)
         cw = _time_weights(grid.nt)
         wx = trapezoid_weights(grid.nx, grid.dx)
+        keep, _, survival = survival_quadrature(grid.y, grid.dy)
         running = 0.0
         for k in range(grid.nt + 1):
             t = traj.times[k]
             gv = g.at_step(k)
             if name == "nu":
                 vals = traj.values[k]
-                nu = NuHandle(x, vals)
-                fk = np.asarray(spec.f0(t, x, nu), dtype=float) + np.asarray(
-                    spec.f1(t, x, gv), dtype=float
-                )
+                ops = StepOperators(spec, grid, t, NuHandle(x, vals))
+                fk = ops.f0 + np.asarray(spec.f1(t, x, gv), dtype=float)
                 running += cw[k] * dt * float((vals * fk) @ wx)
             else:
                 mu_k = traj.at(k)
-                nu = NuHandle(x, s_map(mu_k).values)
-                keep = grid.y >= 0.0
-                wy = trapezoid_weights(int(keep.sum()), grid.dy)
-                ey = np.exp(-grid.y[keep])
-                gv2 = gv[:, None] if gv.ndim == 1 else gv
-                fk = np.asarray(spec.f0(t, x, nu), dtype=float)[:, None] + np.asarray(
-                    spec.f1(t, x[:, None], gv2), dtype=float
-                )
+                ops = StepOperators(spec, grid, t, NuHandle(x, s_map(mu_k).values))
+                fk = ops.f0[:, None] + np.asarray(spec.f1(t, x[:, None], y_column(gv)),
+                                                  dtype=float)
                 fk = np.broadcast_to(fk, (grid.nx, grid.ny_total))[:, keep]
                 running += cw[k] * dt * float(
-                    wx @ ((mu_k.values[:, keep] * fk) @ (ey * wy))
+                    wx @ ((mu_k.values[:, keep] * fk) @ survival)
                 )
         if name == "nu":
             nuT = NuHandle(x, nu_traj.values[-1])
@@ -265,9 +267,7 @@ def smp_residual(
             continue
         p = central_grad(adjoint_2d.u[k], grid.dx)
         nu = NuHandle(x, s_map(mu_traj.at(k)).values)
-        gv = g.at_step(k)
-        gv2 = gv[:, None] if gv.ndim == 1 else gv
-        k_g = k_tilde(t, x[:, None], y[None, :], p, gv2, nu, spec)
+        k_g = k_tilde(t, x[:, None], y[None, :], p, y_column(g.at_step(k)), nu, spec)
         g_min = minimize_k_tilde(t, x[:, None], y[None, :], p, nu, spec)
         k_min = k_tilde(t, x[:, None], y[None, :], p, g_min, nu, spec)
         gap = np.where(support, k_g - k_min, 0.0)
@@ -310,27 +310,22 @@ def gateaux_derivative(
     cw = _time_weights(nt)
     wx = trapezoid_weights(grid.nx, dx)
     wy = trapezoid_weights(grid.ny_total, dy)
-    keep = y >= 0.0
-    wy_pos = trapezoid_weights(int(keep.sum()), dy)
-    ey_pos = np.exp(-y[keep])
+    keep, wy_pos, survival = survival_quadrature(y, dy)
 
     def step_dir(k):
-        hv = h_vals[min(k, h_vals.shape[0] - 1)]
-        return hv[:, None] if hv.ndim == 1 else hv
+        return y_column(h_vals[min(k, h_vals.shape[0] - 1)])
 
     if quadrature not in ("dual", "node"):
         raise ValueError("quadrature must be 'dual' or 'node'")
     total = 0.0
     times = mu_traj.times
-    ey_full = np.exp(-y)
     if quadrature == "node":
+        ey_full = np.exp(-y)
         for k in range(nt + 1):
             t = times[k]
-            fac = np.asarray(spec.b1_factor(t, x), dtype=float)
+            fac = StepOperators(spec, grid, t).fac
             p = central_grad(adjoint_2d.u[k], dx)
-            gv = g.at_step(k)
-            gv2 = gv[:, None] if gv.ndim == 1 else gv
-            df1 = _df1_values(spec, t, x[:, None], gv2)
+            df1 = _df1_values(spec, t, x[:, None], y_column(g.at_step(k)))
             integ = (fac[:, None] * p + ey_full[None, :] * df1) * step_dir(k)
             contrib = mu_traj.values[k][:, keep] \
                 * np.broadcast_to(integ, mu_traj.values[k].shape)[:, keep]
@@ -338,43 +333,28 @@ def gateaux_derivative(
         return total
     for k in range(nt):
         t = times[k]
-        sig = np.asarray(spec.sigma(t, x), dtype=float)
-        a = 0.5 * sig**2 if increments is not None else 0.5 * (sig**2 + spec.sigma0(t) ** 2)
-        mu_mid = diffuse(mu_traj.values[k], diffusion_banded(a, dt, dx))
+        ops = StepOperators(spec, grid, t, NuHandle(x, s_map(mu_traj.at(k)).values),
+                            mu_traj.noise)
+        mu_mid = diffuse(mu_traj.values[k], ops.matrix)
         v = adjoint_2d.u[k + 1]
         if k == nt - 1:
             # the stored terminal slice is the raw psi data; restore the
             # half-weight running-cost injection carried by the dual state
-            gN = g.at_step(nt)
-            gN2 = gN[:, None] if gN.ndim == 1 else gN
-            nuN = NuHandle(x, s_map(mu_traj.at(nt)).values)
-            fN = np.asarray(spec.f0(times[nt], x, nuN), dtype=float)[:, None] \
-                + np.asarray(spec.f1(times[nt], x[:, None], gN2), dtype=float)
-            v = v + cw[nt] * dt * ey_full[None, :] * fN
+            v = v + terminal_cost_injection(spec, g, mu_traj, cw[nt])
         if increments is not None:
             v = shift_density(v, -spec.sigma0(t) * increments[k], dx)
-        nu = NuHandle(x, s_map(mu_traj.at(k)).values)
-        fac = np.asarray(spec.b1_factor(t, x), dtype=float)
-        gv = g.at_step(k)
-        gv2 = gv[:, None] if gv.ndim == 1 else gv
-        b = np.asarray(spec.b0(t, x, nu), dtype=float)[:, None] + fac[:, None] * gv2
-        b = np.broadcast_to(b, mu_mid.shape)
-        b_face = 0.5 * (b[1:] + b[:-1])
-        db = fac[:, None] * step_dir(k)
-        db_face = 0.5 * (np.broadcast_to(db, mu_mid.shape)[1:]
-                         + np.broadcast_to(db, mu_mid.shape)[:-1])
+        b_face = ops.face_drift(y_column(g.at_step(k)))
+        db_face = face_average(ops.fac[:, None] * step_dir(k))
         d_flux = db_face * np.where(b_face > 0.0, mu_mid[:-1], mu_mid[1:])
         d_mu = face_flux_divergence(d_flux, dx)
         total += dt * float(wx @ ((d_mu * v) @ wy))
 
     for k in range(nt + 1):
         t = times[k]
-        gv = g.at_step(k)
-        gv2 = gv[:, None] if gv.ndim == 1 else gv
-        df1 = _df1_values(spec, t, x[:, None], gv2)
+        df1 = _df1_values(spec, t, x[:, None], y_column(g.at_step(k)))
         integ = (mu_traj.values[k][:, keep]
                  * np.broadcast_to(df1 * step_dir(k), mu_traj.values[k].shape)[:, keep])
-        total += cw[k] * dt * float(wx @ (integ @ (ey_pos * wy_pos)))
+        total += cw[k] * dt * float(wx @ (integ @ survival))
     return total
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -79,7 +79,7 @@ class NuHandle:
 
 
 # Type aliases for the coefficient callables.  t is a float, x an array,
-# nu a NuHandle, g an array of controls (last axis = d_G when d_G > 1).
+# nu a NuHandle, g an array of scalar controls.
 Coeff = Callable[..., np.ndarray]
 
 
@@ -88,7 +88,7 @@ class ModelSpec:
     """Coefficients, costs, control box, horizon, and initial law."""
 
     b0: Coeff                        # (t, x, nu) -> drift contribution
-    b1_factor: Coeff                 # (t, x) -> factor multiplying g (d_G = 1: scalar array)
+    b1_factor: Coeff                 # (t, x) -> factor multiplying the scalar control g
     sigma: Coeff                     # (t, x) -> idiosyncratic volatility
     sigma0: Callable[[float], float]  # (t,) -> common-noise volatility
     lam: Coeff                       # (t, x) -> killing intensity >= 0
@@ -98,7 +98,7 @@ class ModelSpec:
     dpsi: Coeff                      # (nu, x) -> derivative of psi at x
     db0: Coeff | None                # (t, x, nu, z) -> functional derivative of b0
     df0: Coeff | None                # (t, x, nu, z) -> functional derivative of f0
-    control_box: tuple[float, float] | Sequence[tuple[float, float]]
+    control_box: tuple[float, float]  # a single interval: controls are scalar
     T: float
     initial_density_2d: Callable[[np.ndarray, np.ndarray], np.ndarray]
     # optional analytic helpers
@@ -116,13 +116,8 @@ class ModelSpec:
     validated: bool = False
 
     @property
-    def d_g(self) -> int:
-        box = np.atleast_2d(np.asarray(self.control_box, dtype=float))
-        return box.shape[0]
-
-    @property
     def box_array(self) -> np.ndarray:
-        """Control box as an array of shape (d_G, 2)."""
+        """Control box as an array of shape (1, 2)."""
         return np.atleast_2d(np.asarray(self.control_box, dtype=float))
 
     def with_params(self, **kw) -> "ModelSpec":
@@ -226,6 +221,10 @@ def validate_model(
     t_probe = np.linspace(0.0, spec.T, 7)
     nu = _uniform_nu(spec, x_probe)
     box = spec.box_array
+    if box.shape != (1, 2):
+        raise ModelValidationError(
+            f"control box must be one interval (lo, hi); got shape {box.shape}"
+        )
     c = spec.ellipticity_floor
 
     for t in t_probe:
@@ -249,15 +248,13 @@ def validate_model(
         )
 
     # midpoint convexity of f1 on random triples (t, x, pair of controls)
-    d_g = spec.d_g
+    lo, hi = box[0]
     for _ in range(n_samples):
         t = float(rng.uniform(0.0, spec.T))
         x = float(rng.uniform(x_probe[0], x_probe[-1]))
-        g1 = rng.uniform(box[:, 0], box[:, 1])
-        g2 = rng.uniform(box[:, 0], box[:, 1])
-        if d_g == 1:
-            g1, g2 = float(g1[0]), float(g2[0])
-        fm = float(spec.f1(t, x, 0.5 * (np.asarray(g1) + np.asarray(g2))))
+        g1 = float(rng.uniform(lo, hi))
+        g2 = float(rng.uniform(lo, hi))
+        fm = float(spec.f1(t, x, 0.5 * (g1 + g2)))
         favg = 0.5 * float(spec.f1(t, x, g1)) + 0.5 * float(spec.f1(t, x, g2))
         if fm > favg + 1e-9 * (1.0 + abs(favg)):
             raise NonconvexControlCost(
@@ -275,13 +272,6 @@ def validate_model(
 
     spec.validated = True
     return spec
-
-
-def _b1_apply(factor: np.ndarray, g: np.ndarray, d_g: int) -> np.ndarray:
-    """Evaluate b1 = factor . g with broadcasting (d_G = 1 fast path)."""
-    if d_g == 1:
-        return np.asarray(factor) * np.asarray(g)
-    return np.einsum("...k,...k->...", np.asarray(factor), np.asarray(g))
 
 
 # ---------------------------------------------------------------------------

@@ -252,3 +252,30 @@ def test_energy_constant_stable_under_refinement():
         consts.append(sol.energy["constant"])
     assert all(np.isfinite(c) and c > 0 for c in consts)
     assert abs(consts[1] - consts[0]) / consts[0] < 0.2
+
+
+def test_fixed_feedback_duality_with_measure_dependent_cost():
+    # the fixed-g half-plane march is the transpose of the forward march
+    # with the running cost injected at every step, so <mu_0, u_0> equals
+    # the cell-sum cost; f0 depends on nu, so the end-point injection must
+    # use nu at step N, as the cost sum does
+    spec = mk.make_model("lq_killing")
+    spec.f0 = lambda t, x, nu: (0.5 * np.asarray(x, dtype=float) ** 2
+                                + 3.0 * nu.mass * np.asarray(x, dtype=float))
+    grid = mk.build_grid(-4.0, 4.0, 81, 4.0, 16, 80)
+    x, y = grid.x, grid.y
+    g = FeedbackControl.from_array(np.tile(0.3 * np.tanh(x), (grid.nt + 1, 1)), spec)
+    mu = mk.solve_forward_2d(spec, grid, g)
+    nu_T = mk.NuHandle(x, mk.s_map(mu.at(grid.nt)).values)
+    term = np.exp(-y)[None, :] * np.asarray(spec.dpsi(nu_T, x))[:, None]
+    adj = solve_backward_2d(spec, grid, mu, g=g, terminal=term)
+    dt, cell = grid.dt(spec.T), grid.dx * grid.dy
+    cost = float((mu.values[-1] * term).sum()) * cell
+    for k in range(grid.nt + 1):
+        t = mu.times[k]
+        nu = mk.NuHandle(x, mk.s_map(mu.at(k)).values)
+        f = np.asarray(spec.f0(t, x, nu))[:, None] + spec.f1(t, x[:, None], g.at_step(k)[:, None])
+        weight = 0.5 if k in (0, grid.nt) else 1.0
+        cost += weight * dt * float((mu.values[k] * np.exp(-y)[None, :] * f).sum()) * cell
+    pairing = float((mu.values[0] * adj.u[0]).sum()) * cell
+    assert abs(pairing - cost) < 1e-6

@@ -82,6 +82,12 @@ def test_unknown_experiment_exit_2(tmp_path):
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_unknown_solver_key_exit_2(tmp_path, capsys):
+    cfg = small_config(tmp_path, solver={"tol_pi": 1e-6, "eps_neg": -1e-12})
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "eps_neg" in capsys.readouterr().err
+
+
 def test_bad_model_name_exit_2(tmp_path):
     cfg = small_config(tmp_path, model={"name": "nope", "params": {}})
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2

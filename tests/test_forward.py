@@ -5,8 +5,8 @@ import pytest
 
 import mfckill as mk
 from mfckill.controls import FeedbackControl
-from mfckill.errors import CFLViolation, ControlOutOfBox
-from mfckill.forward import CommonNoisePath, shift_density
+from mfckill.errors import CFLViolation, ControlOutOfBox, NonfiniteInput
+from mfckill.forward import CommonNoisePath, StepOperators, diffuse, shift_density
 from mfckill.measures import metric_dp, trapezoid_weights
 
 from conftest import tanh_feedback
@@ -207,3 +207,28 @@ def test_forward_deterministic():
     a = mk.solve_forward_2d(spec, grid, g)
     b = mk.solve_forward_2d(spec, grid, g)
     assert np.array_equal(a.values, b.values)
+
+
+def test_nonfinite_initial_density_raises():
+    spec = mk.make_model("lq_killing")
+    grid = mk.build_grid(-4.0, 4.0, 41, 2.4, 8, 20)
+    rho0 = np.exp(-grid.x**2)
+    rho0[7] = np.nan
+    with pytest.raises(NonfiniteInput):
+        mk.solve_forward_1d(spec, grid, FeedbackControl.constant(0.0, grid, spec),
+                            initial=rho0)
+
+
+def test_step_matrix_transpose_pairing():
+    # v . A^{-1} rho == rho . A^{-T} v for one step's forward and
+    # transposed diffusion matrices, with a spatially varying sigma
+    spec = mk.make_model("lq_killing").with_params(
+        sigma=lambda t, x: 1.0 + 0.5 * np.sin(np.asarray(x, dtype=float)))
+    grid = mk.build_grid(-4.0, 4.0, 161, 2.4, 8, 40)
+    rng = np.random.default_rng(3)
+    rho, v = rng.random(grid.nx), rng.normal(size=grid.nx)
+    fwd = StepOperators(spec, grid, 0.1)
+    bwd = StepOperators(spec, grid, 0.1, transpose=True)
+    lhs = float(v @ diffuse(rho, fwd.matrix))
+    rhs = float(rho @ diffuse(v, bwd.matrix))
+    assert abs(lhs - rhs) <= 1e-13 * abs(lhs)

@@ -12,7 +12,6 @@ from mfckill.hamiltonians import (
     h_tilde_mu,
     k_tilde,
     minimize_hamiltonian,
-    minimize_hamiltonian_restarts,
     minimize_k_tilde,
 )
 from mfckill.measures import Density2D, SubProb1D, s_map, trapezoid_weights
@@ -238,29 +237,3 @@ def test_h_tilde_mu_fallback_coincides_at_minimizer():
     on = float(h_tilde_mu(0.0, 0.0, 0.5, p, 1.0, gmin, nu, spec))
     off = float(h_tilde_mu(0.0, 0.0, 0.5, p, 0.0, gmin, nu, spec))
     assert abs(on - off) < 1e-12
-
-
-def test_restarts_unique_minimizer_2d_control():
-    spec = lq_killing(control_box=[(-1.0, 1.0), (-1.0, 1.0)])
-    spec.b1_factor = lambda t, x: np.array([1.0, 0.5])
-    spec.f1 = lambda t, x, g: 0.5 * float(np.sum(np.asarray(g) ** 2))
-    spec.df1 = lambda t, x, g: np.asarray(g, dtype=float)
-    spec.f1_quad_coeff = None
-    p = 0.6
-    sols = [minimize_hamiltonian_restarts(0.0, 0.0, p, spec) for _ in range(3)]
-    ref = np.array([-0.6, -0.3])
-    for s in sols:
-        assert np.abs(np.asarray(s) - ref).max() < 1e-8
-
-
-def test_restarts_unique_minimizer_box_corners_3d():
-    # strictly convex cost: every corner restart lands on the same point
-    spec = lq_killing(control_box=[(-1.0, 1.0)] * 3)
-    spec.b1_factor = lambda t, x: np.array([1.0, 0.5, -0.25])
-    spec.f1 = lambda t, x, g: 0.5 * float(np.sum(np.asarray(g) ** 2))
-    spec.df1 = lambda t, x, g: np.asarray(g, dtype=float)
-    spec.f1_quad_coeff = None
-    p = 0.8
-    out = np.asarray(minimize_hamiltonian_restarts(0.0, 0.0, p, spec))
-    ref = np.clip(-np.array([1.0, 0.5, -0.25]) * p, -1, 1)
-    assert np.abs(out - ref).max() < 1e-8

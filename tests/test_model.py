@@ -4,6 +4,7 @@ import pytest
 import mfckill as mk
 from mfckill.errors import (
     DegenerateRange,
+    ModelValidationError,
     NegativeIntensity,
     NonconvexControlCost,
     NondegeneracyViolation,
@@ -43,6 +44,13 @@ def test_nonfinite_drift_factor_rejected():
     spec = lq_killing()
     spec.b1_factor = lambda t, x: np.full_like(np.asarray(x, dtype=float), np.nan)
     with pytest.raises(NonlinearDrift):
+        mk.validate_model(spec)
+
+
+def test_vector_control_box_rejected():
+    # controls are scalar: a box of several intervals is refused, not cut
+    spec = lq_killing(control_box=[(-1.0, 1.0), (-0.5, 0.5)])
+    with pytest.raises(ModelValidationError, match="one interval"):
         mk.validate_model(spec)
 
 
