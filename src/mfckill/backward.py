@@ -35,8 +35,8 @@ from .forward import (
     weighted_l2_sq,
     y_column,
 )
-from .hamiltonians import MU_FLOOR, f_nu, f_tilde_mu, minimize_hamiltonian, minimize_k_tilde
-from .measures import SubProb1D, s_map, trapezoid_weights
+from .hamiltonians import MU_FLOOR
+from .measures import trapezoid_weights
 from .model import Grid, ModelSpec, NuHandle
 
 __all__ = [
@@ -104,10 +104,6 @@ def energy_report(solution: BSPDESolution, terminal: np.ndarray) -> dict:
     }
 
 
-def _fp_residual_weight(eta: float, t: float) -> float:
-    return float(np.exp(eta * t))
-
-
 def _warm_start(u: np.ndarray, k: int, nt: int, v: np.ndarray,
                 shifted: bool) -> np.ndarray:
     """Seed the inner iteration by extrapolating the marched slices.
@@ -132,7 +128,7 @@ def _run_fixed_point(apply_map, u_init, t_k, eta, tol_fp, max_fp, damping):
     contraction estimate of the residual sequence.
     """
     w = u_init.copy()
-    weight = _fp_residual_weight(eta, t_k)
+    weight = float(np.exp(eta * t_k))
     prev_res = np.inf
     grow = 0
     residuals = []
@@ -196,9 +192,8 @@ def solve_backward_1d(
 
     for k in range(nt - 1, -1, -1):
         t = times[k]
-        nu_vals = nu_traj.values[k]
-        ops = StepOperators(spec, grid, t, NuHandle(x, nu_vals), noise, transpose=True)
-        nu_sub = SubProb1D(x, np.maximum(nu_vals, 0.0))
+        nu = nu_traj.at(k)  # validates the step's measure
+        ops = StepOperators(spec, grid, t, NuHandle(x, nu.values), noise, transpose=True)
 
         v = u[k + 1]
         if increments is not None:
@@ -206,10 +201,10 @@ def solve_backward_1d(
 
         def step_map(w):
             p = central_grad(w, dx)
-            gmin = minimize_hamiltonian(t, x, p, spec)
+            gmin = ops.control(p)
             expl = upwind_transport_adjoint(w, ops.face_drift(gmin), dx)
             expl = expl + ops.f0 + np.asarray(spec.f1(t, x, gmin), dtype=float)
-            expl = expl + f_nu(t, x, nu_sub, p, spec)
+            expl = expl + ops.nonlocal_term(p)
             return diffuse(ops.kill * (v + dt * expl), ops.matrix)
 
         w0 = _warm_start(u, k, nt, v, increments is not None)
@@ -223,10 +218,6 @@ def solve_backward_1d(
                         FixedPointStats(iters[::-1], float(np.median(contr)) if contr else 0.0))
     sol.energy = energy_report(sol, terminal)
     return sol
-
-
-def _ghost_decay(dy: float) -> float:
-    return float(np.exp(-dy))
 
 
 def _y_upwind_adjoint_rate(w: np.ndarray, lam_nodes: np.ndarray, dy: float,
@@ -245,13 +236,9 @@ def terminal_cost_injection(spec: ModelSpec, g: FeedbackControl,
     weight dt e^{-y} (f0 + f1) at t_N, with f0 taken at the survival
     marginal of mu at step N, matching the last term of the cost sum.
     """
-    grid = mu_traj.grid
-    x, nt = grid.x, grid.nt
-    t = mu_traj.times[nt]
-    ops = StepOperators(spec, grid, t, NuHandle(x, s_map(mu_traj.at(nt)).values))
-    f_end = ops.f0[:, None] + np.asarray(spec.f1(t, x[:, None], y_column(g.at_step(nt))),
-                                         dtype=float)
-    return weight * ops.dt * np.exp(-grid.y)[None, :] * f_end
+    nt = mu_traj.grid.nt
+    ops = StepOperators(spec, mu_traj.grid, mu_traj.times[nt], mu=mu_traj.at(nt))
+    return weight * ops.dt * ops.ey * ops.cost(y_column(g.at_step(nt)))
 
 
 def solve_backward_2d(
@@ -286,7 +273,6 @@ def solve_backward_2d(
     """
     if (g is None) == (u_1d is None):
         raise ArgumentConflict("supply exactly one of g and u_1d")
-    x, y = grid.x, grid.y
     dx, dy = grid.dx, grid.dy
     dt = grid.dt(spec.T)
     nt = grid.nt
@@ -301,17 +287,15 @@ def solve_backward_2d(
 
     increments = noise.increments if noise is not None else None
     times = grid.times(spec.T)
-    decay = _ghost_decay(dy)
+    decay = float(np.exp(-dy))
     u = np.empty((nt + 1, *sh))
     q = np.zeros_like(u)
     u[nt] = terminal
     iters = []
     contr = []
-    ey_signed = np.exp(-y)
 
     if cost_weights is None:
-        cost_weights = np.ones(nt + 1)
-        cost_weights[0] = cost_weights[-1] = 0.5
+        cost_weights = trapezoid_weights(nt + 1, 1.0)
 
     # internal marching variable: the dual state including the terminal
     # half-weight cost injection; the stored terminal slice stays = psi data
@@ -322,8 +306,7 @@ def solve_backward_2d(
     for k in range(nt - 1, -1, -1):
         t = times[k]
         mu_k = mu_traj.at(k)
-        nu = NuHandle(x, s_map(mu_k).values)
-        ops = StepOperators(spec, grid, t, nu, noise, transpose=True)
+        ops = StepOperators(spec, grid, t, noise=noise, transpose=True, mu=mu_k)
 
         v = carry
         if increments is not None:
@@ -335,29 +318,25 @@ def solve_backward_2d(
             expl = expl + _y_upwind_adjoint_rate(v, ops.lam, dy, decay)
             if spec.db0 is not None or spec.df0 is not None:
                 pv = central_grad(v, dx)
-                expl = expl + f_tilde_mu(t, x[:, None], y[None, :], mu_k, pv, spec)
+                expl = expl + ops.nonlocal_term(pv)
             out = diffuse(v + dt * expl, ops.matrix)
-            fk = ops.f0[:, None] + np.asarray(spec.f1(t, x[:, None], gv), dtype=float)
-            out = out + cost_weights[k] * dt * ey_signed[None, :] * fk
+            out = out + cost_weights[k] * dt * ops.ey * ops.cost(gv)
             u[k] = out
             carry = out
             iters.append(1)
             contr.append(0.0)
         else:
             mu_pos = mu_k.values > mu_floor
-            p1d = central_grad(u_1d.u[k], dx)
-            g_fb = minimize_hamiltonian(t, x, p1d, spec)
+            g_fb = ops.control(central_grad(u_1d.u[k], dx))[:, None]
 
             def step_map(w):
                 p = central_grad(w, dx)
-                g_min = minimize_k_tilde(t, x[:, None], y[None, :], p, nu, spec)
-                g_loc = np.where(mu_pos, g_min, g_fb[:, None])
+                g_loc = np.where(mu_pos, ops.control(p), g_fb)
                 expl = upwind_transport_adjoint(w, ops.face_drift(g_loc), dx)
-                f_loc = ops.f0[:, None] + np.asarray(spec.f1(t, x[:, None], g_loc), dtype=float)
-                expl = expl + ey_signed[None, :] * f_loc
+                expl = expl + ops.ey * ops.cost(g_loc)
                 expl = expl + _y_upwind_adjoint_rate(w, ops.lam, dy, decay)
                 if spec.db0 is not None or spec.df0 is not None:
-                    expl = expl + f_tilde_mu(t, x[:, None], y[None, :], mu_k, p, spec)
+                    expl = expl + ops.nonlocal_term(p)
                 return diffuse(v + dt * expl, ops.matrix)
 
             w0 = _warm_start(u, k, nt, v, increments is not None)
@@ -412,17 +391,11 @@ def solve_backward_1d_galerkin(
     coef = phi.T @ (w * u[nt])
     for k in range(nt - 1, -1, -1):
         t = times[k]
-        sig = np.asarray(spec.sigma(t, x), dtype=float)
-        a = 0.5 * (sig**2 + spec.sigma0(t) ** 2)
-        nu = NuHandle(x, nu_traj.values[k])
-        fac = np.asarray(spec.b1_factor(t, x), dtype=float)
-        b = np.asarray(spec.b0(t, x, nu), dtype=float) + fac * g0
-        lam = np.asarray(spec.lam(t, x), dtype=float)
-        f = np.asarray(spec.f0(t, x, nu), dtype=float) + np.asarray(
-            spec.f1(t, x, g0), dtype=float
-        )
-        op = phi.T @ (w[:, None] * (a[:, None] * d2phi + b[:, None] * dphi
-                                    - lam[:, None] * phi))
+        ops = StepOperators(spec, grid, t, NuHandle(x, nu_traj.values[k]))
+        b = ops.b0 + ops.fac * g0
+        f = ops.f0 + np.asarray(spec.f1(t, x, g0), dtype=float)
+        op = phi.T @ (w[:, None] * (ops.a[:, None] * d2phi + b[:, None] * dphi
+                                    - ops.lam[:, None] * phi))
         rhs = coef + dt * (phi.T @ (w * f))
         coef = np.linalg.solve(np.eye(n_modes) - dt * op, rhs)
         u[k] = phi @ coef

@@ -288,12 +288,8 @@ def _run_separability(cfg: RunConfig, spec, out: Path) -> int:
         grid = _refined(cfg.grid, level)
         g = FeedbackControl.constant(cfg.control, grid, spec)
         mu = solve_forward_2d(spec, grid, g)
-        from .forward import ForwardTrajectory1D
-
-        nu_vals = np.stack([s_map(mu.at(k)).values for k in range(grid.nt + 1)])
-        nu_traj = ForwardTrajectory1D(grid, mu.times, nu_vals, g, None,
-                                      nu_vals.sum(axis=1) * grid.dx, mu.energy, 0.0)
-        term1 = _terminal_1d(spec, grid, nu_vals[-1])
+        nu_traj = mu.marginal()
+        term1 = _terminal_1d(spec, grid, nu_traj.values[-1])
         u1 = solve_backward_1d(spec, grid, nu_traj, term1,
                                tol_fp=cfg.solver["tol_fp"])
         term2 = np.exp(-grid.y)[None, :] * term1[:, None]

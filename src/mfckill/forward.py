@@ -23,7 +23,15 @@ from scipy.linalg.lapack import dgtsv
 
 from .controls import FeedbackControl
 from .errors import CFLViolation, ControlOutOfBox, GridMismatch, NonfiniteInput
-from .measures import Density2D, SubProb1D, survival_quadrature, trapezoid_weights
+from .hamiltonians import integrate_kernel, minimize_control, nonlocal_kernels
+from .measures import (
+    Density2D,
+    SubProb1D,
+    s_map,
+    survival_pairing,
+    survival_quadrature,
+    trapezoid_weights,
+)
 from .model import Grid, ModelSpec, NuHandle
 
 __all__ = [
@@ -113,24 +121,29 @@ def y_column(values: np.ndarray) -> np.ndarray:
 
 
 class StepOperators:
-    """What one time step of a marcher reads from the model.
+    """What one time step of a solver reads from the model.
 
-    Coefficients are evaluated at time `t` and, for b0/f0, at the
-    measure `nu`, each on first use.  The diffusion coefficient is
-    (sigma^2 + sigma0^2)/2, or sigma^2/2 when a common-noise path moves
-    the density instead.  `matrix` is I - dt L, with L the conservative
-    centered (a rho)_xx under zero-flux closure, or its transpose (the
-    centered a u_xx) when `transpose` is set, as its three diagonals;
-    every `diffuse` call of the step solves with it.  The forward and
-    backward marchers build their steps here, which is what makes a
-    backward step the exact algebraic transpose of a forward one.
+    Coefficients, the control box, the nonlocal kernels and their Df0
+    term are evaluated at time `t` and the step's measure (`nu`, or the
+    survival marginal of a joint density `mu`) on first use, and reused
+    by every inner iteration.  (nx,) fields live on the line, (nx, m)
+    fields on the half-plane, where f carries the factor e^{-y}.  The
+    diffusion coefficient is (sigma^2 + sigma0^2)/2, or sigma^2/2 when a
+    common-noise path moves the density instead.  `matrix` holds the three
+    diagonals of I - dt L, L the conservative centered (a rho)_xx under
+    zero-flux closure, or of its transpose (the centered a u_xx) when
+    `transpose` is set.  Forward and backward steps are both built here,
+    which makes a backward step the exact algebraic transpose of a
+    forward one.
     """
 
     def __init__(self, spec: ModelSpec, grid: Grid, t: float,
                  nu: NuHandle | None = None,
-                 noise: CommonNoisePath | None = None, transpose: bool = False):
-        self.spec, self.t, self.nu = spec, t, nu
+                 noise: CommonNoisePath | None = None, transpose: bool = False,
+                 mu: Density2D | None = None):
+        self.spec, self.grid, self.t, self.mu = spec, grid, t, mu
         self.x, self.dx, self.dt = grid.x, grid.dx, grid.dt(spec.T)
+        self.nu = NuHandle(self.x, s_map(mu).values) if mu is not None else nu
         self.noisy = noise is not None
         self.transpose = transpose
 
@@ -179,14 +192,67 @@ class StepOperators:
     def f0(self) -> np.ndarray:
         return self._coeff(self.spec.f0, self.nu)
 
+    @cached_property
+    def box(self) -> np.ndarray:
+        return self.spec.box_array[0]
+
+    @cached_property
+    def ey(self) -> np.ndarray:
+        """The survival factor e^{-y} as a (1, ny) row."""
+        return np.exp(-self.grid.y)[None, :]
+
+    def _rows(self, values: np.ndarray, field: np.ndarray) -> np.ndarray:
+        """Node values as a column when `field` lives on the half-plane."""
+        return values[:, None] if field.ndim == 2 else values
+
     def drift(self, g: np.ndarray) -> np.ndarray:
         """Node drift b0 + b1_factor g for a (nx,) or (nx, m) feedback."""
-        if g.ndim == 2:
-            return self.b0[:, None] + self.fac[:, None] * g
-        return self.b0 + self.fac * g
+        return self._rows(self.b0, g) + self._rows(self.fac, g) * g
 
     def face_drift(self, g: np.ndarray) -> np.ndarray:
         return face_average(self.drift(g))
+
+    def cost(self, g: np.ndarray) -> np.ndarray:
+        """Node running cost f0 + f1(g) for a (nx,) or (nx, m) feedback."""
+        return self._rows(self.f0, g) + np.asarray(
+            self.spec.f1(self.t, self._rows(self.x, g), g), dtype=float)
+
+    def control(self, p: np.ndarray) -> np.ndarray:
+        """Pointwise minimizer over the box of b1_factor h p + f1(h), with
+        f1 scaled by e^{-y} for an (nx, ny) gradient."""
+        return minimize_control(self.t, self._rows(self.x, p), p, self._rows(self.fac, p),
+                                self.box, self.spec, self.ey if p.ndim == 2 else 1.0)
+
+    def k_tilde(self, p: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """Running Hamiltonian b(h) p + e^{-y} (f0 + f1(h)) on the half-plane."""
+        return self.drift(h) * p + self.ey * self.cost(h)
+
+    @cached_property
+    def kernels(self) -> tuple:
+        """(Db0, Df0) at the step's measure on nodes x nodes."""
+        return nonlocal_kernels(self.t, self.x, self.nu, self.x, self.spec)
+
+    @cached_property
+    def _pairing(self) -> tuple:
+        """The columns a field is integrated over, and field -> its x
+        weights against the step's measure."""
+        if self.mu is not None:
+            return survival_pairing(self.mu)
+        nu = self.nu
+        return slice(None), lambda field: nu.values * field * nu.weights
+
+    @cached_property
+    def _df0_term(self):
+        cols, weigh = self._pairing
+        unit = 1.0 if self.mu is None else np.exp(-self.mu.y[cols])
+        return integrate_kernel(self.kernels[1], weigh(unit))
+
+    def nonlocal_term(self, p: np.ndarray):
+        """f_nu at the step's nu for a (nx,) gradient; with a joint `mu`,
+        f_tilde_mu on the half-plane for an (nx, ny) gradient."""
+        cols, weigh = self._pairing
+        vals = integrate_kernel(self.kernels[0], weigh(p[..., cols])) + self._df0_term
+        return vals if self.mu is None else self.ey * vals[:, None]
 
 
 def upwind_face_flux(values: np.ndarray, b_face: np.ndarray) -> np.ndarray:
@@ -285,6 +351,12 @@ class ForwardTrajectory2D:
 
     def at(self, k: int) -> Density2D:
         return Density2D(self.grid.x, self.grid.y, self.values[k])
+
+    def marginal(self) -> ForwardTrajectory1D:
+        """The survival-weighted marginal s_map(mu) at every step."""
+        vals = np.stack([s_map(self.at(k)).values for k in range(self.times.size)])
+        return ForwardTrajectory1D(self.grid, self.times, vals, self.control, self.noise,
+                                   vals.sum(axis=1) * self.grid.dx, self.energy, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,11 @@
 All routines accept scalars or numpy arrays for the state/gradient slots
 and broadcast; the control minimization is vectorized so whole grids are
 handled in one call.
+
+`minimize_control` is the one box-constrained control minimizer and
+`nonlocal_kernels` the one evaluation of the Db0/Df0 kernels.  The
+solvers call both once per time step through `forward.StepOperators`;
+the public functions here serve arbitrary points.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import GridMismatch, NonfiniteInput
-from .measures import Density2D, SubProb1D, trapezoid_weights
+from .measures import Density2D, SubProb1D, s_map, survival_pairing
 from .model import ModelSpec, NuHandle
 
 __all__ = [
@@ -52,31 +57,34 @@ def _golden_min(obj, lo: np.ndarray, hi: np.ndarray, tol: float = 1e-9,
     return 0.5 * (a + b)
 
 
-def minimize_hamiltonian(t, x, p, spec: ModelSpec, tol: float = 1e-9):
-    """Minimizer over the control box of h -> b1(t,x,h) p + f1(t,x,h).
+def minimize_control(t, x, p, fac, box, spec: ModelSpec, scale=1.0, tol: float = 1e-9):
+    """Pointwise minimizer over the box (lo, hi) of h -> fac h p + scale f1(t,x,h).
 
-    Closed form when f1 is declared quadratic, vectorized golden-section
-    otherwise.  `x` and `p` may be arrays (broadcast).
+    `fac` is b1_factor at `x`; `scale` is 1 for the marginal Hamiltonian
+    and e^{-y} for the joint one.  The model's `control_minimizer` when it
+    has one, the closed form when f1 is declared quadratic, vectorized
+    golden-section search otherwise.  A non-finite `p` raises.
     """
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(p))):
-        raise NonfiniteInput("minimize_hamiltonian received non-finite input")
+    if not np.all(np.isfinite(p)):
+        raise NonfiniteInput("control minimizer received a non-finite gradient")
     if spec.control_minimizer is not None:
-        return spec.control_minimizer(t, x, p, 1.0)
-    lo, hi = spec.box_array[0]
-    fac = np.asarray(spec.b1_factor(t, x), dtype=float)
+        return spec.control_minimizer(t, x, p, scale)
+    lo, hi = box
     if spec.f1_quad_coeff is not None:
-        c = spec.f1_quad_coeff
-        return np.clip(-fac * p / c, lo, hi)
-    shape = np.broadcast(x, p).shape
-    lo_a = np.full(shape, lo)
-    hi_a = np.full(shape, hi)
+        return np.clip(-fac * p / (spec.f1_quad_coeff * scale), lo, hi)
+    shape = np.broadcast(x, p, scale).shape
 
     def obj(g):
-        return fac * g * p + np.asarray(spec.f1(t, x, g), dtype=float)
+        return fac * g * p + scale * np.asarray(spec.f1(t, x, g), dtype=float)
 
-    return _golden_min(obj, lo_a, hi_a, tol=tol)
+    return _golden_min(obj, np.full(shape, lo), np.full(shape, hi), tol=tol)
+
+
+def minimize_hamiltonian(t, x, p, spec: ModelSpec, tol: float = 1e-9):
+    """Minimizer over the control box of h -> b1(t,x,h) p + f1(t,x,h)."""
+    if not np.all(np.isfinite(x)):
+        raise NonfiniteInput("minimize_hamiltonian received a non-finite state")
+    return minimize_k_tilde(t, x, 0.0, p, None, spec, tol)  # e^{-0} = 1
 
 
 def h_nu(t, x, r, p, nu: NuHandle, spec: ModelSpec):
@@ -85,12 +93,21 @@ def h_nu(t, x, r, p, nu: NuHandle, spec: ModelSpec):
     Returns [b0 + b1(g-)] p + f0 + f1(g-) - lam r with g- the pointwise
     minimizer of the control-dependent part.
     """
-    x = np.asarray(x, dtype=float)
     g = minimize_hamiltonian(t, x, p, spec)
-    fac = np.asarray(spec.b1_factor(t, x), dtype=float)
-    b = np.asarray(spec.b0(t, x, nu), dtype=float) + fac * g
-    f = np.asarray(spec.f0(t, x, nu), dtype=float) + np.asarray(spec.f1(t, x, g), dtype=float)
-    return b * p + f - np.asarray(spec.lam(t, x), dtype=float) * r
+    return k_tilde(t, x, 0.0, p, g, nu, spec) - np.asarray(spec.lam(t, x), dtype=float) * r
+
+
+def nonlocal_kernels(t, x, nu: NuHandle, z, spec: ModelSpec) -> tuple:
+    """(Db0, Df0) at nu on integration nodes `x` by evaluation points `z`;
+    None for a derivative the model does not carry."""
+    xb, zr = x[:, None], z[None, :]
+    return tuple(None if d is None else np.asarray(d(t, xb, nu, zr), dtype=float)
+                 for d in (spec.db0, spec.df0))
+
+
+def integrate_kernel(kern, weights):
+    """weights @ kern over the integration nodes; 0.0 without a kernel."""
+    return 0.0 if kern is None else weights @ kern
 
 
 def f_nu(t, x_eval, nu: SubProb1D, dxu_field: np.ndarray, spec: ModelSpec):
@@ -106,18 +123,10 @@ def f_nu(t, x_eval, nu: SubProb1D, dxu_field: np.ndarray, spec: ModelSpec):
     dxu_field = np.asarray(dxu_field, dtype=float)
     if dxu_field.shape != nu.x.shape:
         raise GridMismatch("gradient field must live on nu's grid")
-    handle = NuHandle(nu.x, nu.values)
+    kb, kf = nonlocal_kernels(t, nu.x, NuHandle(nu.x, nu.values), x_eval, spec)
     w = nu.weights
-    out = np.zeros_like(x_eval)
-    xb = nu.x[:, None]  # integration variable
-    ze = x_eval[None, :]  # evaluation points
-    if spec.db0 is not None:
-        kern = np.asarray(spec.db0(t, xb, handle, ze), dtype=float)
-        out = out + (nu.values * dxu_field * w) @ kern
-    if spec.df0 is not None:
-        kern = np.asarray(spec.df0(t, xb, handle, ze), dtype=float)
-        out = out + (nu.values * w) @ kern
-    return out
+    return (integrate_kernel(kb, nu.values * dxu_field * w)
+            + integrate_kernel(kf, nu.values * w))
 
 
 def k_tilde(t, x, y, p, h, nu: NuHandle, spec: ModelSpec):
@@ -132,25 +141,9 @@ def k_tilde(t, x, y, p, h, nu: NuHandle, spec: ModelSpec):
 def minimize_k_tilde(t, x, y, p, nu: NuHandle, spec: ModelSpec, tol: float = 1e-9):
     """Minimizer over the box of h -> b1(h) p + e^{-y} f1(h), vectorized."""
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    p = np.asarray(p, dtype=float)
-    box = spec.box_array
-    lo, hi = box[0]
-    ey = np.exp(-y)
-    if spec.control_minimizer is not None:
-        return spec.control_minimizer(t, x, p, ey)
     fac = np.asarray(spec.b1_factor(t, x), dtype=float)
-    if spec.f1_quad_coeff is not None:
-        c = spec.f1_quad_coeff
-        return np.clip(-fac * p / (c * ey), lo, hi)
-    shape = np.broadcast(x, y, p).shape
-    lo_a = np.full(shape, lo)
-    hi_a = np.full(shape, hi)
-
-    def obj(g):
-        return fac * g * p + ey * np.asarray(spec.f1(t, x, g), dtype=float)
-
-    return _golden_min(obj, lo_a, hi_a, tol=tol)
+    return minimize_control(t, x, np.asarray(p, dtype=float), fac, spec.box_array[0],
+                            spec, np.exp(-np.asarray(y, dtype=float)), tol)
 
 
 def f_tilde_mu(t, x_eval, y_eval, mu: Density2D, dxu_2d: np.ndarray,
@@ -168,24 +161,11 @@ def f_tilde_mu(t, x_eval, y_eval, mu: Density2D, dxu_2d: np.ndarray,
     dxu_2d = np.asarray(dxu_2d, dtype=float)
     if dxu_2d.shape != mu.values.shape:
         raise GridMismatch("gradient field must live on mu's grid")
-    keep = mu.y >= 0.0
-    wy = trapezoid_weights(int(keep.sum()), mu.dy)
-    wx = mu.wx
-    from .measures import s_map
-
-    nu = s_map(mu)
-    handle = NuHandle(nu.x, nu.values)
-    xb = mu.x[:, None]
+    keep, weigh = survival_pairing(mu)
     zq = np.unique(np.atleast_1d(x_eval).ravel())
-    vals = np.zeros(zq.shape)
-    if spec.db0 is not None:
-        kern = np.asarray(spec.db0(t, xb, handle, zq[None, :]), dtype=float)
-        inner = ((mu.values[:, keep] * dxu_2d[:, keep]) @ wy) * wx  # (nx,)
-        vals = vals + inner @ kern
-    if spec.df0 is not None:
-        kern = np.asarray(spec.df0(t, xb, handle, zq[None, :]), dtype=float)
-        inner = ((mu.values[:, keep] * np.exp(-mu.y[keep])[None, :]) @ wy) * wx
-        vals = vals + inner @ kern
+    kb, kf = nonlocal_kernels(t, mu.x, NuHandle(mu.x, s_map(mu).values), zq, spec)
+    vals = (integrate_kernel(kb, weigh(dxu_2d[:, keep]))
+            + integrate_kernel(kf, weigh(np.exp(-mu.y[keep]))))
     lookup = np.searchsorted(zq, np.broadcast_to(x_eval, out_shape))
     return np.exp(-np.broadcast_to(y_eval, out_shape)) * vals[lookup]
 

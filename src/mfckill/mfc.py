@@ -30,7 +30,7 @@ from .forward import (
     solve_forward_2d,
     y_column,
 )
-from .hamiltonians import MU_FLOOR, k_tilde, minimize_hamiltonian, minimize_k_tilde
+from .hamiltonians import MU_FLOOR
 from .measures import s_map, survival_quadrature, trapezoid_weights
 from .model import Grid, ModelSpec, NuHandle
 
@@ -57,12 +57,6 @@ class CostReport:
 
     def __float__(self):
         return self.total
-
-
-def _time_weights(nt: int) -> np.ndarray:
-    c = np.ones(nt + 1)
-    c[0] = c[-1] = 0.5
-    return c
 
 
 def _df1_values(spec: ModelSpec, t: float, x, g):
@@ -95,7 +89,7 @@ def evaluate_cost(
         grid = traj.grid
         x = grid.x
         dt = grid.dt(spec.T)
-        cw = _time_weights(grid.nt)
+        cw = trapezoid_weights(grid.nt + 1, 1.0)
         wx = trapezoid_weights(grid.nx, grid.dx)
         keep, _, survival = survival_quadrature(grid.y, grid.dy)
         running = 0.0
@@ -104,14 +98,11 @@ def evaluate_cost(
             gv = g.at_step(k)
             if name == "nu":
                 vals = traj.values[k]
-                ops = StepOperators(spec, grid, t, NuHandle(x, vals))
-                fk = ops.f0 + np.asarray(spec.f1(t, x, gv), dtype=float)
+                fk = StepOperators(spec, grid, t, NuHandle(x, vals)).cost(gv)
                 running += cw[k] * dt * float((vals * fk) @ wx)
             else:
                 mu_k = traj.at(k)
-                ops = StepOperators(spec, grid, t, NuHandle(x, s_map(mu_k).values))
-                fk = ops.f0[:, None] + np.asarray(spec.f1(t, x[:, None], y_column(gv)),
-                                                  dtype=float)
+                fk = StepOperators(spec, grid, t, mu=mu_k).cost(y_column(gv))
                 fk = np.broadcast_to(fk, (grid.nx, grid.ny_total))[:, keep]
                 running += cw[k] * dt * float(
                     wx @ ((mu_k.values[:, keep] * fk) @ survival)
@@ -141,13 +132,19 @@ class MFCResult:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _plateaued(residuals: list, tol_pi: float, window: int = 30) -> bool:
+    """The stall rule of both Picard loops: `window` sweeps in, the control
+    residual is still above tol_pi and fell by under 0.1% over the last
+    `window` sweeps."""
+    return (len(residuals) >= window and residuals[-1] > tol_pi
+            and residuals[-1] > 0.999 * residuals[-window])
+
+
 def _feedback_from_value(spec: ModelSpec, grid: Grid, u: BSPDESolution) -> np.ndarray:
-    x = grid.x
     times = grid.times(spec.T)
     out = np.empty((grid.nt + 1, grid.nx))
     for k in range(grid.nt + 1):
-        p = central_grad(u.u[k], grid.dx)
-        out[k] = minimize_hamiltonian(times[k], x, p, spec)
+        out[k] = StepOperators(spec, grid, times[k]).control(central_grad(u.u[k], grid.dx))
     return out
 
 
@@ -181,7 +178,7 @@ def solve_mfc(
     stalled = False
     nu_traj = None
     u = None
-    for it in range(1, max_iter + 1):
+    for _ in range(max_iter):
         nu_traj = solve_forward_1d(work, grid, g, noise)
         terminal = np.asarray(
             work.dpsi(NuHandle(x, nu_traj.values[-1]), x), dtype=float
@@ -200,12 +197,10 @@ def solve_mfc(
         g = FeedbackControl.from_array(
             (1.0 - damping) * g.values + damping * g_new, spec
         )
-        if it >= 30 and residuals[-1] > tol_pi:
-            window = residuals[-30:]
-            if window[-1] > 0.999 * window[0]:
-                stalled = True
-                g = FeedbackControl.from_array(best[1], spec)
-                break
+        if _plateaued(residuals, tol_pi):
+            stalled = True
+            g = FeedbackControl.from_array(best[1], spec)
+            break
     if stalled and strict:
         raise PicardStalled(
             f"control residual plateaued at {residuals[-1]:.3e} > {tol_pi}"
@@ -257,19 +252,15 @@ def smp_residual(
     du, h); nonnegative up to minimizer tolerance (clipped at zero).
     """
     grid = mu_traj.grid
-    x, y = grid.x, grid.y
     worst = 0.0
     for k in range(grid.nt + 1):
-        t = mu_traj.times[k]
-        mu_k = mu_traj.values[k]
-        support = mu_k > mu_floor
+        support = mu_traj.values[k] > mu_floor
         if not support.any():
             continue
+        ops = StepOperators(spec, grid, mu_traj.times[k], mu=mu_traj.at(k))
         p = central_grad(adjoint_2d.u[k], grid.dx)
-        nu = NuHandle(x, s_map(mu_traj.at(k)).values)
-        k_g = k_tilde(t, x[:, None], y[None, :], p, y_column(g.at_step(k)), nu, spec)
-        g_min = minimize_k_tilde(t, x[:, None], y[None, :], p, nu, spec)
-        k_min = k_tilde(t, x[:, None], y[None, :], p, g_min, nu, spec)
+        k_g = ops.k_tilde(p, y_column(g.at_step(k)))
+        k_min = ops.k_tilde(p, ops.control(p))
         gap = np.where(support, k_g - k_min, 0.0)
         worst = max(worst, float(gap.max()))
     return max(worst, 0.0)
@@ -307,7 +298,7 @@ def gateaux_derivative(
         raise DirectionLeavesBox("g + eps h leaves the control box")
 
     increments = mu_traj.noise.increments if mu_traj.noise is not None else None
-    cw = _time_weights(nt)
+    cw = trapezoid_weights(nt + 1, 1.0)
     wx = trapezoid_weights(grid.nx, dx)
     wy = trapezoid_weights(grid.ny_total, dy)
     keep, wy_pos, survival = survival_quadrature(y, dy)
@@ -333,8 +324,7 @@ def gateaux_derivative(
         return total
     for k in range(nt):
         t = times[k]
-        ops = StepOperators(spec, grid, t, NuHandle(x, s_map(mu_traj.at(k)).values),
-                            mu_traj.noise)
+        ops = StepOperators(spec, grid, t, noise=mu_traj.noise, mu=mu_traj.at(k))
         mu_mid = diffuse(mu_traj.values[k], ops.matrix)
         v = adjoint_2d.u[k + 1]
         if k == nt - 1:
@@ -385,28 +375,22 @@ def solve_mfc_2d(
     times = grid.times(spec.T)
     g2 = FeedbackControl.constant(float(spec.box_array[0].mean()), grid, spec, two_d=True)
     residuals = []
+    stalled = False
     mu_traj = None
     adj = None
-    for it in range(1, max_iter + 1):
+    for _ in range(max_iter):
         mu_traj = solve_forward_2d(spec, grid, g2, noise)
-        nu_vals = np.stack([s_map(mu_traj.at(k)).values for k in range(grid.nt + 1)])
-        nu_traj = ForwardTrajectory1D(grid, times, nu_vals, g2, noise,
-                                      nu_vals.sum(axis=1) * grid.dx,
-                                      mu_traj.energy, 0.0)
-        nuT = NuHandle(x, nu_vals[-1])
-        term1 = np.asarray(spec.dpsi(nuT, x), dtype=float)
+        nu_traj = mu_traj.marginal()
+        term1 = np.asarray(spec.dpsi(NuHandle(x, nu_traj.values[-1]), x), dtype=float)
         u1 = solve_backward_1d(spec, grid, nu_traj, term1, noise, tol_fp=tol_fp)
         term2 = np.exp(-y)[None, :] * term1[:, None]
         adj = solve_backward_2d(spec, grid, mu_traj, g=g2, terminal=term2,
                                 noise=noise, tol_fp=tol_fp)
         g_new = np.empty_like(g2.values)
         for k in range(grid.nt + 1):
-            t = times[k]
-            p = central_grad(adj.u[k], grid.dx)
-            nu = NuHandle(x, nu_vals[k])
-            g_min = minimize_k_tilde(t, x[:, None], y[None, :], p, nu, spec)
-            p1 = central_grad(u1.u[k], grid.dx)
-            g_fb = minimize_hamiltonian(t, x, p1, spec)
+            ops = StepOperators(spec, grid, times[k])
+            g_min = ops.control(central_grad(adj.u[k], grid.dx))
+            g_fb = ops.control(central_grad(u1.u[k], grid.dx))
             g_new[k] = np.where(mu_traj.values[k] > mu_floor, g_min, g_fb[:, None])
         res = float(np.max(np.abs(g_new - g2.values)))
         residuals.append(res)
@@ -416,10 +400,14 @@ def solve_mfc_2d(
         g2 = FeedbackControl.from_array(
             (1.0 - damping) * g2.values + damping * g_new, spec
         )
+        if _plateaued(residuals, tol_pi):
+            stalled = True
+            break
     diagnostics = {
         "picard_iterations": len(residuals),
         "residual_trace": residuals,
         "converged": residuals[-1] <= tol_pi if residuals else False,
+        "stalled": stalled,
         "intensity_independence": intensity_independence_diag(g2),
     }
     return g2, adj, mu_traj, diagnostics

@@ -29,6 +29,7 @@ from .errors import (
     NondegeneracyViolation,
     NonlinearDrift,
 )
+from .measures import trapezoid_weights
 
 __all__ = [
     "NuHandle",
@@ -47,35 +48,32 @@ class NuHandle:
     """Read-only view of a gridded subprobability measure.
 
     Exposes exactly the functionals the drift and cost coefficients use:
-    total mass, first/second moments, raw density values, and the
-    trapezoid L2 pairing against a sampled function.
+    total mass, first/second moments, raw density values and trapezoid
+    weights, and the trapezoid L2 pairing against a sampled function.
     """
 
-    __slots__ = ("x", "values", "_w")
+    __slots__ = ("x", "values", "weights")
 
     def __init__(self, x: np.ndarray, values: np.ndarray):
         self.x = x
         self.values = values
-        w = np.full(x.shape, x[1] - x[0])
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        self._w = w
+        self.weights = trapezoid_weights(x.size, x[1] - x[0])
 
     @property
     def mass(self) -> float:
-        return float(self.values @ self._w)
+        return float(self.values @ self.weights)
 
     @property
     def mean(self) -> float:
-        return float((self.values * self.x) @ self._w)
+        return float((self.values * self.x) @ self.weights)
 
     @property
     def second_moment(self) -> float:
-        return float((self.values * self.x**2) @ self._w)
+        return float((self.values * self.x**2) @ self.weights)
 
     def pair(self, f_values: np.ndarray) -> float:
         """Trapezoid integral of f against the measure."""
-        return float((self.values * f_values) @ self._w)
+        return float((self.values * f_values) @ self.weights)
 
 
 # Type aliases for the coefficient callables.  t is a float, x an array,
@@ -198,11 +196,6 @@ def build_grid(
     return Grid(float(x_min), float(x_max), int(nx), float(y_max), int(ny), int(nt), float(extension_ell))
 
 
-def _uniform_nu(spec: ModelSpec, x: np.ndarray) -> NuHandle:
-    vals = np.full_like(x, 0.5 / (x[-1] - x[0]))
-    return NuHandle(x, vals)
-
-
 def validate_model(
     spec: ModelSpec,
     n_samples: int = 1000,
@@ -219,7 +212,6 @@ def validate_model(
     if x_probe is None:
         x_probe = np.linspace(-5.0, 5.0, 41)
     t_probe = np.linspace(0.0, spec.T, 7)
-    nu = _uniform_nu(spec, x_probe)
     box = spec.box_array
     if box.shape != (1, 2):
         raise ModelValidationError(

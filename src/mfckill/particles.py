@@ -20,7 +20,7 @@ import numpy as np
 from .controls import FeedbackControl
 from .errors import SeedRequired
 from .forward import CommonNoisePath, ForwardTrajectory1D
-from .measures import SubProb1D
+from .measures import SubProb1D, trapezoid_weights
 from .model import Grid, ModelSpec, NuHandle
 
 __all__ = [
@@ -135,8 +135,7 @@ def simulate_particles(
     theta = -np.log(_counter_uniform(seed, idx, 4, 0))
 
     increments = noise.increments if noise is not None else None
-    cw = np.ones(nt + 1)
-    cw[0] = cw[-1] = 0.5
+    cw = trapezoid_weights(nt + 1, 1.0)
 
     alive_fraction = np.empty(nt + 1)
     mean_weight = np.empty(nt + 1)

@@ -78,12 +78,6 @@ class ApproxFamily:
     modulus_estimate: float
     certified: dict
 
-    def f1_envelope(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._g_grid, self._f1_env
-
-    _g_grid: np.ndarray = None
-    _f1_env: np.ndarray = None
-
 
 def _estimate_cost_modulus(spec: ModelSpec, n: int, x_probe: np.ndarray,
                            samples: int = 40, seed: int = 0) -> float:
@@ -259,11 +253,8 @@ def build_approx_family(
     )
 
     certified = _certify(spec, spec_n, n, gg, env_m)
-    fam = ApproxFamily(n=n, spec_n=spec_n, k_n=k_n, eps_n=eps_n,
-                       modulus_estimate=slope, certified=certified)
-    fam._g_grid = gg
-    fam._f1_env = env_m
-    return fam
+    return ApproxFamily(n=n, spec_n=spec_n, k_n=k_n, eps_n=eps_n,
+                        modulus_estimate=slope, certified=certified)
 
 
 def _certify(spec: ModelSpec, spec_n: ModelSpec, n: int, gg: np.ndarray,
@@ -292,7 +283,6 @@ def _certify(spec: ModelSpec, spec_n: ModelSpec, n: int, gg: np.ndarray,
 
     # locally uniform convergence gap on a compact window
     gap = 0.0
-    mid = NuHandle(xs, np.exp(-0.5 * xs**2) / np.sqrt(2 * np.pi))
     for t in np.linspace(0.0, spec.T, 3):
         gap = max(gap, float(np.abs(
             np.asarray(spec_n.lam(t, xs)) - np.asarray(spec.lam(t, xs))

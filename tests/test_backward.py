@@ -11,8 +11,9 @@ from mfckill.backward import (
     solve_backward_2d,
 )
 from mfckill.controls import FeedbackControl
-from mfckill.errors import ArgumentConflict, GridMismatch
-from mfckill.forward import CommonNoisePath, ForwardTrajectory1D
+from mfckill.errors import ArgumentConflict, GridMismatch, NonfiniteInput
+from mfckill.forward import CommonNoisePath, ForwardTrajectory1D, StepOperators
+from mfckill.hamiltonians import f_nu, f_tilde_mu, minimize_hamiltonian, minimize_k_tilde
 
 
 def nu_from_mu(mu, grid, g):
@@ -279,3 +280,57 @@ def test_fixed_feedback_duality_with_measure_dependent_cost():
         cost += weight * dt * float((mu.values[k] * np.exp(-y)[None, :] * f).sum()) * cell
     pairing = float((mu.values[0] * adj.u[0]).sum()) * cell
     assert abs(pairing - cost) < 1e-6
+
+
+def test_model_derivatives_read_once_per_step():
+    # b1_factor and the Db0/Df0 kernels are fixed within a time step, so
+    # the inner fixed point must not re-evaluate them
+    base = mk.make_model("lq_mean_field")
+    calls = dict.fromkeys(("b1_factor", "db0", "df0"), 0)
+
+    def counted(name):
+        fn = getattr(base, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    spec = base.with_params(**{name: counted(name) for name in calls})
+    grid = mk.build_grid(-4, 4, 61, 2.4, 8, 30)
+    tr = mk.solve_forward_1d(spec, grid, FeedbackControl.constant(0.1, grid, spec))
+    terminal = np.asarray(spec.dpsi(mk.NuHandle(grid.x, tr.values[-1]), grid.x))
+    calls.update(dict.fromkeys(calls, 0))
+    sol = solve_backward_1d(spec, grid, tr, terminal)
+    assert min(sol.fixed_point.iterations) > 1
+    for name, n in calls.items():
+        assert 1 <= n <= grid.nt, (name, n)
+
+
+def test_step_operators_match_pointwise_functions():
+    # the per-step minimizer and nonlocal term are the public pointwise
+    # functions evaluated on the step's nodes, bit for bit
+    spec = mk.make_model("lq_mean_field")
+    grid = mk.build_grid(-4, 4, 81, 2.4, 12, 40)
+    x, y, t = grid.x, grid.y, 0.2
+    nu = mk.SubProb1D(x, 0.9 * gaussian(x, 0.6) / (0.6 * math.sqrt(2 * math.pi)))
+    p = np.sin(x)
+    ops = StepOperators(spec, grid, t, mk.NuHandle(x, nu.values))
+    assert np.array_equal(ops.nonlocal_term(p), f_nu(t, x, nu, p, spec))
+    assert np.array_equal(ops.control(p), minimize_hamiltonian(t, x, p, spec))
+    mu = mk.solve_forward_2d(spec, grid, FeedbackControl.constant(0.1, grid, spec)).at(5)
+    p2 = np.cos(x)[:, None] * (1.0 + y)[None, :]
+    ops2 = StepOperators(spec, grid, t, mu=mu)
+    assert np.array_equal(ops2.nonlocal_term(p2),
+                          f_tilde_mu(t, x[:, None], y[None, :], mu, p2, spec))
+    assert np.array_equal(ops2.control(p2),
+                          minimize_k_tilde(t, x[:, None], y[None, :], p2, ops2.nu, spec))
+
+
+def test_nonfinite_terminal_raises():
+    spec = mk.make_model("lq_killing")
+    grid = mk.build_grid(-4, 4, 61, 2.4, 8, 30)
+    terminal = gaussian(grid.x, 0.5)
+    terminal[20] = np.nan
+    with pytest.raises(NonfiniteInput):
+        run_1d(spec, grid, terminal)

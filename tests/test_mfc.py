@@ -207,3 +207,13 @@ def test_solve_mfc_2d_smoke():
     g2, adj, mu, diag = solve_mfc_2d(spec, grid, tol_pi=1e-4, max_iter=40)
     assert diag["converged"]
     assert diag["intensity_independence"] < 0.2
+
+
+def test_solve_mfc_2d_reports_stall():
+    # the joint-feedback loop uses the same plateau rule as solve_mfc
+    spec = mk.make_model("lq_killing")
+    grid = mk.build_grid(-4, 4, 41, 2.4, 8, 40)
+    _, _, _, diag = solve_mfc_2d(spec, grid, tol_pi=1e-18, max_iter=150)
+    assert diag["stalled"]
+    assert not diag["converged"]
+    assert diag["picard_iterations"] < 150
