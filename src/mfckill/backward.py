@@ -124,17 +124,20 @@ def _warm_start(u: np.ndarray, k: int, nt: int, v: np.ndarray,
 def _run_fixed_point(apply_map, u_init, t_k, eta, tol_fp, max_fp, damping):
     """Damped fixed-point iteration with divergence detection.
 
+    `apply_map` must return a new array: the update scales it in place.
     Returns the converged field, the iteration count, and the geometric
     contraction estimate of the residual sequence.
     """
     w = u_init.copy()
+    diff = np.empty_like(w)
     weight = float(np.exp(eta * t_k))
     prev_res = np.inf
     grow = 0
     residuals = []
     for it in range(1, max_fp + 1):
         cand = apply_map(w)
-        res = weight * float(np.max(np.abs(cand - w)))
+        np.subtract(cand, w, out=diff)
+        res = weight * float(np.abs(diff, out=diff).max())
         residuals.append(res)
         if res > prev_res * (1.0 + 1e-12) and res > 1e-13:
             grow += 1
@@ -144,7 +147,9 @@ def _run_fixed_point(apply_map, u_init, t_k, eta, tol_fp, max_fp, damping):
                 )
         else:
             grow = 0
-        w = (1.0 - damping) * w + damping * cand
+        w *= 1.0 - damping
+        cand *= damping
+        w += cand
         if res <= tol_fp:
             break
         prev_res = res
@@ -185,10 +190,11 @@ def solve_backward_1d(
     increments = noise.increments if noise is not None else None
     times = grid.times(spec.T)
     u = np.empty((nt + 1, grid.nx))
-    q = np.zeros_like(u)
+    q = np.zeros(u.shape)  # unlike zeros_like, leaves pages unmapped until written
     u[nt] = terminal
     iters = []
     contr = []
+    coupled = spec.db0 is not None or spec.df0 is not None
 
     for k in range(nt - 1, -1, -1):
         t = times[k]
@@ -204,7 +210,8 @@ def solve_backward_1d(
             gmin = ops.control(p)
             expl = upwind_transport_adjoint(w, ops.face_drift(gmin), dx)
             expl = expl + ops.f0 + np.asarray(spec.f1(t, x, gmin), dtype=float)
-            expl = expl + ops.nonlocal_term(p)
+            if coupled:
+                expl = expl + ops.nonlocal_term(p)
             return diffuse(ops.kill * (v + dt * expl), ops.matrix)
 
         w0 = _warm_start(u, k, nt, v, increments is not None)
@@ -288,8 +295,9 @@ def solve_backward_2d(
     increments = noise.increments if noise is not None else None
     times = grid.times(spec.T)
     decay = float(np.exp(-dy))
+    coupled = spec.db0 is not None or spec.df0 is not None
     u = np.empty((nt + 1, *sh))
-    q = np.zeros_like(u)
+    q = np.zeros(u.shape)  # unlike zeros_like, leaves pages unmapped until written
     u[nt] = terminal
     iters = []
     contr = []
@@ -316,7 +324,7 @@ def solve_backward_2d(
             gv = y_column(g.at_step(k))
             expl = upwind_transport_adjoint(v, ops.face_drift(gv), dx)
             expl = expl + _y_upwind_adjoint_rate(v, ops.lam, dy, decay)
-            if spec.db0 is not None or spec.df0 is not None:
+            if coupled:
                 pv = central_grad(v, dx)
                 expl = expl + ops.nonlocal_term(pv)
             out = diffuse(v + dt * expl, ops.matrix)
@@ -335,7 +343,7 @@ def solve_backward_2d(
                 expl = upwind_transport_adjoint(w, ops.face_drift(g_loc), dx)
                 expl = expl + ops.ey * ops.cost(g_loc)
                 expl = expl + _y_upwind_adjoint_rate(w, ops.lam, dy, decay)
-                if spec.db0 is not None or spec.df0 is not None:
+                if coupled:
                     expl = expl + ops.nonlocal_term(p)
                 return diffuse(v + dt * expl, ops.matrix)
 
@@ -399,6 +407,7 @@ def solve_backward_1d_galerkin(
         rhs = coef + dt * (phi.T @ (w * f))
         coef = np.linalg.solve(np.eye(n_modes) - dt * op, rhs)
         u[k] = phi @ coef
-    sol = BSPDESolution(grid, times, u, np.zeros_like(u), u[nt], {})
+    q = np.zeros(u.shape)  # unlike zeros_like, leaves pages unmapped until written
+    sol = BSPDESolution(grid, times, u, q, u[nt], {})
     sol.energy = energy_report(sol, u[nt])
     return sol

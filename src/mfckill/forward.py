@@ -102,7 +102,7 @@ def shift_density(values: np.ndarray, offset: float, dx: float) -> np.ndarray:
 
 def diffuse(values: np.ndarray, matrix: tuple) -> np.ndarray:
     """Solve one implicit diffusion step with a `StepOperators.matrix`."""
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise NonfiniteInput("diffusion step received non-finite values")
     *_, out, info = dgtsv(*matrix, values)
     if info != 0:
@@ -289,10 +289,10 @@ def upwind_transport_adjoint(u: np.ndarray, b_face: np.ndarray,
     bf = b_face if b_face.ndim == 2 else b_face[:, None]
     du = uaug[1:] - uaug[:-1]
     du /= dx
-    pos = bf > 0.0
-    out = np.zeros_like(uaug)
-    out[:-1] += np.where(pos, bf, 0.0) * du
-    out[1:] += np.where(pos, 0.0, bf) * du
+    out = np.empty_like(uaug)
+    np.multiply(np.maximum(bf, 0.0), du, out=out[:-1])
+    out[-1] = 0.0
+    out[1:] += np.minimum(bf, 0.0) * du
     return out if u.ndim == 2 else out[:, 0]
 
 

@@ -65,13 +65,13 @@ def minimize_control(t, x, p, fac, box, spec: ModelSpec, scale=1.0, tol: float =
     has one, the closed form when f1 is declared quadratic, vectorized
     golden-section search otherwise.  A non-finite `p` raises.
     """
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise NonfiniteInput("control minimizer received a non-finite gradient")
     if spec.control_minimizer is not None:
         return spec.control_minimizer(t, x, p, scale)
     lo, hi = box
     if spec.f1_quad_coeff is not None:
-        return np.clip(-fac * p / (spec.f1_quad_coeff * scale), lo, hi)
+        return (-fac * p / (spec.f1_quad_coeff * scale)).clip(lo, hi)
     shape = np.broadcast(x, p, scale).shape
 
     def obj(g):

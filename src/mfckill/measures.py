@@ -67,13 +67,6 @@ class SubProb1D:
     def mass(self) -> float:
         return float(self.values @ self.weights)
 
-    def pair(self, f_values: np.ndarray) -> float:
-        return float((self.values * np.asarray(f_values)) @ self.weights)
-
-    def clipped(self) -> "SubProb1D":
-        """Diagnostic copy with tiny negative values set to zero."""
-        return SubProb1D(self.x, np.maximum(self.values, 0.0))
-
     def to_csv(self, path) -> None:
         header = "x,value"
         data = np.column_stack([self.x, self.values])
@@ -122,9 +115,6 @@ class Density2D:
         if not below.any():
             return 0.0
         return float(abs(self.wx @ self.values[:, below] @ self.wy[below]))
-
-    def pair(self, f_values: np.ndarray) -> float:
-        return float(self.wx @ (self.values * np.asarray(f_values)) @ self.wy)
 
     def to_csv(self, path) -> None:
         xs, ys = np.meshgrid(self.x, self.y, indexing="ij")

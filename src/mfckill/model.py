@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -122,12 +123,18 @@ class ModelSpec:
         return replace(self, validated=False, **kw)
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform tensor grid in (x, y) plus a time-step count.
 
     The y axis nominally covers [0, y_max]; requesting a negative
-    extension adds whole cells below zero so that 0 stays a node.
+    extension adds whole cells below zero so that 0 stays a node.  The
+    node arrays `x` and `y` are built once per grid and are read-only.
     """
 
     x_min: float
@@ -153,13 +160,13 @@ class Grid:
             return 0
         return int(math.ceil(-self.extension_ell / self.dy - 1e-12))
 
-    @property
+    @cached_property
     def x(self) -> np.ndarray:
-        return self.x_min + self.dx * np.arange(self.nx)
+        return _frozen(self.x_min + self.dx * np.arange(self.nx))
 
-    @property
+    @cached_property
     def y(self) -> np.ndarray:
-        return self.dy * np.arange(-self.n_ext, self.ny)
+        return _frozen(self.dy * np.arange(-self.n_ext, self.ny))
 
     @property
     def ny_total(self) -> int:

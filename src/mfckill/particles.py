@@ -30,15 +30,18 @@ __all__ = [
     "estimate_cost_mc",
 ]
 
-_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
 _N_BATCH = 10
 
 
 def _splitmix64(z: np.ndarray) -> np.ndarray:
-    z = (z + np.uint64(0x9E3779B97F4A7C15)) & _MASK
-    z = ((z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)) & _MASK
-    z = ((z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)) & _MASK
-    return z ^ (z >> np.uint64(31))
+    """SplitMix64 finalizer; uint64 array arithmetic wraps mod 2^64."""
+    z = z + np.uint64(0x9E3779B97F4A7C15)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def _counter_uniform(seed: int, idx: np.ndarray, channel: int, step: int) -> np.ndarray:
@@ -50,6 +53,32 @@ def _counter_uniform(seed: int, idx: np.ndarray, channel: int, step: int) -> np.
     key = _splitmix64(np.array([mixed], dtype=np.uint64))[0]
     h = _splitmix64((idx * np.uint64(0xA24BAED4963EE407)) ^ key)
     return ((h >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)
+
+
+def _interp_uniform(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """np.interp(x, xp, fp) on uniform nodes `xp`, bit for bit for finite fp.
+
+    The interval comes from index arithmetic instead of a binary search,
+    corrected by one against the stored nodes so that xp[j] <= x < xp[j+1]
+    as numpy finds it; numpy's slopes and end/node cases are kept.
+    """
+    top = xp.size - 2
+    s = x - xp[0]
+    s /= xp[1] - xp[0]
+    j = np.fmin(np.fmax(s, 0.0, out=s), top, out=s).astype(np.intp)  # NaN -> 0
+    j -= xp[j] > x
+    j += xp[j + 1] <= x  # may reach top + 1 for x >= xp[-1]: pad the slopes
+    slope = np.zeros(xp.size)
+    slope[:-1] = np.diff(fp) / np.diff(xp)
+    xj, fj = xp[j], fp[j]
+    out = x - xj
+    with np.errstate(invalid="ignore"):  # inf x meets a zero pad; masked below
+        out *= slope[j]
+    out += fj
+    np.copyto(out, fj, where=x == xj)
+    np.copyto(out, fp[0], where=x < xp[0])
+    np.copyto(out, fp[-1], where=x >= xp[-1])
+    return out
 
 
 def _counter_normal(seed: int, idx: np.ndarray, channel: int, step: int) -> np.ndarray:
@@ -157,7 +186,7 @@ def simulate_particles(
         mean_weight[k] = weights.mean()
         nu = nu_handle_at(k, weights)
         gk = g.at_step(k)
-        gp = np.interp(x_pos, grid.x, gk)
+        gp = _interp_uniform(x_pos, grid.x, gk)
         f_run = np.asarray(spec.f0(t, x_pos, nu), dtype=float) + np.asarray(
             spec.f1(t, x_pos, gp), dtype=float
         )

@@ -211,6 +211,11 @@ def test_q_field_convention():
     term = np.asarray(spec.dpsi(None, grid.x))
     sol = solve_backward_1d(spec, grid, tr, term)
     assert np.array_equal(sol.q, np.zeros_like(sol.u))
+    mu = mk.solve_forward_2d(spec, grid, g)
+    term2 = np.exp(-grid.y)[None, :] * term[:, None]
+    for mode in ({"g": g}, {"u_1d": sol}):
+        sol2 = solve_backward_2d(spec, grid, mu, terminal=term2, **mode)
+        assert sol2.q.shape == sol2.u.shape and not sol2.q.any()
 
     spec_n = mk.make_model("lq_killing", sigma0=0.4)
     noise = CommonNoisePath.from_seed(5, grid.nt, grid.dt(spec_n.T))

@@ -6,7 +6,14 @@ import pytest
 import mfckill as mk
 from mfckill.controls import FeedbackControl
 from mfckill.errors import CFLViolation, ControlOutOfBox, NonfiniteInput
-from mfckill.forward import CommonNoisePath, StepOperators, diffuse, shift_density
+from mfckill.forward import (
+    CommonNoisePath,
+    StepOperators,
+    diffuse,
+    shift_density,
+    upwind_flux_divergence,
+    upwind_transport_adjoint,
+)
 from mfckill.measures import metric_dp, trapezoid_weights
 
 from conftest import tanh_feedback
@@ -231,4 +238,19 @@ def test_step_matrix_transpose_pairing():
     bwd = StepOperators(spec, grid, 0.1, transpose=True)
     lhs = float(v @ diffuse(rho, fwd.matrix))
     rhs = float(rho @ diffuse(v, bwd.matrix))
+    assert abs(lhs - rhs) <= 1e-13 * abs(lhs)
+
+
+@pytest.mark.parametrize("m", [None, 7])
+def test_transport_adjoint_pairing(m):
+    # <v, D(b) rho> == <D(b)^T v, rho> for the upwind flux divergence D(b),
+    # with face drift of both signs and exact zeros, in 1d and 2d
+    rng = np.random.default_rng(5)
+    nx, dx = 61, 0.1
+    shape = (nx,) if m is None else (nx, m)
+    rho, v = rng.random(shape), rng.normal(size=shape)
+    b = rng.normal(size=(nx - 1,) + shape[1:])
+    b[::4] = 0.0
+    lhs = float(np.sum(v * upwind_flux_divergence(rho, b, dx)))
+    rhs = float(np.sum(upwind_transport_adjoint(v, b, dx) * rho))
     assert abs(lhs - rhs) <= 1e-13 * abs(lhs)

@@ -91,6 +91,16 @@ def test_grid_nodes_reproducible():
     assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
 
 
+def test_grid_nodes_cached_read_only():
+    g = mk.build_grid(-5, 5, 11, 2, 5, 10, -0.5)
+    assert g.x is g.x and g.y is g.y
+    assert np.array_equal(g.x, g.x_min + g.dx * np.arange(g.nx))
+    assert np.array_equal(g.y, g.dy * np.arange(-g.n_ext, g.ny))
+    for nodes in (g.x, g.y):
+        with pytest.raises(ValueError):
+            nodes[0] = 1.0
+
+
 def test_f1_midpoint_convexity_sampled():
     spec = mk.make_model("lq_killing")
     rng = np.random.default_rng(0)

@@ -10,6 +10,7 @@ from mfckill.measures import metric_dp
 from mfckill.mfc import evaluate_cost
 from mfckill.particles import (
     ParticleEnsemble,
+    _interp_uniform,
     empirical_subprob,
     estimate_cost_mc,
     simulate_particles,
@@ -178,3 +179,23 @@ def test_pde_handle_coupling_close_to_empirical():
     d = metric_dp(empirical_subprob(ens_pde, "soft", grid),
                   empirical_subprob(ens_emp, "soft", grid), p=1)
     assert d <= 3.0 / math.sqrt(n) + 0.25 * (grid.dx + grid.dt(spec.T))
+
+
+@pytest.mark.parametrize("bounds", [(-4.0, 4.0, 161), (-6.3, 7.1, 997), (-1e-3, 3e-3, 13)])
+def test_uniform_interp_matches_np_interp(bounds):
+    # the particle step's index-arithmetic interpolation equals np.interp
+    # bit for bit: random points, every node and its neighbours, the end
+    # points and points outside the range, including signed-zero data
+    grid = mk.build_grid(bounds[0], bounds[1], bounds[2], 2.0, 5, 10)
+    xp = grid.x
+    rng = np.random.default_rng(bounds[2])
+    span = xp[-1] - xp[0]
+    x = np.concatenate([
+        rng.uniform(xp[0] - 0.1 * span, xp[-1] + 0.1 * span, 20000),
+        xp, np.nextafter(xp, np.inf), np.nextafter(xp, -np.inf),
+        [xp[0], xp[-1], xp[0] - span, xp[-1] + span, -1e300, 1e300, -np.inf, np.inf],
+    ])
+    fp = rng.normal(size=xp.size)
+    fp[[0, 3, -1]] = -0.0
+    want = np.interp(x, xp, fp)
+    assert np.array_equal(_interp_uniform(x, xp, fp).view(np.int64), want.view(np.int64))
