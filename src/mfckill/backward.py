@@ -19,6 +19,7 @@ fixed-point iteration on (u, du/dx) instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +43,7 @@ from .model import Grid, ModelSpec, NuHandle
 __all__ = [
     "BSPDESolution",
     "solve_backward_1d",
+    "population_inputs",
     "solve_backward_2d",
     "solve_backward_1d_galerkin",
     "energy_report",
@@ -61,12 +63,17 @@ class BSPDESolution:
     u: np.ndarray           # (nt+1, nx) or (nt+1, nx, ny_total)
     q: np.ndarray           # same shape; zero when no noise path was given
     terminal: np.ndarray
-    energy: dict
     fixed_point: FixedPointStats | None = None
 
     @property
     def is_2d(self) -> bool:
         return self.u.ndim == 3
+
+    @cached_property
+    def energy(self) -> dict:
+        """`energy_report` against the terminal data, computed on first read;
+        assigning a dict replaces it."""
+        return energy_report(self, self.terminal)
 
 
 def central_grad(u: np.ndarray, dx: float) -> np.ndarray:
@@ -194,7 +201,7 @@ def solve_backward_1d(
     u[nt] = terminal
     iters = []
     contr = []
-    coupled = spec.db0 is not None or spec.df0 is not None
+    coupled = spec.coupled
 
     for k in range(nt - 1, -1, -1):
         t = times[k]
@@ -221,10 +228,32 @@ def solve_backward_1d(
         if increments is not None:
             q[k] = spec.sigma0(t) * central_grad(u[k], dx)
 
-    sol = BSPDESolution(grid, times, u, q, terminal, {},
-                        FixedPointStats(iters[::-1], float(np.median(contr)) if contr else 0.0))
-    sol.energy = energy_report(sol, terminal)
-    return sol
+    return BSPDESolution(grid, times, u, q, terminal,
+                         FixedPointStats(iters[::-1], float(np.median(contr)) if contr else 0.0))
+
+
+def population_inputs(spec: ModelSpec, grid: Grid, nu_traj: ForwardTrajectory1D,
+                      terminal: np.ndarray) -> np.ndarray | None:
+    """Everything `solve_backward_1d` reads from the population, or None
+    when the model is coupled (its nonlocal term reads the measure itself).
+
+    Row 0 is the terminal data; rows 1 + 2k and 2 + 2k hold b0 and f0 at
+    the measure of step k, for each step k < nt the march visits (read
+    through `nu_traj.at(k)`, which validates it).  Two solves on one grid,
+    noise path and tolerance whose inputs here are byte-identical return
+    bit-identical solutions.
+    """
+    if spec.coupled:
+        return None
+    x = grid.x
+    times = grid.times(spec.T)
+    out = np.empty((2 * grid.nt + 1, grid.nx))
+    out[0] = terminal
+    for k in range(grid.nt - 1, -1, -1):  # the march's order, so a bad step raises as there
+        ops = StepOperators(spec, grid, times[k], NuHandle(x, nu_traj.at(k).values))
+        out[1 + 2 * k] = ops.b0
+        out[2 + 2 * k] = ops.f0
+    return out
 
 
 def _y_upwind_adjoint_rate(w: np.ndarray, lam_nodes: np.ndarray, dy: float,
@@ -295,7 +324,7 @@ def solve_backward_2d(
     increments = noise.increments if noise is not None else None
     times = grid.times(spec.T)
     decay = float(np.exp(-dy))
-    coupled = spec.db0 is not None or spec.df0 is not None
+    coupled = spec.coupled
     u = np.empty((nt + 1, *sh))
     q = np.zeros(u.shape)  # unlike zeros_like, leaves pages unmapped until written
     u[nt] = terminal
@@ -356,10 +385,8 @@ def solve_backward_2d(
         if increments is not None:
             q[k] = spec.sigma0(t) * central_grad(u[k], dx)
 
-    sol = BSPDESolution(grid, times, u, q, terminal, {},
-                        FixedPointStats(iters[::-1], float(np.median(contr)) if contr else 0.0))
-    sol.energy = energy_report(sol, terminal)
-    return sol
+    return BSPDESolution(grid, times, u, q, terminal,
+                         FixedPointStats(iters[::-1], float(np.median(contr)) if contr else 0.0))
 
 
 def solve_backward_1d_galerkin(
@@ -408,6 +435,4 @@ def solve_backward_1d_galerkin(
         coef = np.linalg.solve(np.eye(n_modes) - dt * op, rhs)
         u[k] = phi @ coef
     q = np.zeros(u.shape)  # unlike zeros_like, leaves pages unmapped until written
-    sol = BSPDESolution(grid, times, u, q, u[nt], {})
-    sol.energy = energy_report(sol, u[nt])
-    return sol
+    return BSPDESolution(grid, times, u, q, u[nt])

@@ -118,7 +118,7 @@ def f_nu(t, x_eval, nu: SubProb1D, dxu_field: np.ndarray, spec: ModelSpec):
     functional derivatives.
     """
     x_eval = np.asarray(x_eval, dtype=float)
-    if spec.db0 is None and spec.df0 is None:
+    if not spec.coupled:
         return np.zeros_like(x_eval)
     dxu_field = np.asarray(dxu_field, dtype=float)
     if dxu_field.shape != nu.x.shape:
@@ -156,7 +156,7 @@ def f_tilde_mu(t, x_eval, y_eval, mu: Density2D, dxu_2d: np.ndarray,
     x_eval = np.asarray(x_eval, dtype=float)
     y_eval = np.asarray(y_eval, dtype=float)
     out_shape = np.broadcast(x_eval, y_eval).shape
-    if spec.db0 is None and spec.df0 is None:
+    if not spec.coupled:
         return np.zeros(out_shape)
     dxu_2d = np.asarray(dxu_2d, dtype=float)
     if dxu_2d.shape != mu.values.shape:

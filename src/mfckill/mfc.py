@@ -11,6 +11,7 @@ import numpy as np
 from .backward import (
     BSPDESolution,
     central_grad,
+    population_inputs,
     solve_backward_1d,
     solve_backward_2d,
     terminal_cost_injection,
@@ -148,6 +149,37 @@ def _feedback_from_value(spec: ModelSpec, grid: Grid, u: BSPDESolution) -> np.nd
     return out
 
 
+class _ValueSolves:
+    """The value field of one Picard loop's sweeps: `solve_backward_1d` on
+    the sweep's population, run again only when `population_inputs` differ
+    byte for byte from those of the last solve.  The grid, noise path and
+    tol_fp are fixed for the loop, so a reused solution is the one a new
+    solve would return, bit for bit.  `solves` counts the solves made."""
+
+    def __init__(self, spec: ModelSpec, grid: Grid,
+                 noise: CommonNoisePath | None, tol_fp: float):
+        self.spec, self.grid, self.noise, self.tol_fp = spec, grid, noise, tol_fp
+        self.solves = 0
+        self._inputs = None
+        self._last = None
+
+    def __call__(self, nu_traj: ForwardTrajectory1D) -> tuple[BSPDESolution, bool]:
+        """The value field for `nu_traj`, and whether it was solved afresh."""
+        x = self.grid.x
+        terminal = np.asarray(
+            self.spec.dpsi(NuHandle(x, nu_traj.values[-1]), x), dtype=float
+        )
+        inputs = population_inputs(self.spec, self.grid, nu_traj, terminal)
+        inputs = None if inputs is None else inputs.tobytes()
+        if inputs is not None and inputs == self._inputs:
+            return self._last, False
+        self._last = solve_backward_1d(self.spec, self.grid, nu_traj, terminal,
+                                       self.noise, tol_fp=self.tol_fp)
+        self._inputs = inputs
+        self.solves += 1
+        return self._last, True
+
+
 def solve_mfc(
     spec: ModelSpec,
     grid: Grid,
@@ -166,25 +198,24 @@ def solve_mfc(
     the value field for that population, and resynthesizes the feedback
     from the pointwise Hamiltonian minimizer.  Convergence is declared on
     the control iterate.  Set mean_field=False to drop the nonlocal terms
-    (the game rather than control fixed point) for comparison runs.
+    (the game rather than control fixed point) for comparison runs.  When
+    the population does not enter the value equation (see
+    `population_inputs`), the value field and its feedback are solved once
+    and reused; `diagnostics["backward_solves"]` counts the solves made.
     """
     work = spec if mean_field else spec.with_params(db0=None, df0=None)
-    x = grid.x
+    value = _ValueSolves(work, grid, noise, tol_fp)
     g = FeedbackControl.constant(float(spec.box_array[0].mean()), grid, spec)
     residuals = []
     costs = []
     best = None
     converged = False
     stalled = False
-    nu_traj = None
-    u = None
     for _ in range(max_iter):
         nu_traj = solve_forward_1d(work, grid, g, noise)
-        terminal = np.asarray(
-            work.dpsi(NuHandle(x, nu_traj.values[-1]), x), dtype=float
-        )
-        u = solve_backward_1d(work, grid, nu_traj, terminal, noise, tol_fp=tol_fp)
-        g_new = _feedback_from_value(work, grid, u)
+        u, fresh = value(nu_traj)
+        if fresh:
+            g_new = _feedback_from_value(work, grid, u)
         res = float(np.max(np.abs(g_new - g.values)))
         cost = evaluate_cost(work, g, nu_traj=nu_traj)
         residuals.append(res)
@@ -210,9 +241,10 @@ def solve_mfc(
     # resynthesized from it, so g_star is the pointwise minimizer of the
     # returned value field (the form every optimal control takes)
     nu_traj = solve_forward_1d(work, grid, g, noise)
-    terminal = np.asarray(work.dpsi(NuHandle(x, nu_traj.values[-1]), x), dtype=float)
-    u = solve_backward_1d(work, grid, nu_traj, terminal, noise, tol_fp=tol_fp)
-    g = FeedbackControl.from_array(_feedback_from_value(work, grid, u), spec)
+    u, fresh = value(nu_traj)
+    if fresh:
+        g_new = _feedback_from_value(work, grid, u)
+    g = FeedbackControl.from_array(g_new, spec)
     nu_traj = solve_forward_1d(work, grid, g, noise)
     mu_traj = solve_forward_2d(work, grid, g, noise) if with_2d else None
     cost = evaluate_cost(work, g, nu_traj=nu_traj, mu_traj=mu_traj)
@@ -226,6 +258,7 @@ def solve_mfc(
         "fixed_point_iterations_median": float(
             np.median(u.fixed_point.iterations)
         ),
+        "backward_solves": value.solves,
     }
     return MFCResult(g, u, nu_traj, mu_traj, cost, diagnostics)
 
@@ -235,7 +268,8 @@ def separable_lift(u_1d: BSPDESolution, grid: Grid) -> BSPDESolution:
     ey = np.exp(-grid.y)
     u2 = u_1d.u[:, :, None] * ey[None, None, :]
     q2 = u_1d.q[:, :, None] * ey[None, None, :]
-    sol = BSPDESolution(grid, u_1d.times, u2, q2, u2[-1], dict(u_1d.energy))
+    sol = BSPDESolution(grid, u_1d.times, u2, q2, u2[-1])
+    sol.energy = dict(u_1d.energy)
     return sol
 
 
@@ -369,21 +403,21 @@ def solve_mfc_2d(
     current feedback, then the pointwise minimizer update (falling back
     to the marginal-equation minimizer off the support of mu).  The
     spread of the converged feedback along y is the numerical measure of
-    intensity independence.
+    intensity independence.  The marginal value field is solved again only
+    when its population inputs change, as in `solve_mfc`.
     """
-    x, y = grid.x, grid.y
     times = grid.times(spec.T)
+    ey = np.exp(-grid.y)[None, :]
     g2 = FeedbackControl.constant(float(spec.box_array[0].mean()), grid, spec, two_d=True)
+    value = _ValueSolves(spec, grid, noise, tol_fp)
     residuals = []
     stalled = False
     mu_traj = None
     adj = None
     for _ in range(max_iter):
         mu_traj = solve_forward_2d(spec, grid, g2, noise)
-        nu_traj = mu_traj.marginal()
-        term1 = np.asarray(spec.dpsi(NuHandle(x, nu_traj.values[-1]), x), dtype=float)
-        u1 = solve_backward_1d(spec, grid, nu_traj, term1, noise, tol_fp=tol_fp)
-        term2 = np.exp(-y)[None, :] * term1[:, None]
+        u1, _ = value(mu_traj.marginal())
+        term2 = ey * u1.terminal[:, None]
         adj = solve_backward_2d(spec, grid, mu_traj, g=g2, terminal=term2,
                                 noise=noise, tol_fp=tol_fp)
         g_new = np.empty_like(g2.values)
@@ -409,5 +443,6 @@ def solve_mfc_2d(
         "converged": residuals[-1] <= tol_pi if residuals else False,
         "stalled": stalled,
         "intensity_independence": intensity_independence_diag(g2),
+        "backward_solves": value.solves,
     }
     return g2, adj, mu_traj, diagnostics

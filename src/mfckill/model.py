@@ -119,6 +119,12 @@ class ModelSpec:
         """Control box as an array of shape (1, 2)."""
         return np.atleast_2d(np.asarray(self.control_box, dtype=float))
 
+    @property
+    def coupled(self) -> bool:
+        """True when the model carries Db0 or Df0, so the value equation
+        has a nonlocal term that reads the measure itself."""
+        return self.db0 is not None or self.df0 is not None
+
     def with_params(self, **kw) -> "ModelSpec":
         return replace(self, validated=False, **kw)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mfckill as mk
+import mfckill.backward as backward_mod
 from mfckill.backward import (
     energy_report,
     solve_backward_1d,
@@ -14,6 +15,7 @@ from mfckill.controls import FeedbackControl
 from mfckill.errors import ArgumentConflict, GridMismatch, NonfiniteInput
 from mfckill.forward import CommonNoisePath, ForwardTrajectory1D, StepOperators
 from mfckill.hamiltonians import f_nu, f_tilde_mu, minimize_hamiltonian, minimize_k_tilde
+from mfckill.mfc import separable_lift
 
 
 def nu_from_mu(mu, grid, g):
@@ -339,3 +341,27 @@ def test_nonfinite_terminal_raises():
     terminal[20] = np.nan
     with pytest.raises(NonfiniteInput):
         run_1d(spec, grid, terminal)
+
+
+def test_energy_computed_on_first_read(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return energy_report(*args)
+    monkeypatch.setattr(backward_mod, "energy_report", counted)
+    spec = mk.make_model("lq_killing")
+    grid = mk.build_grid(-4, 4, 61, 2.4, 8, 30)
+    g = FeedbackControl.constant(0.1, grid, spec)
+    tr = mk.solve_forward_1d(spec, grid, g)
+    term = np.asarray(spec.dpsi(None, grid.x))
+    sol = solve_backward_1d(spec, grid, tr, term)
+    mu = mk.solve_forward_2d(spec, grid, g)
+    term2 = np.exp(-grid.y)[None, :] * term[:, None]
+    sol2 = solve_backward_2d(spec, grid, mu, g=g, terminal=term2)
+    assert calls == []
+    assert sol.energy == energy_report(sol, sol.terminal)
+    assert sol2.energy == energy_report(sol2, sol2.terminal)
+    assert len(calls) == 2
+    assert separable_lift(sol, grid).energy == sol.energy
+    assert len(calls) == 2

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mfckill as mk
+import mfckill.mfc as mfc_mod
 from mfckill.backward import solve_backward_2d
 from mfckill.controls import FeedbackControl
 from mfckill.errors import DirectionLeavesBox, PicardStalled
@@ -217,3 +218,68 @@ def test_solve_mfc_2d_reports_stall():
     assert diag["stalled"]
     assert not diag["converged"]
     assert diag["picard_iterations"] < 150
+
+
+def count_backward_solves(monkeypatch) -> list:
+    """Record every solve_backward_1d call the control loops make."""
+    calls = []
+    real = mfc_mod.solve_backward_1d
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(mfc_mod, "solve_backward_1d", counted)
+    return calls
+
+
+def assert_bit_identical_to_full_solves(monkeypatch, res, spec, grid, **kw):
+    """The same run solving the value field on every sweep gives the same
+    result, bit for bit."""
+    monkeypatch.setattr(mfc_mod, "population_inputs", lambda *args: None)
+    full = solve_mfc(spec, grid, **kw)
+    assert full.diagnostics["backward_solves"] == full.diagnostics["picard_iterations"] + 1
+    assert np.array_equal(res.g_star.values, full.g_star.values)
+    assert np.array_equal(res.u.u, full.u.u)
+    assert res.cost.total == full.cost.total
+    for key in ("residual_trace", "cost_trace"):
+        assert res.diagnostics[key] == full.diagnostics[key]
+
+
+def test_uncoupled_value_field_solved_once(monkeypatch):
+    # lq_killing reads the population in none of b0, f0 and dpsi, so every
+    # sweep, the final one included, reuses the first value field
+    spec = mk.make_model("lq_killing")
+    grid = mk.build_grid(-4, 4, 61, 2.4, 8, 40)
+    calls = count_backward_solves(monkeypatch)
+    res = solve_mfc(spec, grid)
+    assert res.diagnostics["converged"] and res.diagnostics["picard_iterations"] > 1
+    assert len(calls) == 1 and res.diagnostics["backward_solves"] == 1
+    assert_bit_identical_to_full_solves(monkeypatch, res, spec, grid)
+
+
+@pytest.mark.parametrize("mean_field", [True, False])
+def test_population_dependent_value_field_solved_every_sweep(monkeypatch, mean_field):
+    # lq_mean_field's b0 and f0 read nu even without the Db0/Df0 kernels
+    spec = mk.make_model("lq_mean_field")
+    grid = mk.build_grid(-4, 4, 61, 2.4, 8, 40)
+    calls = count_backward_solves(monkeypatch)
+    res = solve_mfc(spec, grid, mean_field=mean_field)
+    d = res.diagnostics
+    assert d["converged"]
+    # coupled, the check is skipped and every sweep solves; without the
+    # kernels, the final sweep repeats the population of the converged
+    # sweep (the control was not updated after it) and reuses its solve
+    n = d["picard_iterations"] + (1 if mean_field else 0)
+    assert len(calls) == n and d["backward_solves"] == n
+    if not mean_field:
+        assert_bit_identical_to_full_solves(monkeypatch, res, spec, grid,
+                                            mean_field=False)
+
+
+def test_solve_mfc_2d_marginal_value_solved_once(monkeypatch):
+    spec = mk.make_model("lq_killing")
+    grid = mk.build_grid(-4, 4, 41, 2.4, 8, 40)
+    calls = count_backward_solves(monkeypatch)
+    _, _, _, diag = solve_mfc_2d(spec, grid, tol_pi=1e-4, max_iter=40)
+    assert diag["picard_iterations"] > 1
+    assert len(calls) == 1 and diag["backward_solves"] == 1
