@@ -50,10 +50,25 @@ __all__ = [
 ]
 
 
+# The inner fixed point of the semilinear marchers: residual weight e^{ETA t_k},
+# damping FP_DAMPING, at most MAX_FP iterations per step, tol_fp default TOL_FP.
+ETA = 1.0
+MAX_FP = 50
+FP_DAMPING = 0.5
+TOL_FP = 1e-10
+
+
 @dataclass
 class FixedPointStats:
     iterations: list
     contraction: float
+    capped: int             # steps stopped at MAX_FP with the residual above tol_fp
+
+    @classmethod
+    def from_steps(cls, steps: list) -> "FixedPointStats":
+        """From (iterations, contraction, capped) per step, in marching order."""
+        its, contr, capped = zip(*steps[::-1])
+        return cls(list(its), float(np.median(contr)), sum(capped))
 
 
 @dataclass
@@ -128,20 +143,21 @@ def _warm_start(u: np.ndarray, k: int, nt: int, v: np.ndarray,
     return 4.0 * u[k + 1] - 6.0 * u[k + 2] + 4.0 * u[k + 3] - u[k + 4]
 
 
-def _run_fixed_point(apply_map, u_init, t_k, eta, tol_fp, max_fp, damping):
+def _run_fixed_point(apply_map, u_init, t_k, tol_fp):
     """Damped fixed-point iteration with divergence detection.
 
     `apply_map` must return a new array: the update scales it in place.
-    Returns the converged field, the iteration count, and the geometric
-    contraction estimate of the residual sequence.
+    Returns the field and the step's record for `FixedPointStats`: the
+    iteration count, the geometric contraction estimate of the residual
+    sequence, and whether it stopped at MAX_FP above tol_fp.
     """
     w = u_init.copy()
     diff = np.empty_like(w)
-    weight = float(np.exp(eta * t_k))
+    weight = float(np.exp(ETA * t_k))
     prev_res = np.inf
     grow = 0
     residuals = []
-    for it in range(1, max_fp + 1):
+    for it in range(1, MAX_FP + 1):
         cand = apply_map(w)
         np.subtract(cand, w, out=diff)
         res = weight * float(np.abs(diff, out=diff).max())
@@ -154,8 +170,8 @@ def _run_fixed_point(apply_map, u_init, t_k, eta, tol_fp, max_fp, damping):
                 )
         else:
             grow = 0
-        w *= 1.0 - damping
-        cand *= damping
+        w *= 1.0 - FP_DAMPING
+        cand *= FP_DAMPING
         w += cand
         if res <= tol_fp:
             break
@@ -163,7 +179,7 @@ def _run_fixed_point(apply_map, u_init, t_k, eta, tol_fp, max_fp, damping):
     contraction = 0.0
     if len(residuals) >= 3 and residuals[0] > 0:
         contraction = (residuals[-1] / residuals[0]) ** (1.0 / (len(residuals) - 1))
-    return w, it, contraction
+    return w, (it, contraction, residuals[-1] > tol_fp)
 
 
 def solve_backward_1d(
@@ -172,17 +188,14 @@ def solve_backward_1d(
     nu_traj: ForwardTrajectory1D,
     terminal: np.ndarray,
     noise: CommonNoisePath | None = None,
-    eta: float = 1.0,
-    tol_fp: float = 1e-10,
-    max_fp: int = 50,
-    damping: float = 0.5,
+    tol_fp: float = TOL_FP,
 ) -> BSPDESolution:
     """Backward semilinear march on the line.
 
     Per step (from u at t_{k+1} to t_k): undo the common-noise shift,
-    run the damped fixed point on the explicit Hamiltonian + nonlocal
-    terms (drift bracket applied with the upwind stencil), multiply by
-    the exact killing factor, and solve the implicit diffusion.
+    run the damped fixed point to tol_fp on the explicit Hamiltonian +
+    nonlocal terms (drift bracket applied with the upwind stencil),
+    multiply by the exact killing factor, and solve the implicit diffusion.
     """
     x = grid.x
     dx = grid.dx
@@ -199,8 +212,7 @@ def solve_backward_1d(
     u = np.empty((nt + 1, grid.nx))
     q = np.zeros(u.shape)  # unlike zeros_like, leaves pages unmapped until written
     u[nt] = terminal
-    iters = []
-    contr = []
+    steps = []
     coupled = spec.coupled
 
     for k in range(nt - 1, -1, -1):
@@ -222,14 +234,12 @@ def solve_backward_1d(
             return diffuse(ops.kill * (v + dt * expl), ops.matrix)
 
         w0 = _warm_start(u, k, nt, v, increments is not None)
-        u[k], it, rho = _run_fixed_point(step_map, w0, t, eta, tol_fp, max_fp, damping)
-        iters.append(it)
-        contr.append(rho)
+        u[k], step = _run_fixed_point(step_map, w0, t, tol_fp)
+        steps.append(step)
         if increments is not None:
             q[k] = spec.sigma0(t) * central_grad(u[k], dx)
 
-    return BSPDESolution(grid, times, u, q, terminal,
-                         FixedPointStats(iters[::-1], float(np.median(contr)) if contr else 0.0))
+    return BSPDESolution(grid, times, u, q, terminal, FixedPointStats.from_steps(steps))
 
 
 def population_inputs(spec: ModelSpec, grid: Grid, nu_traj: ForwardTrajectory1D,
@@ -285,27 +295,22 @@ def solve_backward_2d(
     u_1d: BSPDESolution | None = None,
     terminal: np.ndarray | None = None,
     noise: CommonNoisePath | None = None,
-    eta: float = 1.0,
-    tol_fp: float = 1e-10,
-    max_fp: int = 50,
-    damping: float = 0.5,
-    cost_weights: np.ndarray | None = None,
-    mu_floor: float = MU_FLOOR,
+    tol_fp: float = TOL_FP,
 ) -> BSPDESolution:
     """Backward march on the half-plane.
 
     Exactly one of `g` (fixed feedback: linear equation) and `u_1d`
-    (semilinear mode with the density-indicator Hamiltonian and the
-    one-dimensional solution supplying the fallback control) must be
+    (semilinear mode: the Hamiltonian is minimized where mu > MU_FLOOR,
+    the one-dimensional solution supplies the control elsewhere) must be
     given.  The degenerate intensity transport uses the one-sided
     forward-in-y difference, so the bottom row never reads values from
     below it, and the top row extrapolates with magnitude decayed by
     e^{-dy}.
 
     With `g` supplied the step is the exact transpose of the forward
-    step and the running cost enters with the trapezoid time weights
-    (override with `cost_weights`), so the discrete duality with the
-    forward solve is exact up to boundary-weight corrections.
+    step and the running cost enters with the trapezoid time weights,
+    so the discrete duality with the forward solve is exact up to
+    boundary-weight corrections.
     """
     if (g is None) == (u_1d is None):
         raise ArgumentConflict("supply exactly one of g and u_1d")
@@ -328,11 +333,9 @@ def solve_backward_2d(
     u = np.empty((nt + 1, *sh))
     q = np.zeros(u.shape)  # unlike zeros_like, leaves pages unmapped until written
     u[nt] = terminal
-    iters = []
-    contr = []
+    steps = []
 
-    if cost_weights is None:
-        cost_weights = trapezoid_weights(nt + 1, 1.0)
+    cost_weights = trapezoid_weights(nt + 1, 1.0)
 
     # internal marching variable: the dual state including the terminal
     # half-weight cost injection; the stored terminal slice stays = psi data
@@ -360,10 +363,9 @@ def solve_backward_2d(
             out = out + cost_weights[k] * dt * ops.ey * ops.cost(gv)
             u[k] = out
             carry = out
-            iters.append(1)
-            contr.append(0.0)
+            steps.append((1, 0.0, False))
         else:
-            mu_pos = mu_k.values > mu_floor
+            mu_pos = mu_k.values > MU_FLOOR
             g_fb = ops.control(central_grad(u_1d.u[k], dx))[:, None]
 
             def step_map(w):
@@ -377,16 +379,14 @@ def solve_backward_2d(
                 return diffuse(v + dt * expl, ops.matrix)
 
             w0 = _warm_start(u, k, nt, v, increments is not None)
-            u[k], it, rho = _run_fixed_point(step_map, w0, t, eta, tol_fp, max_fp, damping)
+            u[k], step = _run_fixed_point(step_map, w0, t, tol_fp)
             carry = u[k]
-            iters.append(it)
-            contr.append(rho)
+            steps.append(step)
 
         if increments is not None:
             q[k] = spec.sigma0(t) * central_grad(u[k], dx)
 
-    return BSPDESolution(grid, times, u, q, terminal,
-                         FixedPointStats(iters[::-1], float(np.median(contr)) if contr else 0.0))
+    return BSPDESolution(grid, times, u, q, terminal, FixedPointStats.from_steps(steps))
 
 
 def solve_backward_1d_galerkin(

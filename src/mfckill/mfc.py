@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backward import (
+    TOL_FP,
     BSPDESolution,
     central_grad,
     population_inputs,
@@ -46,6 +47,8 @@ __all__ = [
     "intensity_independence_diag",
     "separable_lift",
 ]
+
+DAMPING = 0.5   # the Picard step of both control loops (solve_mfc may set another)
 
 
 @dataclass
@@ -133,14 +136,6 @@ class MFCResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _plateaued(residuals: list, tol_pi: float, window: int = 30) -> bool:
-    """The stall rule of both Picard loops: `window` sweeps in, the control
-    residual is still above tol_pi and fell by under 0.1% over the last
-    `window` sweeps."""
-    return (len(residuals) >= window and residuals[-1] > tol_pi
-            and residuals[-1] > 0.999 * residuals[-window])
-
-
 def _feedback_from_value(spec: ModelSpec, grid: Grid, u: BSPDESolution) -> np.ndarray:
     times = grid.times(spec.T)
     out = np.empty((grid.nt + 1, grid.nx))
@@ -149,12 +144,35 @@ def _feedback_from_value(spec: ModelSpec, grid: Grid, u: BSPDESolution) -> np.nd
     return out
 
 
+def _picard(sweep, g: FeedbackControl, spec: ModelSpec, tol_pi: float,
+            max_iter: int, damping: float):
+    """The Picard iteration of both control loops on `sweep(g)`, the
+    feedback array resynthesized from the iterate g.  It converges when
+    that moves g by at most tol_pi, and stalls when the residual fell by
+    under 0.1% over the last 30 sweeps.  Returns (g, residuals, converged,
+    stalled); g is the last sweep's feedback if converged, otherwise the
+    damped step after the last sweep."""
+    residuals = []
+    for _ in range(max_iter):
+        g_new = sweep(g)
+        residuals.append(float(np.max(np.abs(g_new - g.values))))
+        if residuals[-1] <= tol_pi:
+            return FeedbackControl.from_array(g_new, spec), residuals, True, False
+        g = FeedbackControl.from_array(
+            (1.0 - damping) * g.values + damping * g_new, spec
+        )
+        if len(residuals) >= 30 and residuals[-1] > 0.999 * residuals[-30]:
+            return g, residuals, False, True
+    return g, residuals, False, False
+
+
 class _ValueSolves:
-    """The value field of one Picard loop's sweeps: `solve_backward_1d` on
-    the sweep's population, run again only when `population_inputs` differ
-    byte for byte from those of the last solve.  The grid, noise path and
-    tol_fp are fixed for the loop, so a reused solution is the one a new
-    solve would return, bit for bit.  `solves` counts the solves made."""
+    """The value field of one Picard loop's sweeps and its feedback
+    (`_feedback_from_value`): `solve_backward_1d` on the sweep's
+    population, run again only when `population_inputs` differ byte for
+    byte from those of the last solve.  The grid, noise path and tol_fp
+    are fixed for the loop, so a reused solution is the one a new solve
+    would return, bit for bit.  `solves` counts the solves made."""
 
     def __init__(self, spec: ModelSpec, grid: Grid,
                  noise: CommonNoisePath | None, tol_fp: float):
@@ -163,21 +181,20 @@ class _ValueSolves:
         self._inputs = None
         self._last = None
 
-    def __call__(self, nu_traj: ForwardTrajectory1D) -> tuple[BSPDESolution, bool]:
-        """The value field for `nu_traj`, and whether it was solved afresh."""
+    def __call__(self, nu_traj: ForwardTrajectory1D) -> tuple[BSPDESolution, np.ndarray]:
         x = self.grid.x
         terminal = np.asarray(
             self.spec.dpsi(NuHandle(x, nu_traj.values[-1]), x), dtype=float
         )
         inputs = population_inputs(self.spec, self.grid, nu_traj, terminal)
         inputs = None if inputs is None else inputs.tobytes()
-        if inputs is not None and inputs == self._inputs:
-            return self._last, False
-        self._last = solve_backward_1d(self.spec, self.grid, nu_traj, terminal,
-                                       self.noise, tol_fp=self.tol_fp)
-        self._inputs = inputs
-        self.solves += 1
-        return self._last, True
+        if inputs is None or inputs != self._inputs:
+            u = solve_backward_1d(self.spec, self.grid, nu_traj, terminal,
+                                  self.noise, tol_fp=self.tol_fp)
+            self._last = u, _feedback_from_value(self.spec, self.grid, u)
+            self._inputs = inputs
+            self.solves += 1
+        return self._last
 
 
 def solve_mfc(
@@ -186,8 +203,8 @@ def solve_mfc(
     noise: CommonNoisePath | None = None,
     tol_pi: float = 1e-6,
     max_iter: int = 200,
-    damping: float = 0.5,
-    tol_fp: float = 1e-10,
+    damping: float = DAMPING,
+    tol_fp: float = TOL_FP,
     strict: bool = False,
     with_2d: bool = False,
     mean_field: bool = True,
@@ -197,54 +214,42 @@ def solve_mfc(
     Each sweep solves the population density for the current feedback,
     the value field for that population, and resynthesizes the feedback
     from the pointwise Hamiltonian minimizer.  Convergence is declared on
-    the control iterate.  Set mean_field=False to drop the nonlocal terms
-    (the game rather than control fixed point) for comparison runs.  When
-    the population does not enter the value equation (see
+    the control iterate; a stalled loop returns to the iterate of least
+    cost.  Set mean_field=False to drop the nonlocal terms (the game
+    rather than control fixed point) for comparison runs.  When the
+    population does not enter the value equation (see
     `population_inputs`), the value field and its feedback are solved once
     and reused; `diagnostics["backward_solves"]` counts the solves made.
     """
     work = spec if mean_field else spec.with_params(db0=None, df0=None)
     value = _ValueSolves(work, grid, noise, tol_fp)
-    g = FeedbackControl.constant(float(spec.box_array[0].mean()), grid, spec)
-    residuals = []
     costs = []
-    best = None
-    converged = False
-    stalled = False
-    for _ in range(max_iter):
+    best = last = None
+
+    def sweep(g):
+        nonlocal best, last
         nu_traj = solve_forward_1d(work, grid, g, noise)
-        u, fresh = value(nu_traj)
-        if fresh:
-            g_new = _feedback_from_value(work, grid, u)
-        res = float(np.max(np.abs(g_new - g.values)))
-        cost = evaluate_cost(work, g, nu_traj=nu_traj)
-        residuals.append(res)
-        costs.append(cost.total)
-        if best is None or cost.total < best[0]:
-            best = (cost.total, g.values.copy())
-        if res <= tol_pi:
-            converged = True
-            break
-        g = FeedbackControl.from_array(
-            (1.0 - damping) * g.values + damping * g_new, spec
-        )
-        if _plateaued(residuals, tol_pi):
-            stalled = True
-            g = FeedbackControl.from_array(best[1], spec)
-            break
+        u, g_new = value(nu_traj)
+        cost = evaluate_cost(work, g, nu_traj=nu_traj).total
+        costs.append(cost)
+        if best is None or cost < best[0]:
+            best = (cost, g)
+        last = u
+        return g_new
+
+    g0 = FeedbackControl.constant(float(spec.box_array[0].mean()), grid, spec)
+    g, residuals, converged, stalled = _picard(sweep, g0, spec, tol_pi, max_iter, damping)
     if stalled and strict:
         raise PicardStalled(
             f"control residual plateaued at {residuals[-1]:.3e} > {tol_pi}"
         )
 
-    # final sweep: value field for the returned control, then the feedback
-    # resynthesized from it, so g_star is the pointwise minimizer of the
-    # returned value field (the form every optimal control takes)
-    nu_traj = solve_forward_1d(work, grid, g, noise)
-    u, fresh = value(nu_traj)
-    if fresh:
-        g_new = _feedback_from_value(work, grid, u)
-    g = FeedbackControl.from_array(g_new, spec)
+    # g_star is the feedback of the returned value field (the form every
+    # optimal control takes): a converged loop's last sweep gave both
+    u = last
+    if not converged:
+        u, g_new = value(solve_forward_1d(work, grid, best[1] if stalled else g, noise))
+        g = FeedbackControl.from_array(g_new, spec)
     nu_traj = solve_forward_1d(work, grid, g, noise)
     mu_traj = solve_forward_2d(work, grid, g, noise) if with_2d else None
     cost = evaluate_cost(work, g, nu_traj=nu_traj, mu_traj=mu_traj)
@@ -259,6 +264,7 @@ def solve_mfc(
             np.median(u.fixed_point.iterations)
         ),
         "backward_solves": value.solves,
+        "inner_capped_steps": u.fixed_point.capped,
     }
     return MFCResult(g, u, nu_traj, mu_traj, cost, diagnostics)
 
@@ -393,56 +399,48 @@ def solve_mfc_2d(
     noise: CommonNoisePath | None = None,
     tol_pi: float = 1e-5,
     max_iter: int = 80,
-    damping: float = 0.5,
-    tol_fp: float = 1e-10,
-    mu_floor: float = MU_FLOOR,
 ) -> tuple[FeedbackControl, BSPDESolution, ForwardTrajectory2D, dict]:
     """Picard loop with a joint-state feedback g(t, x, y).
 
     Each sweep: joint forward solve, linear backward solve for the
-    current feedback, then the pointwise minimizer update (falling back
-    to the marginal-equation minimizer off the support of mu).  The
+    current feedback, then the pointwise minimizer update where
+    mu > MU_FLOOR, and the marginal value field's feedback elsewhere.  The
     spread of the converged feedback along y is the numerical measure of
-    intensity independence.  The marginal value field is solved again only
-    when its population inputs change, as in `solve_mfc`.
+    intensity independence.  The marginal value field and its feedback are
+    solved again only when their population inputs change, as in
+    `solve_mfc`; the returned joint field is linear, so
+    `diagnostics["inner_capped_steps"]` counts the capped steps of the
+    last sweep's marginal solve.
     """
     times = grid.times(spec.T)
     ey = np.exp(-grid.y)[None, :]
-    g2 = FeedbackControl.constant(float(spec.box_array[0].mean()), grid, spec, two_d=True)
-    value = _ValueSolves(spec, grid, noise, tol_fp)
-    residuals = []
-    stalled = False
-    mu_traj = None
-    adj = None
-    for _ in range(max_iter):
+    value = _ValueSolves(spec, grid, noise, TOL_FP)
+    last = (None, None, None)
+
+    def sweep(g2):
+        nonlocal last
         mu_traj = solve_forward_2d(spec, grid, g2, noise)
-        u1, _ = value(mu_traj.marginal())
-        term2 = ey * u1.terminal[:, None]
-        adj = solve_backward_2d(spec, grid, mu_traj, g=g2, terminal=term2,
-                                noise=noise, tol_fp=tol_fp)
+        u1, g_fb = value(mu_traj.marginal())
+        adj = solve_backward_2d(spec, grid, mu_traj, g=g2,
+                                terminal=ey * u1.terminal[:, None], noise=noise)
         g_new = np.empty_like(g2.values)
         for k in range(grid.nt + 1):
-            ops = StepOperators(spec, grid, times[k])
-            g_min = ops.control(central_grad(adj.u[k], grid.dx))
-            g_fb = ops.control(central_grad(u1.u[k], grid.dx))
-            g_new[k] = np.where(mu_traj.values[k] > mu_floor, g_min, g_fb[:, None])
-        res = float(np.max(np.abs(g_new - g2.values)))
-        residuals.append(res)
-        if res <= tol_pi:
-            g2 = FeedbackControl.from_array(g_new, spec)
-            break
-        g2 = FeedbackControl.from_array(
-            (1.0 - damping) * g2.values + damping * g_new, spec
-        )
-        if _plateaued(residuals, tol_pi):
-            stalled = True
-            break
+            g_min = StepOperators(spec, grid, times[k]).control(
+                central_grad(adj.u[k], grid.dx))
+            g_new[k] = np.where(mu_traj.values[k] > MU_FLOOR, g_min, g_fb[k][:, None])
+        last = adj, mu_traj, u1
+        return g_new
+
+    g0 = FeedbackControl.constant(float(spec.box_array[0].mean()), grid, spec, two_d=True)
+    g2, residuals, converged, stalled = _picard(sweep, g0, spec, tol_pi, max_iter, DAMPING)
+    adj, mu_traj, u1 = last
     diagnostics = {
         "picard_iterations": len(residuals),
         "residual_trace": residuals,
-        "converged": residuals[-1] <= tol_pi if residuals else False,
+        "converged": converged,
         "stalled": stalled,
         "intensity_independence": intensity_independence_diag(g2),
         "backward_solves": value.solves,
+        "inner_capped_steps": u1.fixed_point.capped if u1 is not None else 0,
     }
     return g2, adj, mu_traj, diagnostics

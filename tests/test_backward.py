@@ -12,7 +12,7 @@ from mfckill.backward import (
     solve_backward_2d,
 )
 from mfckill.controls import FeedbackControl
-from mfckill.errors import ArgumentConflict, GridMismatch, NonfiniteInput
+from mfckill.errors import ArgumentConflict, FixedPointDiverged, GridMismatch, NonfiniteInput
 from mfckill.forward import CommonNoisePath, ForwardTrajectory1D, StepOperators
 from mfckill.hamiltonians import f_nu, f_tilde_mu, minimize_hamiltonian, minimize_k_tilde
 from mfckill.mfc import separable_lift
@@ -365,3 +365,30 @@ def test_energy_computed_on_first_read(monkeypatch):
     assert len(calls) == 2
     assert separable_lift(sol, grid).energy == sol.energy
     assert len(calls) == 2
+
+
+def capping_run(box, f1_weight, nt):
+    spec = mk.make_model("lq_killing", control_box=box, f1_weight=f1_weight, psi_weight=5.0)
+    grid = mk.build_grid(-4, 4, 41, 2.4, 8, nt)
+    tr = mk.solve_forward_1d(spec, grid, FeedbackControl.constant(0.0, grid, spec))
+    return solve_backward_1d(spec, grid, tr, np.asarray(spec.dpsi(None, grid.x)))
+
+
+def test_inner_divergence_guard_raises():
+    # a wide box and a cheap control make the inner map expand
+    with pytest.raises(FixedPointDiverged):
+        capping_run((-30.0, 30.0), 0.02, 4)
+
+
+def test_inner_cap_counted():
+    # slow contraction at a coarse dt: every step stops at MAX_FP above tol_fp
+    sol = capping_run((-10.0, 10.0), 0.05, 8)
+    assert sol.fixed_point.iterations == [backward_mod.MAX_FP] * 8
+    assert sol.fixed_point.capped == 8
+    # the run of test_fixed_point_contracts meets tol_fp on every step
+    spec = mk.make_model("lq_killing")
+    grid = mk.build_grid(-4, 4, 101, 2.4, 16, 100)
+    tr = mk.solve_forward_1d(spec, grid, FeedbackControl.constant(0.1, grid, spec))
+    sol = solve_backward_1d(spec, grid, tr, np.asarray(spec.dpsi(None, grid.x)))
+    assert max(sol.fixed_point.iterations) < backward_mod.MAX_FP
+    assert sol.fixed_point.capped == 0

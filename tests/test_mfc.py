@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mfckill as mk
+import mfckill.backward as backward_mod
 import mfckill.mfc as mfc_mod
 from mfckill.backward import solve_backward_2d
 from mfckill.controls import FeedbackControl
@@ -237,7 +238,7 @@ def assert_bit_identical_to_full_solves(monkeypatch, res, spec, grid, **kw):
     result, bit for bit."""
     monkeypatch.setattr(mfc_mod, "population_inputs", lambda *args: None)
     full = solve_mfc(spec, grid, **kw)
-    assert full.diagnostics["backward_solves"] == full.diagnostics["picard_iterations"] + 1
+    assert full.diagnostics["backward_solves"] == full.diagnostics["picard_iterations"]
     assert np.array_equal(res.g_star.values, full.g_star.values)
     assert np.array_equal(res.u.u, full.u.u)
     assert res.cost.total == full.cost.total
@@ -267,9 +268,9 @@ def test_population_dependent_value_field_solved_every_sweep(monkeypatch, mean_f
     d = res.diagnostics
     assert d["converged"]
     # coupled, the check is skipped and every sweep solves; without the
-    # kernels, the final sweep repeats the population of the converged
-    # sweep (the control was not updated after it) and reuses its solve
-    n = d["picard_iterations"] + (1 if mean_field else 0)
+    # kernels, every sweep's population differs from the last one's; the
+    # converged sweep's solve is the returned one in both cases
+    n = d["picard_iterations"]
     assert len(calls) == n and d["backward_solves"] == n
     if not mean_field:
         assert_bit_identical_to_full_solves(monkeypatch, res, spec, grid,
@@ -283,3 +284,37 @@ def test_solve_mfc_2d_marginal_value_solved_once(monkeypatch):
     _, _, _, diag = solve_mfc_2d(spec, grid, tol_pi=1e-4, max_iter=40)
     assert diag["picard_iterations"] > 1
     assert len(calls) == 1 and diag["backward_solves"] == 1
+
+
+def test_converged_loop_returns_last_sweep_solves(monkeypatch):
+    # the converged sweep's population and value field are final: one more
+    # forward solve (for g_star) and no more backward solve
+    spec = mk.make_model("lq_mean_field")
+    grid = mk.build_grid(-4, 4, 61, 2.4, 8, 40)
+    forward_calls = []
+    real = mfc_mod.solve_forward_1d
+
+    def counted(*args, **kwargs):
+        forward_calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(mfc_mod, "solve_forward_1d", counted)
+    backward_calls = count_backward_solves(monkeypatch)
+    res = solve_mfc(spec, grid)
+    d = res.diagnostics
+    assert d["converged"]
+    assert len(forward_calls) == d["picard_iterations"] + 1
+    assert len(backward_calls) == d["picard_iterations"] == d["backward_solves"]
+
+
+def test_loops_report_inner_capped_steps(monkeypatch):
+    spec = mk.make_model("lq_killing")
+    grid = mk.build_grid(-4, 4, 41, 2.4, 8, 20)
+    res = solve_mfc(spec, grid, max_iter=3)
+    _, _, _, diag = solve_mfc_2d(spec, grid, max_iter=3)
+    assert res.diagnostics["inner_capped_steps"] == diag["inner_capped_steps"] == 0
+    # an inner budget too small for tol_fp caps every step of every solve
+    monkeypatch.setattr(backward_mod, "MAX_FP", 2)
+    res = solve_mfc(spec, grid, max_iter=3)
+    assert res.diagnostics["inner_capped_steps"] == res.u.fixed_point.capped == grid.nt
+    _, _, _, diag = solve_mfc_2d(spec, grid, max_iter=3)
+    assert diag["inner_capped_steps"] == grid.nt
