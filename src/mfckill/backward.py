@@ -13,7 +13,8 @@ from above, and an upwind evaluation of the drift bracket.  When a fixed
 feedback is supplied the step reduces to the exact algebraic transpose of
 the forward step, which makes the discrete first-order conditions hold at
 the stated tolerances; the semilinear modes run the damped inner
-fixed-point iteration on (u, du/dx) instead.
+fixed-point iteration on (u, du/dx) instead.  The finite-difference
+marchers share one time loop, `_march`.
 """
 
 from __future__ import annotations
@@ -182,6 +183,44 @@ def _run_fixed_point(apply_map, u_init, t_k, tol_fp):
     return w, (it, contraction, residuals[-1] > tol_fp)
 
 
+def _march(spec: ModelSpec, grid: Grid, terminal: np.ndarray,
+           noise: CommonNoisePath | None, step, carry: np.ndarray | None = None
+           ) -> BSPDESolution:
+    """The backward time loop of every finite-difference marcher: from
+    k = nt-1 down to 0, undo the common-noise shift of the slice above, take
+    u[k] and its `FixedPointStats` record from `step(k, t, v, u)` (u holds
+    the slices above k) and, under noise, set q[k] = sigma0 du/dx.  u[nt] is
+    the terminal data; the march starts from `carry` instead when given."""
+    nt = grid.nt
+    increments = noise.increments if noise is not None else None
+    times = grid.times(spec.T)
+    u = np.empty((nt + 1, *terminal.shape))
+    q = np.zeros(u.shape)  # unlike zeros_like, leaves pages unmapped until written
+    u[nt] = terminal
+    v = terminal if carry is None else carry
+    steps = []
+    for k in range(nt - 1, -1, -1):
+        t = times[k]
+        if increments is not None:
+            v = shift_density(v, -spec.sigma0(t) * increments[k], grid.dx)
+        v, step_record = step(k, t, v, u)
+        u[k] = v
+        steps.append(step_record)
+        if increments is not None:
+            q[k] = spec.sigma0(t) * central_grad(v, grid.dx)
+    return BSPDESolution(grid, times, u, q, terminal, FixedPointStats.from_steps(steps))
+
+
+def _fixed_point_step(step_map, shifted: bool, tol_fp: float):
+    """A `_march` step of the semilinear marchers: the damped fixed point
+    on `step_map(k, t, v)`, the step's map w -> w_new, warm-started from
+    the slices above (`shifted`: a noise path moves them between steps)."""
+    def step(k, t, v, u):
+        w0 = _warm_start(u, k, u.shape[0] - 1, v, shifted)
+        return _run_fixed_point(step_map(k, t, v), w0, t, tol_fp)
+    return step
+
+
 def solve_backward_1d(
     spec: ModelSpec,
     grid: Grid,
@@ -197,34 +236,19 @@ def solve_backward_1d(
     nonlocal terms (drift bracket applied with the upwind stencil),
     multiply by the exact killing factor, and solve the implicit diffusion.
     """
-    x = grid.x
-    dx = grid.dx
-    dt = grid.dt(spec.T)
-    nt = grid.nt
-    if nu_traj.values.shape != (nt + 1, grid.nx):
+    x, dx, dt = grid.x, grid.dx, grid.dt(spec.T)
+    if nu_traj.values.shape != (grid.nt + 1, grid.nx):
         raise GridMismatch("nu trajectory does not match the grid")
     terminal = np.asarray(terminal, dtype=float)
     if terminal.shape != (grid.nx,):
         raise GridMismatch("terminal data must be a (nx,) array")
-
-    increments = noise.increments if noise is not None else None
-    times = grid.times(spec.T)
-    u = np.empty((nt + 1, grid.nx))
-    q = np.zeros(u.shape)  # unlike zeros_like, leaves pages unmapped until written
-    u[nt] = terminal
-    steps = []
     coupled = spec.coupled
 
-    for k in range(nt - 1, -1, -1):
-        t = times[k]
+    def step_map(k, t, v):
         nu = nu_traj.at(k)  # validates the step's measure
         ops = StepOperators(spec, grid, t, NuHandle(x, nu.values), noise, transpose=True)
 
-        v = u[k + 1]
-        if increments is not None:
-            v = shift_density(v, -spec.sigma0(t) * increments[k], dx)
-
-        def step_map(w):
+        def apply(w):
             p = central_grad(w, dx)
             gmin = ops.control(p)
             expl = upwind_transport_adjoint(w, ops.face_drift(gmin), dx)
@@ -232,14 +256,10 @@ def solve_backward_1d(
             if coupled:
                 expl = expl + ops.nonlocal_term(p)
             return diffuse(ops.kill * (v + dt * expl), ops.matrix)
+        return apply
 
-        w0 = _warm_start(u, k, nt, v, increments is not None)
-        u[k], step = _run_fixed_point(step_map, w0, t, tol_fp)
-        steps.append(step)
-        if increments is not None:
-            q[k] = spec.sigma0(t) * central_grad(u[k], dx)
-
-    return BSPDESolution(grid, times, u, q, terminal, FixedPointStats.from_steps(steps))
+    return _march(spec, grid, terminal, noise,
+                  _fixed_point_step(step_map, noise is not None, tol_fp))
 
 
 def population_inputs(spec: ModelSpec, grid: Grid, nu_traj: ForwardTrajectory1D,
@@ -314,79 +334,57 @@ def solve_backward_2d(
     """
     if (g is None) == (u_1d is None):
         raise ArgumentConflict("supply exactly one of g and u_1d")
-    dx, dy = grid.dx, grid.dy
-    dt = grid.dt(spec.T)
-    nt = grid.nt
+    dx, dy, dt = grid.dx, grid.dy, grid.dt(spec.T)
     sh = (grid.nx, grid.ny_total)
-    if mu_traj.values.shape != (nt + 1, *sh):
+    if mu_traj.values.shape != (grid.nt + 1, *sh):
         raise GridMismatch("mu trajectory does not match the grid")
     if terminal is None:
         raise GridMismatch("2d solve requires terminal data e^{-y} dpsi")
     terminal = np.asarray(terminal, dtype=float)
     if terminal.shape != sh:
         raise GridMismatch("terminal data must be a (nx, ny) array")
-
-    increments = noise.increments if noise is not None else None
-    times = grid.times(spec.T)
     decay = float(np.exp(-dy))
     coupled = spec.coupled
-    u = np.empty((nt + 1, *sh))
-    q = np.zeros(u.shape)  # unlike zeros_like, leaves pages unmapped until written
-    u[nt] = terminal
-    steps = []
 
-    cost_weights = trapezoid_weights(nt + 1, 1.0)
+    def operators(k, t):
+        return StepOperators(spec, grid, t, noise=noise, transpose=True, mu=mu_traj.at(k))
 
-    # internal marching variable: the dual state including the terminal
-    # half-weight cost injection; the stored terminal slice stays = psi data
-    carry = terminal.copy()
     if g is not None:
-        carry = carry + terminal_cost_injection(spec, g, mu_traj, cost_weights[nt])
+        cost_weights = trapezoid_weights(grid.nt + 1, 1.0)
 
-    for k in range(nt - 1, -1, -1):
-        t = times[k]
-        mu_k = mu_traj.at(k)
-        ops = StepOperators(spec, grid, t, noise=noise, transpose=True, mu=mu_k)
-
-        v = carry
-        if increments is not None:
-            v = shift_density(v, -spec.sigma0(t) * increments[k], dx)
-
-        if g is not None:
+        def step(k, t, v, u):
+            ops = operators(k, t)
             gv = y_column(g.at_step(k))
             expl = upwind_transport_adjoint(v, ops.face_drift(gv), dx)
             expl = expl + _y_upwind_adjoint_rate(v, ops.lam, dy, decay)
             if coupled:
-                pv = central_grad(v, dx)
-                expl = expl + ops.nonlocal_term(pv)
+                expl = expl + ops.nonlocal_term(central_grad(v, dx))
             out = diffuse(v + dt * expl, ops.matrix)
-            out = out + cost_weights[k] * dt * ops.ey * ops.cost(gv)
-            u[k] = out
-            carry = out
-            steps.append((1, 0.0, False))
-        else:
-            mu_pos = mu_k.values > MU_FLOOR
-            g_fb = ops.control(central_grad(u_1d.u[k], dx))[:, None]
+            return out + cost_weights[k] * dt * ops.ey * ops.cost(gv), (1, 0.0, False)
 
-            def step_map(w):
-                p = central_grad(w, dx)
-                g_loc = np.where(mu_pos, ops.control(p), g_fb)
-                expl = upwind_transport_adjoint(w, ops.face_drift(g_loc), dx)
-                expl = expl + ops.ey * ops.cost(g_loc)
-                expl = expl + _y_upwind_adjoint_rate(w, ops.lam, dy, decay)
-                if coupled:
-                    expl = expl + ops.nonlocal_term(p)
-                return diffuse(v + dt * expl, ops.matrix)
+        # the march carries the dual state with the terminal half-weight cost
+        # injection; the stored terminal slice stays the psi data
+        carry = terminal + terminal_cost_injection(spec, g, mu_traj, cost_weights[-1])
+        return _march(spec, grid, terminal, noise, step, carry)
 
-            w0 = _warm_start(u, k, nt, v, increments is not None)
-            u[k], step = _run_fixed_point(step_map, w0, t, tol_fp)
-            carry = u[k]
-            steps.append(step)
+    def step_map(k, t, v):
+        ops = operators(k, t)
+        mu_pos = ops.mu.values > MU_FLOOR
+        g_fb = ops.control(central_grad(u_1d.u[k], dx))[:, None]
 
-        if increments is not None:
-            q[k] = spec.sigma0(t) * central_grad(u[k], dx)
+        def apply(w):
+            p = central_grad(w, dx)
+            g_loc = np.where(mu_pos, ops.control(p), g_fb)
+            expl = upwind_transport_adjoint(w, ops.face_drift(g_loc), dx)
+            expl = expl + ops.ey * ops.cost(g_loc)
+            expl = expl + _y_upwind_adjoint_rate(w, ops.lam, dy, decay)
+            if coupled:
+                expl = expl + ops.nonlocal_term(p)
+            return diffuse(v + dt * expl, ops.matrix)
+        return apply
 
-    return BSPDESolution(grid, times, u, q, terminal, FixedPointStats.from_steps(steps))
+    return _march(spec, grid, terminal, noise,
+                  _fixed_point_step(step_map, noise is not None, tol_fp))
 
 
 def solve_backward_1d_galerkin(

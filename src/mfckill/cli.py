@@ -184,10 +184,16 @@ def _terminal_1d(spec, grid, nu_vals):
     return np.asarray(spec.dpsi(NuHandle(grid.x, nu_vals), grid.x), dtype=float)
 
 
+def _solve_mfc(cfg: RunConfig, spec, **kwargs):
+    """`solve_mfc` on the configured grid with every configured solver key
+    it takes (mu_floor is read by `smp_residual`)."""
+    s = cfg.solver
+    return solve_mfc(spec, cfg.grid, tol_pi=s["tol_pi"], tol_fp=s["tol_fp"],
+                     damping=s["damping"], max_iter=int(s["max_iter"]), **kwargs)
+
+
 def _run_solve(cfg: RunConfig, spec, out: Path) -> int:
-    res = solve_mfc(spec, cfg.grid, tol_pi=cfg.solver["tol_pi"],
-                    tol_fp=cfg.solver["tol_fp"], damping=cfg.solver["damping"],
-                    max_iter=int(cfg.solver["max_iter"]), with_2d=True)
+    res = _solve_mfc(cfg, spec, with_2d=True)
     grid = cfg.grid
     _field_csv(out / "g_star.csv", res.nu_traj.times, grid.x, res.g_star.values)
     _field_csv(out / "u.csv", res.u.times, grid.x, res.u.u)
@@ -307,9 +313,7 @@ def _run_separability(cfg: RunConfig, spec, out: Path) -> int:
 
 
 def _run_smp(cfg: RunConfig, spec, out: Path) -> int:
-    res = solve_mfc(spec, cfg.grid, tol_pi=cfg.solver["tol_pi"],
-                    tol_fp=cfg.solver["tol_fp"], damping=cfg.solver["damping"],
-                    max_iter=int(cfg.solver["max_iter"]), with_2d=True)
+    res = _solve_mfc(cfg, spec, with_2d=True)
     lift = separable_lift(res.u, cfg.grid)
     resid = smp_residual(spec, res.g_star, res.mu_traj, lift,
                          mu_floor=cfg.solver["mu_floor"])
@@ -334,14 +338,12 @@ def _run_smp(cfg: RunConfig, spec, out: Path) -> int:
 
 
 def _run_regularize(cfg: RunConfig, spec, out: Path) -> int:
-    base = solve_mfc(spec, cfg.grid, tol_pi=cfg.solver["tol_pi"],
-                     tol_fp=cfg.solver["tol_fp"], max_iter=int(cfg.solver["max_iter"]))
+    base = _solve_mfc(cfg, spec)
     v = base.cost.total
     rows = []
     for n in cfg.approx_indices:
         fam = build_approx_family(spec, int(n))
-        rn = solve_mfc(fam.spec_n, cfg.grid, tol_pi=cfg.solver["tol_pi"],
-                       tol_fp=cfg.solver["tol_fp"], max_iter=int(cfg.solver["max_iter"]))
+        rn = _solve_mfc(cfg, fam.spec_n)
         rows.append({
             "n": int(n),
             "value": rn.cost.total,

@@ -9,7 +9,8 @@ to sigma^2/2; the noise enters purely as transport.
 
 The splitting order is fixed so that the linear backward stepper is the
 exact algebraic transpose of a forward step; see backward.py.  Both
-marchers read the model through `StepOperators`.
+marchers read the model through `StepOperators` and run in one time loop,
+`_march`.
 """
 
 from __future__ import annotations
@@ -364,21 +365,27 @@ class ForwardTrajectory2D:
 # ---------------------------------------------------------------------------
 
 
-def _check_cfl(bmax: float, lmax: float, dt: float, dx: float, dy: float | None):
-    cfl = bmax * dt / dx + (0.0 if dy is None else lmax * dt / dy)
+def _drift(ops: StepOperators, g: FeedbackControl, k: int,
+           dy: float | None = None) -> np.ndarray:
+    """Node drift of the feedback at step k, after checking that it stays
+    in the box (and is y-independent on the line) and that the step meets
+    the advective CFL condition, with the y transport when `dy` is given."""
+    gv = g.at_step(k)
+    lo, hi = ops.box
+    if gv.min() < lo - 1e-12 or gv.max() > hi + 1e-12:
+        raise ControlOutOfBox("control leaves the box at step %d" % k)
+    if dy is None and gv.ndim == 2:
+        raise GridMismatch("1d solver requires a y-independent feedback")
+    b = ops.drift(gv if dy is None else y_column(gv))
+    bmax = float(np.max(np.abs(b)))
+    lmax = 0.0 if dy is None else float(ops.lam.max())
+    cfl = bmax * ops.dt / ops.dx + (0.0 if dy is None else lmax * ops.dt / dy)
     if cfl > 1.0 + 1e-12:
         raise CFLViolation(
             f"advective CFL number {cfl:.3f} > 1 (max|b|={bmax:.3g}, "
             f"max lam={lmax:.3g}); refine dt"
         )
-
-
-def _control_values(spec: ModelSpec, g: FeedbackControl, k: int) -> np.ndarray:
-    gv = g.at_step(k)
-    lo, hi = spec.box_array[0]
-    if gv.min() < lo - 1e-12 or gv.max() > hi + 1e-12:
-        raise ControlOutOfBox("control leaves the box at step %d" % k)
-    return gv
+    return b
 
 
 def weighted_l2_sq(vals: np.ndarray, wx: np.ndarray, wy: np.ndarray | None) -> float:
@@ -388,12 +395,53 @@ def weighted_l2_sq(vals: np.ndarray, wx: np.ndarray, wy: np.ndarray | None) -> f
     return float(wx @ (vals**2) @ wy)
 
 
-def _h10_sq(vals: np.ndarray, dx: float, wx: np.ndarray,
-            wy: np.ndarray | None) -> float:
-    grad = np.diff(vals, axis=0) / dx
-    if wy is None:
-        return float((grad**2).sum() * dx)
-    return float(((grad**2) @ wy).sum() * dx)
+def _march(spec: ModelSpec, grid: Grid, vals0: np.ndarray,
+           noise: CommonNoisePath | None, step, wy: np.ndarray | None = None,
+           dy: float = 1.0) -> tuple:
+    """The time loop of both forward solvers.
+
+    `step(k, t, rho)` advances the density over [t_k, t_{k+1}]; the loop
+    then applies the common-noise shift, if any, and records the values,
+    the cell-sum mass, the energy and the mass that left through the shift.
+    A (nx,) density takes `wy` None; an (nx, ny) one takes the y weights
+    and cell height.  Returns (times, values, mass, energy, leakage).
+    """
+    dx, dt, nt = grid.dx, grid.dt(spec.T), grid.nt
+    wx = trapezoid_weights(grid.nx, dx)
+    rho = np.ascontiguousarray(vals0, dtype=float)
+    shape = (grid.nx,) if wy is None else (grid.nx, grid.ny_total)
+    if rho.shape != shape:
+        raise GridMismatch(f"initial density has shape {rho.shape}, not {shape}")
+    increments = noise.increments if noise is not None else None
+    if increments is not None and increments.size != nt:
+        raise GridMismatch("noise path length does not match grid.nt")
+
+    out = np.empty((nt + 1, *shape))
+    out[0] = rho
+    mass = np.empty(nt + 1)
+    mass[0] = rho.sum() * dx * dy
+    init_sq = sup_sq = weighted_l2_sq(rho, wx, wy)
+    h10_sum = leakage = 0.0
+    times = grid.times(spec.T)
+    for k in range(nt):
+        t = times[k]
+        rho = step(k, t, rho)
+        if increments is not None:
+            pre = rho.sum()
+            rho = shift_density(rho, spec.sigma0(t) * increments[k], dx)
+            leakage += abs(pre - rho.sum()) * dx * dy
+
+        out[k + 1] = rho
+        mass[k + 1] = rho.sum() * dx * dy
+        l2_sq = weighted_l2_sq(rho, wx, wy)
+        sup_sq = max(sup_sq, l2_sq)
+        grad_sq = (np.diff(rho, axis=0) / dx) ** 2
+        h10_sq = float((grad_sq if wy is None else grad_sq @ wy).sum() * dx)
+        h10_sum += (l2_sq + h10_sq) * dt
+
+    energy = EnergyRecord(sup_sq, h10_sum, init_sq,
+                          (sup_sq + h10_sum) / init_sq if init_sq > 0 else 0.0)
+    return times, out, mass, energy, leakage
 
 
 def solve_forward_1d(
@@ -409,60 +457,20 @@ def solve_forward_1d(
     e^{-lam dt} per step, so a constant intensity decays total mass
     exactly like e^{-lam t} while diffusion and transport conserve it.
     """
-    x = grid.x
-    dx = grid.dx
-    dt = grid.dt(spec.T)
-    nt = grid.nt
-    wx = trapezoid_weights(grid.nx, dx)
-
+    x, dx, dt = grid.x, grid.dx, grid.dt(spec.T)
     if initial is None:
         # weighted x marginal of the initial joint density
         yq = np.linspace(0.0, max(grid.y_max, 6.0), 2001)
         rho2 = spec.initial_density_2d(x[:, None], yq[None, :])
-        vals0 = rho2 @ survival_quadrature(yq, yq[1] - yq[0])[2]
-    else:
-        vals0 = np.asarray(initial, dtype=float).copy()
+        initial = rho2 @ survival_quadrature(yq, yq[1] - yq[0])[2]
 
-    out = np.empty((nt + 1, grid.nx))
-    out[0] = vals0
-    mass = np.empty(nt + 1)
-    mass[0] = vals0.sum() * dx
-
-    sup_sq = weighted_l2_sq(vals0, wx, None)
-    h10_sum = 0.0
-    init_sq = sup_sq
-
-    increments = noise.increments if noise is not None else None
-    if increments is not None and increments.size != nt:
-        raise GridMismatch("noise path length does not match grid.nt")
-
-    times = grid.times(spec.T)
-    rho = vals0.copy()
-    leakage = 0.0
-    for k in range(nt):
-        t = times[k]
-        gv = _control_values(spec, g, k)
-        if gv.ndim == 2:
-            raise GridMismatch("1d solver requires a y-independent feedback")
+    def step(k, t, rho):
         ops = StepOperators(spec, grid, t, NuHandle(x, rho), noise)
-        b = ops.drift(gv)
-        _check_cfl(float(np.max(np.abs(b))), 0.0, dt, dx, None)
+        b = _drift(ops, g, k)
+        rho = diffuse(rho, ops.matrix) * ops.kill
+        return rho + dt * upwind_flux_divergence(rho, face_average(b), dx)
 
-        rho = diffuse(rho, ops.matrix)
-        rho = rho * ops.kill
-        rho = rho + dt * upwind_flux_divergence(rho, face_average(b), dx)
-        if increments is not None:
-            pre = rho.sum()
-            rho = shift_density(rho, spec.sigma0(t) * increments[k], dx)
-            leakage += abs(pre - rho.sum()) * dx
-
-        out[k + 1] = rho
-        mass[k + 1] = rho.sum() * dx
-        sup_sq = max(sup_sq, weighted_l2_sq(rho, wx, None))
-        h10_sum += (weighted_l2_sq(rho, wx, None) + _h10_sq(rho, dx, wx, None)) * dt
-
-    energy = EnergyRecord(sup_sq, h10_sum, init_sq,
-                          (sup_sq + h10_sum) / init_sq if init_sq > 0 else 0.0)
+    times, out, mass, energy, leakage = _march(spec, grid, initial, noise, step)
     return ForwardTrajectory1D(grid, times, out, g, noise, mass, energy, leakage)
 
 
@@ -480,55 +488,19 @@ def solve_forward_2d(
     mass is conserved exactly by the scheme.
     """
     x, y = grid.x, grid.y
-    dx, dy = grid.dx, grid.dy
-    dt = grid.dt(spec.T)
-    nt = grid.nt
-    wx = trapezoid_weights(grid.nx, dx)
+    dx, dy, dt = grid.dx, grid.dy, grid.dt(spec.T)
     wy = trapezoid_weights(grid.ny_total, dy)
     keep, _, survival = survival_quadrature(y, dy)
-
     if initial is None:
-        vals0 = np.asarray(spec.initial_density_2d(x[:, None], y[None, :]), dtype=float)
-        tot = wx @ vals0 @ wy
-        vals0 = vals0 / tot
-    else:
-        vals0 = np.asarray(initial, dtype=float).copy()
+        initial = np.asarray(spec.initial_density_2d(x[:, None], y[None, :]), dtype=float)
+        initial = initial / (trapezoid_weights(grid.nx, dx) @ initial @ wy)
 
-    out = np.empty((nt + 1, grid.nx, grid.ny_total))
-    out[0] = vals0
-    mass = np.empty(nt + 1)
-    mass[0] = vals0.sum() * dx * dy
-
-    sup_sq = weighted_l2_sq(vals0, wx, wy)
-    init_sq = sup_sq
-    h10_sum = 0.0
-
-    increments = noise.increments if noise is not None else None
-    if increments is not None and increments.size != nt:
-        raise GridMismatch("noise path length does not match grid.nt")
-
-    times = grid.times(spec.T)
-    mu = vals0.copy()
-    leakage = 0.0
-    for k in range(nt):
-        t = times[k]
+    def step(k, t, mu):
         ops = StepOperators(spec, grid, t, NuHandle(x, mu[:, keep] @ survival), noise)
-        b = ops.drift(y_column(_control_values(spec, g, k)))
-        _check_cfl(float(np.max(np.abs(b))), float(ops.lam.max()), dt, dx, dy)
-
+        b = _drift(ops, g, k, dy)
         mu = diffuse(mu, ops.matrix)
         expl = upwind_flux_divergence(mu, face_average(b), dx)
-        mu = y_transport(mu, ops.lam, dt, dy) + dt * expl
-        if increments is not None:
-            pre = mu.sum()
-            mu = shift_density(mu, spec.sigma0(t) * increments[k], dx)
-            leakage += abs(pre - mu.sum()) * dx * dy
+        return y_transport(mu, ops.lam, dt, dy) + dt * expl
 
-        out[k + 1] = mu
-        mass[k + 1] = mu.sum() * dx * dy
-        sup_sq = max(sup_sq, weighted_l2_sq(mu, wx, wy))
-        h10_sum += (weighted_l2_sq(mu, wx, wy) + _h10_sq(mu, dx, wx, wy)) * dt
-
-    energy = EnergyRecord(sup_sq, h10_sum, init_sq,
-                          (sup_sq + h10_sum) / init_sq if init_sq > 0 else 0.0)
+    times, out, mass, energy, leakage = _march(spec, grid, initial, noise, step, wy, dy)
     return ForwardTrajectory2D(grid, times, out, g, noise, mass, energy, leakage)

@@ -137,8 +137,10 @@ class MFCResult:
 
 
 def _feedback_from_value(spec: ModelSpec, grid: Grid, u: BSPDESolution) -> np.ndarray:
+    """The pointwise minimizer at the value field's gradient at every step:
+    (nt+1, nx) for a field on the line, (nt+1, nx, ny) on the half-plane."""
     times = grid.times(spec.T)
-    out = np.empty((grid.nt + 1, grid.nx))
+    out = np.empty(u.u.shape)
     for k in range(grid.nt + 1):
         out[k] = StepOperators(spec, grid, times[k]).control(central_grad(u.u[k], grid.dx))
     return out
@@ -412,7 +414,6 @@ def solve_mfc_2d(
     `diagnostics["inner_capped_steps"]` counts the capped steps of the
     last sweep's marginal solve.
     """
-    times = grid.times(spec.T)
     ey = np.exp(-grid.y)[None, :]
     value = _ValueSolves(spec, grid, noise, TOL_FP)
     last = (None, None, None)
@@ -423,13 +424,9 @@ def solve_mfc_2d(
         u1, g_fb = value(mu_traj.marginal())
         adj = solve_backward_2d(spec, grid, mu_traj, g=g2,
                                 terminal=ey * u1.terminal[:, None], noise=noise)
-        g_new = np.empty_like(g2.values)
-        for k in range(grid.nt + 1):
-            g_min = StepOperators(spec, grid, times[k]).control(
-                central_grad(adj.u[k], grid.dx))
-            g_new[k] = np.where(mu_traj.values[k] > MU_FLOOR, g_min, g_fb[k][:, None])
         last = adj, mu_traj, u1
-        return g_new
+        return np.where(mu_traj.values > MU_FLOOR,
+                        _feedback_from_value(spec, grid, adj), g_fb[:, :, None])
 
     g0 = FeedbackControl.constant(float(spec.box_array[0].mean()), grid, spec, two_d=True)
     g2, residuals, converged, stalled = _picard(sweep, g0, spec, tol_pi, max_iter, DAMPING)

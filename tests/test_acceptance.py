@@ -12,7 +12,7 @@ import pytest
 import mfckill as mk
 from mfckill.backward import solve_backward_1d, solve_backward_2d
 from mfckill.controls import FeedbackControl
-from mfckill.forward import ForwardTrajectory1D, ForwardTrajectory2D
+from mfckill.forward import ForwardTrajectory2D
 from mfckill.measures import metric_dp, trapezoid_weights
 from mfckill.mfc import (
     evaluate_cost,
@@ -33,16 +33,10 @@ def report(num, ok, text):
     assert ok, f"criterion {num}: {text}"
 
 
-def nu_traj_from_mu(mu, grid, g):
-    vals = np.stack([mk.s_map(mu.at(k)).values for k in range(grid.nt + 1)])
-    return ForwardTrajectory1D(grid, mu.times, vals, g, None,
-                               vals.sum(axis=1) * grid.dx, mu.energy, 0.0)
-
-
 def separability_gap(spec, grid):
     g = FeedbackControl.constant(0.1, grid, spec)
     mu = mk.solve_forward_2d(spec, grid, g)
-    nut = nu_traj_from_mu(mu, grid, g)
+    nut = mu.marginal()
     term1 = np.asarray(spec.dpsi(NuHandle(grid.x, nut.values[-1]), grid.x))
     u1 = solve_backward_1d(spec, grid, nut, term1)
     term2 = np.exp(-grid.y)[None, :] * term1[:, None]
@@ -260,7 +254,7 @@ def test_criterion_7_cost_form_identity():
     gv = np.clip(0.4 * np.sin(grid.x), -1, 1)
     g = FeedbackControl.from_array(np.tile(gv, (grid.nt + 1, 1)), spec)
     mu = mk.solve_forward_2d(spec, grid, g)
-    nut = nu_traj_from_mu(mu, grid, g)
+    nut = mu.marginal()
     rep = evaluate_cost(spec, g, nu_traj=nut, mu_traj=mu)
     elapsed = time.time() - t0
     ok = rep.form_gap <= 1e-8 and elapsed < 5.0

@@ -13,15 +13,9 @@ from mfckill.backward import (
 )
 from mfckill.controls import FeedbackControl
 from mfckill.errors import ArgumentConflict, FixedPointDiverged, GridMismatch, NonfiniteInput
-from mfckill.forward import CommonNoisePath, ForwardTrajectory1D, StepOperators
+from mfckill.forward import CommonNoisePath, ForwardTrajectory2D, StepOperators
 from mfckill.hamiltonians import f_nu, f_tilde_mu, minimize_hamiltonian, minimize_k_tilde
 from mfckill.mfc import separable_lift
-
-
-def nu_from_mu(mu, grid, g):
-    vals = np.stack([mk.s_map(mu.at(k)).values for k in range(grid.nt + 1)])
-    return ForwardTrajectory1D(grid, mu.times, vals, g, None,
-                               vals.sum(axis=1) * grid.dx, mu.energy, 0.0)
 
 
 def gaussian(x, s):
@@ -92,32 +86,37 @@ def test_nonlocal_term_absent_when_decoupled():
     assert np.allclose(a.u, b.u, atol=1e-12)
 
 
-def test_2d_slices_match_1d_bit_exact_without_intensity():
+def model_and_noise(name, grid, noisy, **params):
+    """The model, with sigma0 0.4 and a seed-5 noise path when `noisy`."""
+    spec = mk.make_model(name, sigma0=0.4 if noisy else 0.0, **params)
+    return spec, CommonNoisePath.from_seed(5, grid.nt, grid.dt(spec.T)) if noisy else None
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+def test_2d_slices_match_1d_bit_exact_without_intensity(noisy):
     # no killing, no costs: each intensity slice solves the marginal
     # equation; shared kernels make the runs bitwise identical
-    spec = mk.make_model("const_kill", kappa=0.0, f0_const=0.0)
+    grid = mk.build_grid(-4, 4, 101, 2.0, 9, 80)
+    spec, noise = model_and_noise("const_kill", grid, noisy, kappa=0.0, f0_const=0.0)
 
     def b0(t, x, nu):
         return 0.3 * np.sin(np.asarray(x, dtype=float))
 
     spec.b0 = b0
-    grid = mk.build_grid(-4, 4, 101, 2.0, 9, 80)
     g2 = FeedbackControl.constant(0.0, grid, spec, two_d=True)
-    mu = mk.solve_forward_2d(spec, grid, g2)
-    g1 = FeedbackControl.constant(0.0, grid, spec)
-    nu_traj = nu_from_mu(mu, grid, g1)
+    mu = mk.solve_forward_2d(spec, grid, g2, noise)
+    nu_traj = mu.marginal()
     term1 = gaussian(grid.x, 0.5)
     term2 = np.outer(term1, np.exp(-grid.y))
     # run the inner loops to the full iteration budget so the stopping
     # rule (a max over all columns in 2d) cannot desynchronize slices
-    u1_cols = []
-    for j in range(grid.ny_total):
-        sol_j = solve_backward_1d(spec, grid, nu_traj, term2[:, j], tol_fp=0.0)
-        u1_cols.append(sol_j.u)
-    ref = np.stack(u1_cols, axis=-1)
-    u1d = solve_backward_1d(spec, grid, nu_traj, term1, tol_fp=0.0)
-    sol2 = solve_backward_2d(spec, grid, mu, u_1d=u1d, terminal=term2, tol_fp=0.0)
-    assert np.array_equal(sol2.u, ref)
+    cols = [solve_backward_1d(spec, grid, nu_traj, term2[:, j], noise, tol_fp=0.0)
+            for j in range(grid.ny_total)]
+    u1d = solve_backward_1d(spec, grid, nu_traj, term1, noise, tol_fp=0.0)
+    sol2 = solve_backward_2d(spec, grid, mu, u_1d=u1d, terminal=term2, noise=noise,
+                             tol_fp=0.0)
+    assert np.array_equal(sol2.u, np.stack([c.u for c in cols], axis=-1))
+    assert np.array_equal(sol2.q, np.stack([c.q for c in cols], axis=-1))
 
 
 def test_no_boundary_condition_below_zero():
@@ -134,11 +133,8 @@ def test_no_boundary_condition_below_zero():
     rng = np.random.default_rng(0)
     term_perturbed = term2.copy()
     term_perturbed[:, : grid.iy0] += rng.normal(size=(grid.nx, grid.iy0))
-    mu_perturbed = ForwardTrajectory1D  # placeholder to keep names apart
     vals = mu.values.copy()
     vals[:, :, : grid.iy0] += np.abs(rng.normal(size=(grid.nt + 1, grid.nx, grid.iy0)))
-    from mfckill.forward import ForwardTrajectory2D
-
     mu2 = ForwardTrajectory2D(grid, mu.times, vals, g, None, mu.mass_series,
                               mu.energy, 0.0)
     pert = solve_backward_2d(spec, grid, mu2, g=g, terminal=term_perturbed)
@@ -262,21 +258,22 @@ def test_energy_constant_stable_under_refinement():
     assert abs(consts[1] - consts[0]) / consts[0] < 0.2
 
 
-def test_fixed_feedback_duality_with_measure_dependent_cost():
+@pytest.mark.parametrize("noisy", [False, True])
+def test_fixed_feedback_duality_with_measure_dependent_cost(noisy):
     # the fixed-g half-plane march is the transpose of the forward march
     # with the running cost injected at every step, so <mu_0, u_0> equals
     # the cell-sum cost; f0 depends on nu, so the end-point injection must
     # use nu at step N, as the cost sum does
-    spec = mk.make_model("lq_killing")
+    grid = mk.build_grid(-4.0, 4.0, 81, 4.0, 16, 80)
+    spec, noise = model_and_noise("lq_killing", grid, noisy)
     spec.f0 = lambda t, x, nu: (0.5 * np.asarray(x, dtype=float) ** 2
                                 + 3.0 * nu.mass * np.asarray(x, dtype=float))
-    grid = mk.build_grid(-4.0, 4.0, 81, 4.0, 16, 80)
     x, y = grid.x, grid.y
     g = FeedbackControl.from_array(np.tile(0.3 * np.tanh(x), (grid.nt + 1, 1)), spec)
-    mu = mk.solve_forward_2d(spec, grid, g)
+    mu = mk.solve_forward_2d(spec, grid, g, noise)
     nu_T = mk.NuHandle(x, mk.s_map(mu.at(grid.nt)).values)
     term = np.exp(-y)[None, :] * np.asarray(spec.dpsi(nu_T, x))[:, None]
-    adj = solve_backward_2d(spec, grid, mu, g=g, terminal=term)
+    adj = solve_backward_2d(spec, grid, mu, g=g, terminal=term, noise=noise)
     dt, cell = grid.dt(spec.T), grid.dx * grid.dy
     cost = float((mu.values[-1] * term).sum()) * cell
     for k in range(grid.nt + 1):

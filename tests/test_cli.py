@@ -145,3 +145,23 @@ def test_regularize_sweep(tmp_path):
     diag = json.loads((out / "diagnostics.json").read_text())
     assert [row["n"] for row in diag["sweep"]] == [4, 8]
     assert all(np.isfinite(row["value"]) for row in diag["sweep"])
+
+
+@pytest.mark.parametrize("experiment", ["solve", "smp-check", "regularize-sweep"])
+def test_runners_pass_every_solver_key(tmp_path, monkeypatch, experiment):
+    import mfckill.cli as cli
+
+    solver = {"tol_pi": 1e-5, "tol_fp": 1e-9, "damping": 0.7, "max_iter": 150}
+    calls = []
+    solve_mfc = cli.solve_mfc
+
+    def recording_solve_mfc(spec, grid, **kwargs):
+        calls.append(kwargs)
+        return solve_mfc(spec, grid, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_mfc", recording_solve_mfc)
+    cfg = small_config(tmp_path, experiment=experiment, solver=solver, approx_indices=[4])
+    main(["--config", str(cfg), "--out", str(tmp_path / "run")])
+    assert calls
+    for kwargs in calls:
+        assert {k: kwargs.get(k) for k in solver} == solver

@@ -5,7 +5,7 @@ import pytest
 
 import mfckill as mk
 from mfckill.controls import FeedbackControl
-from mfckill.errors import CFLViolation, ControlOutOfBox, NonfiniteInput
+from mfckill.errors import CFLViolation, ControlOutOfBox, GridMismatch, NonfiniteInput
 from mfckill.forward import (
     CommonNoisePath,
     StepOperators,
@@ -201,10 +201,17 @@ def test_noise_length_mismatch():
     grid = mk.build_grid(-4.0, 4.0, 101, 2.4, 16, 100)
     g = tanh_feedback(grid, spec)
     bad = CommonNoisePath.from_seed(1, grid.nt + 5, grid.dt(spec.T))
-    from mfckill.errors import GridMismatch
-
     with pytest.raises(GridMismatch):
         mk.solve_forward_1d(spec, grid, g, noise=bad)
+
+
+@pytest.mark.parametrize("solver", [mk.solve_forward_1d, mk.solve_forward_2d])
+@pytest.mark.parametrize("shape", [(40,), (41, 2), (41, 1)])  # nx = 41, ny_total > 2
+def test_wrong_initial_shape_raises(solver, shape):
+    spec = mk.make_model("lq_killing")
+    grid = mk.build_grid(-4.0, 4.0, 41, 2.4, 8, 20)
+    with pytest.raises(GridMismatch):
+        solver(spec, grid, FeedbackControl.constant(0.0, grid, spec), initial=np.ones(shape))
 
 
 def test_forward_deterministic():

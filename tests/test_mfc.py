@@ -53,12 +53,7 @@ def test_cost_forms_agree(lq_spec):
     assert rep.form == "both"
     # identical tensor quadrature makes the rewrite an identity, but the
     # two trajectories are separate discretizations; compare on one run
-    nu_from_mu = np.stack([mk.s_map(tr2.at(k)).values for k in range(grid.nt + 1)])
-    from mfckill.forward import ForwardTrajectory1D
-
-    tr1b = ForwardTrajectory1D(grid, tr2.times, nu_from_mu, g, None,
-                               nu_from_mu.sum(axis=1) * grid.dx, tr2.energy, 0.0)
-    rep2 = evaluate_cost(lq_spec, g, nu_traj=tr1b, mu_traj=tr2)
+    rep2 = evaluate_cost(lq_spec, g, nu_traj=tr2.marginal(), mu_traj=tr2)
     assert rep2.form_gap <= 1e-8
 
 
