@@ -7,8 +7,9 @@ Configuration is a UTF-8 JSON document::
                   "params": { ... keyword overrides ... }},
       "grid":   {"x_min": -4.0, "x_max": 4.0, "nx": 161,
                   "y_max": 2.4, "ny": 24, "nt": 160, "extension_ell": 0.0},
-      "solver": {"tol_pi": 1e-6, "tol_fp": 1e-10, "damping": 0.5,
-                  "max_iter": 200, "mu_floor": 1e-12},
+      "solver": {"tol_pi": 1e-6, "tol_fp": 1e-10, "max_iter": 200,
+                  "mu_floor": 1e-12},  # "damping": first Picard step,
+                                       # default mfc.DAMPING
       "experiment": "solve",
       "seed": 0,
       "control": 0.0,            # constant feedback for forward/backward runs
@@ -43,6 +44,7 @@ from .errors import ConfigError, MFCKillError, ModelValidationError, UnknownExpe
 from .forward import CommonNoisePath, solve_forward_1d, solve_forward_2d
 from .measures import s_map
 from .mfc import (
+    DAMPING,
     gateaux_derivative,
     separable_lift,
     smp_residual,
@@ -65,7 +67,7 @@ EXPERIMENTS = (
 _DEF_SOLVER = {
     "tol_pi": 1e-6,
     "tol_fp": 1e-10,
-    "damping": 0.5,
+    "damping": DAMPING,
     "max_iter": 200,
     "mu_floor": 1e-12,
 }

@@ -47,6 +47,11 @@ class FixedPointDiverged(MFCKillError):
     """The inner fixed-point iteration of a backward step diverged."""
 
 
+class FixedPointCapped(MFCKillError):
+    """An inner fixed-point step stopped at its iteration cap with the
+    residual above tol_fp (raised by `solve_mfc(strict=True)`)."""
+
+
 class ArgumentConflict(MFCKillError):
     """Mutually exclusive arguments were both supplied."""
 

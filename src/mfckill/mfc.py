@@ -18,7 +18,7 @@ from .backward import (
     terminal_cost_injection,
 )
 from .controls import FeedbackControl
-from .errors import DirectionLeavesBox, GridMismatch, PicardStalled
+from .errors import DirectionLeavesBox, FixedPointCapped, GridMismatch, PicardStalled
 from .forward import (
     CommonNoisePath,
     ForwardTrajectory1D,
@@ -48,7 +48,7 @@ __all__ = [
     "separable_lift",
 ]
 
-DAMPING = 0.5   # the Picard step of both control loops (solve_mfc may set another)
+DAMPING = 1.0   # the first Picard step of both control loops (solve_mfc may set another)
 
 
 @dataclass
@@ -149,17 +149,21 @@ def _feedback_from_value(spec: ModelSpec, grid: Grid, u: BSPDESolution) -> np.nd
 def _picard(sweep, g: FeedbackControl, spec: ModelSpec, tol_pi: float,
             max_iter: int, damping: float):
     """The Picard iteration of both control loops on `sweep(g)`, the
-    feedback array resynthesized from the iterate g.  It converges when
-    that moves g by at most tol_pi, and stalls when the residual fell by
-    under 0.1% over the last 30 sweeps.  Returns (g, residuals, converged,
-    stalled); g is the last sweep's feedback if converged, otherwise the
-    damped step after the last sweep."""
+    feedback array resynthesized from the iterate g.  Each iterate moves
+    the fraction `damping` of the way to its sweep's feedback; the fraction
+    starts at the given step and halves whenever the residual grows.  It
+    converges when a sweep moves g by at most tol_pi, and stalls when the
+    residual fell by under 0.1% over the last 30 sweeps.  Returns (g,
+    residuals, converged, stalled); g is the last sweep's feedback if
+    converged, otherwise the step taken after the last sweep."""
     residuals = []
     for _ in range(max_iter):
         g_new = sweep(g)
         residuals.append(float(np.max(np.abs(g_new - g.values))))
         if residuals[-1] <= tol_pi:
             return FeedbackControl.from_array(g_new, spec), residuals, True, False
+        if len(residuals) > 1 and residuals[-1] > residuals[-2]:
+            damping *= 0.5
         g = FeedbackControl.from_array(
             (1.0 - damping) * g.values + damping * g_new, spec
         )
@@ -211,15 +215,19 @@ def solve_mfc(
     with_2d: bool = False,
     mean_field: bool = True,
 ) -> MFCResult:
-    """Damped Picard loop on the one-dimensional forward-backward system.
+    """Picard loop on the one-dimensional forward-backward system.
 
     Each sweep solves the population density for the current feedback,
     the value field for that population, and resynthesizes the feedback
-    from the pointwise Hamiltonian minimizer.  Convergence is declared on
-    the control iterate; a stalled loop returns to the iterate of least
-    cost.  Set mean_field=False to drop the nonlocal terms (the game
-    rather than control fixed point) for comparison runs.  When the
-    population does not enter the value equation (see
+    from the pointwise Hamiltonian minimizer.  The iterate takes the step
+    `damping` toward that feedback (the full step by default), halved
+    whenever the control residual grows.  Convergence is declared on the
+    control iterate; a stalled loop returns to the iterate of least cost.
+    `strict` raises `PicardStalled` on a stall, and `FixedPointCapped`
+    when an inner step of the returned value field stopped at its
+    iteration cap above tol_fp.  Set mean_field=False to drop the nonlocal
+    terms (the game rather than control fixed point) for comparison
+    runs.  When the population does not enter the value equation (see
     `population_inputs`), the value field and its feedback are solved once
     and reused; `diagnostics["backward_solves"]` counts the solves made.
     """
@@ -252,6 +260,11 @@ def solve_mfc(
     if not converged:
         u, g_new = value(solve_forward_1d(work, grid, best[1] if stalled else g, noise))
         g = FeedbackControl.from_array(g_new, spec)
+    if strict and u.fixed_point.capped:
+        raise FixedPointCapped(
+            f"{u.fixed_point.capped} inner steps stopped at the iteration cap "
+            f"above tol_fp = {tol_fp}"
+        )
     nu_traj = solve_forward_1d(work, grid, g, noise)
     mu_traj = solve_forward_2d(work, grid, g, noise) if with_2d else None
     cost = evaluate_cost(work, g, nu_traj=nu_traj, mu_traj=mu_traj)

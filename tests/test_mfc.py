@@ -8,7 +8,7 @@ import mfckill.backward as backward_mod
 import mfckill.mfc as mfc_mod
 from mfckill.backward import solve_backward_2d
 from mfckill.controls import FeedbackControl
-from mfckill.errors import DirectionLeavesBox, PicardStalled
+from mfckill.errors import DirectionLeavesBox, FixedPointCapped, PicardStalled
 from mfckill.hamiltonians import MU_FLOOR
 from mfckill.mfc import (
     evaluate_cost,
@@ -66,8 +66,10 @@ def test_singleton_box_converges_immediately():
     assert np.all(res.g_star.values == 0.0)
 
 
-def test_cost_trace_nonincreasing_after_burn_in(lq_mfc):
-    _, res = lq_mfc
+def test_cost_trace_nonincreasing_after_burn_in(lq_spec):
+    # the half step takes many sweeps (the full step converges in two)
+    grid = mk.build_grid(-4.0, 4.0, 161, 2.4, 20, 160)
+    res = solve_mfc(lq_spec, grid, damping=0.5)
     trace = res.diagnostics["cost_trace"]
     assert len(trace) > 4
     for a, b in zip(trace[3:], trace[4:]):
@@ -182,10 +184,11 @@ def test_stall_flag_and_strict_raise():
     # which the plateau detector reports as a stall
     spec = mk.make_model("lq_killing")
     grid = mk.build_grid(-4, 4, 41, 2.4, 8, 40)
-    res = solve_mfc(spec, grid, tol_pi=1e-18, max_iter=150)
+    # under the half step (the full step reaches residual 0.0 at sweep 2)
+    res = solve_mfc(spec, grid, tol_pi=1e-18, max_iter=150, damping=0.5)
     assert res.diagnostics["stalled"]
     with pytest.raises(PicardStalled):
-        solve_mfc(spec, grid, tol_pi=1e-18, max_iter=150, strict=True)
+        solve_mfc(spec, grid, tol_pi=1e-18, max_iter=150, damping=0.5, strict=True)
 
 
 def test_intensity_diag_flat_and_linear():
@@ -313,3 +316,65 @@ def test_loops_report_inner_capped_steps(monkeypatch):
     assert res.diagnostics["inner_capped_steps"] == res.u.fixed_point.capped == grid.nt
     _, _, _, diag = solve_mfc_2d(spec, grid, max_iter=3)
     assert diag["inner_capped_steps"] == grid.nt
+
+
+def test_strict_raises_on_capped_inner_steps(monkeypatch):
+    spec = mk.make_model("lq_killing")
+    grid = mk.build_grid(-4, 4, 41, 2.4, 8, 20)
+    solve_mfc(spec, grid, max_iter=3, strict=True)
+    monkeypatch.setattr(backward_mod, "MAX_FP", 2)
+    res = solve_mfc(spec, grid, max_iter=3)
+    assert res.diagnostics["inner_capped_steps"] == grid.nt
+    with pytest.raises(FixedPointCapped):
+        solve_mfc(spec, grid, max_iter=3, strict=True)
+
+
+def test_picard_halves_step_when_residual_grows():
+    # g -> c - 1.5 (g - c) overshoots its fixed point c: the full step
+    # alone diverges (0, 0.5, -0.25, 0.875, ...), the half step contracts
+    # by 0.25 per sweep
+    spec = mk.make_model("lq_killing")
+    grid = mk.build_grid(-4, 4, 11, 2.4, 4, 5)
+    c = 0.2
+    steps = []
+
+    def sweep(g):
+        g_new = c - 1.5 * (g.values - c)
+        steps.append((g.values.copy(), g_new))
+        return g_new
+
+    g0 = FeedbackControl.constant(0.0, grid, spec)
+    g, residuals, converged, stalled = mfc_mod._picard(sweep, g0, spec, 1e-12, 100, 1.0)
+    assert converged and not stalled
+    assert np.abs(g.values - c).max() <= 1.5e-12
+    assert residuals[1] > residuals[0]
+    assert all(b < a for a, b in zip(residuals[1:], residuals[2:]))
+    # the residual grew once, at sweep 2: the first step is full and every
+    # later one half, bit for bit
+    for k, ((g_k, sweep_k), (g_next, _)) in enumerate(zip(steps, steps[1:])):
+        d = 1.0 if k == 0 else 0.5
+        assert np.array_equal(g_next, (1.0 - d) * g_k + d * sweep_k)
+
+
+def test_full_step_uncoupled_converges_in_two_sweeps_bit_identical():
+    # the full step lands on the feedback of the loop's one value solve,
+    # the same array the half step converges to
+    spec = mk.make_model("lq_killing")
+    grid = mk.build_grid(-4, 4, 61, 2.4, 8, 40)
+    full = solve_mfc(spec, grid)
+    half = solve_mfc(spec, grid, damping=0.5)
+    assert full.diagnostics["converged"] and full.diagnostics["picard_iterations"] == 2
+    assert half.diagnostics["picard_iterations"] > 2
+    assert np.array_equal(full.g_star.values, half.g_star.values)
+    assert full.cost.total == half.cost.total
+
+
+def test_full_step_coupled_matches_half_step():
+    spec = mk.make_model("lq_mean_field")
+    grid = mk.build_grid(-4, 4, 61, 2.4, 8, 40)
+    full = solve_mfc(spec, grid)
+    half = solve_mfc(spec, grid, damping=0.5)
+    assert full.diagnostics["converged"] and half.diagnostics["converged"]
+    assert full.diagnostics["picard_iterations"] <= 10
+    assert np.abs(full.g_star.values - half.g_star.values).max() <= 1e-6
+    assert abs(full.cost.total - half.cost.total) <= 1e-8 * abs(half.cost.total)
