@@ -13,7 +13,7 @@ Configuration is a UTF-8 JSON document::
       "experiment": "solve",
       "seed": 0,
       "control": 0.0,            # constant feedback for forward/backward runs
-      "particles": 100000,       # ensemble size for the particles experiment
+      "particles": 100000,       # ensemble size for the particles experiment (>= 10)
       "refine_levels": 3,        # levels for separability-check
       "approx_indices": [1, 2, 4, 8, 16],
       "sigma0": null             # override common-noise volatility
@@ -51,7 +51,7 @@ from .mfc import (
     solve_mfc,
 )
 from .model import Grid, NuHandle, build_grid, make_model, validate_model
-from .particles import empirical_subprob, estimate_cost_mc, simulate_particles
+from .particles import _N_BATCH, empirical_subprob, estimate_cost_mc, simulate_particles
 from .regularize import build_approx_family
 
 EXPERIMENTS = (
@@ -113,6 +113,10 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         exp = raw.get("experiment", "solve")
         if exp not in EXPERIMENTS:
             raise UnknownExperiment(f"unknown experiment {exp!r}; choose from {EXPERIMENTS}")
+        particles = int(raw.get("particles", 100_000))
+        if particles < _N_BATCH:
+            raise ConfigError(f"particles = {particles}: the cost estimate needs at least "
+                              f"{_N_BATCH}, one per batch")
         return RunConfig(
             model_name=mdl["name"],
             model_params=mdl.get("params", {}),
@@ -122,7 +126,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
             seed=int(raw.get("seed", 0)),
             out_dir=Path(raw.get("out_dir", "out")),
             control=float(raw.get("control", 0.0)),
-            particles=int(raw.get("particles", 100_000)),
+            particles=particles,
             refine_levels=int(raw.get("refine_levels", 3)),
             approx_indices=list(raw.get("approx_indices", [1, 2, 4, 8, 16])),
             sigma0=raw.get("sigma0"),

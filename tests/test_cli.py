@@ -88,6 +88,12 @@ def test_unknown_solver_key_exit_2(tmp_path, capsys):
     assert "eps_neg" in capsys.readouterr().err
 
 
+def test_too_few_particles_exit_2(tmp_path, capsys):
+    cfg = small_config(tmp_path, experiment="particles", particles=5)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "particles = 5" in capsys.readouterr().err
+
+
 def test_bad_model_name_exit_2(tmp_path):
     cfg = small_config(tmp_path, model={"name": "nope", "params": {}})
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2

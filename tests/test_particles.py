@@ -1,15 +1,25 @@
+import hashlib
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import mfckill as mk
+import mfckill.particles as particles_mod
 from mfckill.controls import FeedbackControl
 from mfckill.errors import SeedRequired
 from mfckill.measures import metric_dp
 from mfckill.mfc import evaluate_cost
 from mfckill.particles import (
+    _MIX,
+    _NOISE,
     ParticleEnsemble,
+    _counter_normal,
+    _counter_uniform,
+    _draw,
     _interp_uniform,
     empirical_subprob,
     estimate_cost_mc,
@@ -199,3 +209,156 @@ def test_uniform_interp_matches_np_interp(bounds):
     fp[[0, 3, -1]] = -0.0
     want = np.interp(x, xp, fp)
     assert np.array_equal(_interp_uniform(x, xp, fp).view(np.int64), want.view(np.int64))
+
+
+# The counter-based generator as one vectorized expression per variate: the
+# reference the blocked in-place draw must equal bit for bit.
+def _splitmix64_ref(z):
+    z = z + np.uint64(0x9E3779B97F4A7C15)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _uniform_ref(seed, idx, channel, step):
+    mask = 0xFFFFFFFFFFFFFFFF
+    base = (seed ^ 0xD1B54A32D192ED03) & mask
+    ctr = ((step << 3) | channel) & mask
+    mixed = (base ^ ((ctr * 0x9E3779B97F4A7C15) & mask)) & mask
+    key = _splitmix64_ref(np.array([mixed], dtype=np.uint64))[0]
+    h = _splitmix64_ref((idx * np.uint64(0xA24BAED4963EE407)) ^ key)
+    return ((h >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)
+
+
+def _normal_ref(seed, idx, channel, step):
+    u1 = _uniform_ref(seed, idx, channel, step)
+    u2 = _uniform_ref(seed, idx, channel + 1, step)
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
+
+
+def _same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+@pytest.mark.parametrize("n", [1, 16383, 16385, 100003])
+def test_blocked_draw_matches_vectorized_formula(n):
+    # one block, a block short of full, one variate past a block, and a
+    # partial last block; several steps per call, as a helper task draws them
+    idx = np.arange(n, dtype=np.uint64)
+    idx_m = idx * _MIX
+    steps = [1, 2, 80, 161]
+    for seed in (0, 123, 2**40 + 3):
+        rows = _draw(np.empty((len(steps), n)), idx_m, seed, _NOISE, steps, True)
+        for row, step in zip(rows, steps):
+            assert _same_bits(row, _normal_ref(seed, idx, _NOISE, step))
+        assert _same_bits(_counter_normal(seed, idx_m, 0, 0), _normal_ref(seed, idx, 0, 0))
+        for channel in (2, 3, 4):
+            assert _same_bits(_counter_uniform(seed, idx_m, channel, 0),
+                              _uniform_ref(seed, idx, channel, 0))
+
+
+def test_stream_pinned_digest():
+    # blake2b of the outputs of the code that drew every normal inside its
+    # step.  log and cos are the only inexact operations of the stream, and
+    # numpy's kernels for them differ with the x86 dispatch level: the
+    # digests are those of X86_V4 (AVX-512), X86_V3 (AVX2) and the baseline
+    # under numpy 2.4 (NPY_DISABLE_CPU_FEATURES selects the lower levels)
+    spec = mk.make_model("lq_killing")
+    grid = mk.build_grid(-4, 4, 101, 2.4, 11, 80)
+    ens = simulate_particles(spec, tanh_feedback(grid, spec), 20000, 123, grid)
+    h = hashlib.blake2b(digest_size=16)
+    for a in (ens.positions, ens.intensities, ens.running_cost_soft):
+        h.update(a.tobytes())
+    assert h.hexdigest() in {
+        "4740569adf0f795ef8f778f72d16ddf1",
+        "019690f07582364e73e07246d364f8b3",
+        "f986a89981a2ce585b0b364e4eefaf7a",
+    }
+
+
+def test_errors_propagate_and_helper_thread_stops(monkeypatch):
+    spec = mk.make_model("lq_killing")
+    grid = mk.build_grid(-4, 4, 101, 2.4, 11, 80)
+    g = tanh_feedback(grid, spec)
+    calls = []
+
+    def b0(t, x, nu):
+        calls.append(t)
+        if len(calls) == 6:
+            raise RuntimeError("b0 failed at step 5")
+        return np.zeros_like(x)
+
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="step 5"):
+        simulate_particles(spec.with_params(b0=b0), g, 20000, 1, grid)
+    assert threading.active_count() == before
+    # a failing draw on the helper thread reaches the caller the same way
+    real = particles_mod._draw
+
+    def draw(out, idx_m, seed, channel, steps, normal):
+        if channel == _NOISE and steps[0] > 3:
+            raise FloatingPointError("draw failed")
+        return real(out, idx_m, seed, channel, steps, normal)
+
+    monkeypatch.setattr(particles_mod, "_draw", draw)
+    with pytest.raises(FloatingPointError):
+        simulate_particles(spec, g, 20000, 1, grid)
+    assert threading.active_count() == before
+
+
+def test_concurrent_runs_with_fast_thread_switching_match_runs_alone():
+    # four runs at once (eight threads on a 2-CPU box), switching threads
+    # every microsecond, with one and with several steps per draw task:
+    # a normal read from a buffer the helper is refilling would show here
+    spec = mk.make_model("lq_killing")
+    grid = mk.build_grid(-4, 4, 101, 2.4, 11, 40)
+    g = tanh_feedback(grid, spec)
+    sizes = (1000, 3001, 16384, 20011)
+    alone = [simulate_particles(spec, g, n, 5, grid) for n in sizes]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(len(sizes)) as pool:
+            runs = [pool.submit(simulate_particles, spec, g, n, 5, grid) for n in sizes]
+            together = [run.result(timeout=120) for run in runs]
+    finally:
+        sys.setswitchinterval(interval)
+    for a, b in zip(alone, together):
+        assert np.array_equal(a.positions, b.positions)
+        assert np.array_equal(a.running_cost_soft, b.running_cost_soft)
+
+
+def test_histogram_built_only_when_a_coefficient_reads_it(monkeypatch):
+    built = []
+    real = particles_mod._histogram
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(particles_mod, "_histogram", counted)
+    grid = mk.build_grid(-4, 4, 81, 2.4, 11, 60)
+    spec = mk.make_model("lq_killing")
+    simulate_particles(spec, tanh_feedback(grid, spec), 4000, 3, grid)
+    assert len(built) == 0
+    spec = mk.validate_model(mk.make_model("lq_mean_field"))
+    g = FeedbackControl.constant(0.1, grid, spec)
+    simulate_particles(spec, g, 4000, 3, grid, coupling="empirical")
+    assert len(built) == grid.nt + 1
+
+
+def test_invalid_arguments_raise():
+    spec = mk.make_model("lq_killing")
+    grid = mk.build_grid(-4, 4, 41, 2.4, 11, 20)
+    g = tanh_feedback(grid, spec)
+    with pytest.raises(ValueError, match="coupling"):
+        simulate_particles(spec, g, 100, 1, grid, coupling="empiricl")
+    with pytest.raises(ValueError, match="batches"):
+        simulate_particles(spec, g, 5, 1, grid)
+    ens = simulate_particles(spec, g, 10, 1, grid)
+    assert np.isfinite(ens.running_cost_soft).all()
+    with pytest.raises(ValueError, match="mode"):
+        estimate_cost_mc(spec, g, ens, mode="bogus")
