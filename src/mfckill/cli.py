@@ -51,7 +51,7 @@ from .mfc import (
     solve_mfc,
 )
 from .model import Grid, NuHandle, build_grid, make_model, validate_model
-from .particles import _N_BATCH, empirical_subprob, estimate_cost_mc, simulate_particles
+from .particles import empirical_subprob, estimate_cost_mc, simulate_particles
 from .regularize import build_approx_family
 
 EXPERIMENTS = (
@@ -113,10 +113,6 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         exp = raw.get("experiment", "solve")
         if exp not in EXPERIMENTS:
             raise UnknownExperiment(f"unknown experiment {exp!r}; choose from {EXPERIMENTS}")
-        particles = int(raw.get("particles", 100_000))
-        if particles < _N_BATCH:
-            raise ConfigError(f"particles = {particles}: the cost estimate needs at least "
-                              f"{_N_BATCH}, one per batch")
         return RunConfig(
             model_name=mdl["name"],
             model_params=mdl.get("params", {}),
@@ -126,7 +122,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
             seed=int(raw.get("seed", 0)),
             out_dir=Path(raw.get("out_dir", "out")),
             control=float(raw.get("control", 0.0)),
-            particles=particles,
+            particles=int(raw.get("particles", 100_000)),
             refine_levels=int(raw.get("refine_levels", 3)),
             approx_indices=list(raw.get("approx_indices", [1, 2, 4, 8, 16])),
             sigma0=raw.get("sigma0"),
@@ -269,7 +265,10 @@ def _run_particles(cfg: RunConfig, spec, out: Path) -> int:
     noise = None
     if spec.sigma0(0.0) != 0.0:
         noise = CommonNoisePath.from_seed(cfg.seed, grid.nt, grid.dt(spec.T))
-    ens = simulate_particles(spec, g, cfg.particles, cfg.seed, grid, noise)
+    try:
+        ens = simulate_particles(spec, g, cfg.particles, cfg.seed, grid, noise)
+    except ValueError as exc:
+        raise ConfigError(f"particles: {exc}") from exc
     j_soft, ci_soft = estimate_cost_mc(spec, g, ens, mode="soft")
     j_hard, ci_hard = estimate_cost_mc(spec, g, ens, mode="hard")
     nu_hard = empirical_subprob(ens, "hard", grid)
@@ -391,6 +390,9 @@ def run(config_path: str | Path, experiment: str | None = None,
     out.mkdir(parents=True, exist_ok=True)
     try:
         return _RUNNERS[cfg.experiment](cfg, spec, out)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except MFCKillError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3

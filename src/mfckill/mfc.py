@@ -203,21 +203,6 @@ class _ValueSolves:
         return self._last
 
 
-def _check_strict(residuals: list, tol_pi: float, stalled: bool, capped: int,
-                  tol_fp: float) -> None:
-    """The `strict` check of both Picard loops: `PicardStalled` on a stall,
-    `FixedPointCapped` when `capped` inner steps of the returned value field
-    stopped at the iteration cap above tol_fp."""
-    if stalled:
-        raise PicardStalled(
-            f"control residual plateaued at {residuals[-1]:.3e} > {tol_pi}"
-        )
-    if capped:
-        raise FixedPointCapped(
-            f"{capped} inner steps stopped at the iteration cap above tol_fp = {tol_fp}"
-        )
-
-
 def solve_mfc(
     spec: ModelSpec,
     grid: Grid,
@@ -264,14 +249,22 @@ def solve_mfc(
 
     g0 = FeedbackControl.constant(float(spec.box_array[0].mean()), grid, spec)
     g, residuals, converged, stalled = _picard(sweep, g0, spec, tol_pi, max_iter, damping)
+    if stalled and strict:
+        raise PicardStalled(
+            f"control residual plateaued at {residuals[-1]:.3e} > {tol_pi}"
+        )
+
     # g_star is the feedback of the returned value field (the form every
     # optimal control takes): a converged loop's last sweep gave both
     u = last
     if not converged:
         u, g_new = value(solve_forward_1d(work, grid, best[1] if stalled else g, noise))
         g = FeedbackControl.from_array(g_new, spec)
-    if strict:
-        _check_strict(residuals, tol_pi, stalled, u.fixed_point.capped, tol_fp)
+    if strict and u.fixed_point.capped:
+        raise FixedPointCapped(
+            f"{u.fixed_point.capped} inner steps stopped at the iteration cap "
+            f"above tol_fp = {tol_fp}"
+        )
     nu_traj = solve_forward_1d(work, grid, g, noise)
     mu_traj = solve_forward_2d(work, grid, g, noise) if with_2d else None
     cost = evaluate_cost(work, g, nu_traj=nu_traj, mu_traj=mu_traj)
@@ -421,7 +414,6 @@ def solve_mfc_2d(
     noise: CommonNoisePath | None = None,
     tol_pi: float = 1e-5,
     max_iter: int = 80,
-    strict: bool = False,
 ) -> tuple[FeedbackControl, BSPDESolution, ForwardTrajectory2D, dict]:
     """Picard loop with a joint-state feedback g(t, x, y).
 
@@ -433,9 +425,7 @@ def solve_mfc_2d(
     solved again only when their population inputs change, as in
     `solve_mfc`; the returned joint field is linear, so
     `diagnostics["inner_capped_steps"]` counts the capped steps of the
-    last sweep's marginal solve.  `strict` raises as in `solve_mfc`:
-    `PicardStalled` on a stall, `FixedPointCapped` when that count is
-    nonzero.
+    last sweep's marginal solve.
     """
     ey = np.exp(-grid.y)[None, :]
     value = _ValueSolves(spec, grid, noise, TOL_FP)
@@ -454,9 +444,6 @@ def solve_mfc_2d(
     g0 = FeedbackControl.constant(float(spec.box_array[0].mean()), grid, spec, two_d=True)
     g2, residuals, converged, stalled = _picard(sweep, g0, spec, tol_pi, max_iter, DAMPING)
     adj, mu_traj, u1 = last
-    capped = u1.fixed_point.capped if u1 is not None else 0
-    if strict:
-        _check_strict(residuals, tol_pi, stalled, capped, TOL_FP)
     diagnostics = {
         "picard_iterations": len(residuals),
         "residual_trace": residuals,
@@ -464,6 +451,6 @@ def solve_mfc_2d(
         "stalled": stalled,
         "intensity_independence": intensity_independence_diag(g2),
         "backward_solves": value.solves,
-        "inner_capped_steps": capped,
+        "inner_capped_steps": u1.fixed_point.capped if u1 is not None else 0,
     }
     return g2, adj, mu_traj, diagnostics

@@ -312,13 +312,15 @@ def simulate_particles(
                 pending = draw_from(k + rows) if k + rows < nt else None
             z = z_rows[k % rows]
             # x + drift dt + (sigma sqrt(dt)) z + dx_common and lam + lam_rate dt
-            # in place, in the order of those sums; drift is scratch from here
+            # in place, in the order of those sums.  sigma and lam_rate are read
+            # before x_pos moves, since a coefficient may return its input;
+            # weighted is scratch until the next step's cost sums
+            lam_cum += np.multiply(lam_rate, dt, out=weighted[:n])
+            z *= np.multiply(sigma, math.sqrt(dt), out=weighted[:n])
             drift *= dt
             x_pos += drift
-            z *= np.multiply(sigma, math.sqrt(dt), out=drift)
             x_pos += z
             x_pos += dx_common
-            lam_cum += np.multiply(lam_rate, dt, out=drift)
             del gp, drift, lam_rate, sigma  # free before the next step allocates
 
     rc_hard, rc_soft = rc.reshape(2, _N_BATCH)

@@ -91,7 +91,10 @@ def test_unknown_solver_key_exit_2(tmp_path, capsys):
 def test_too_few_particles_exit_2(tmp_path, capsys):
     cfg = small_config(tmp_path, experiment="particles", particles=5)
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    assert "particles = 5" in capsys.readouterr().err
+    assert "n = 5 particles" in capsys.readouterr().err
+    # an experiment that runs no particles ignores the count
+    cfg = small_config(tmp_path, experiment="forward", particles=5)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "f")]) == 0
 
 
 def test_bad_model_name_exit_2(tmp_path):

@@ -362,3 +362,29 @@ def test_invalid_arguments_raise():
     assert np.isfinite(ens.running_cost_soft).all()
     with pytest.raises(ValueError, match="mode"):
         estimate_cost_mc(spec, g, ens, mode="bogus")
+
+
+def test_coefficients_returning_their_input_read_the_step_start_positions():
+    # sigma and lam hand back the position array itself: both must still be
+    # the values at the start of the step, as in the Euler formula below
+    def ident(t, x):
+        return np.asarray(x, dtype=float)
+
+    spec = mk.make_model("lq_killing").with_params(sigma=ident, lam=ident)
+    grid = mk.build_grid(-4, 4, 101, 2.4, 11, 40)
+    g = tanh_feedback(grid, spec)
+    n, seed = 3000, 9
+    ens = simulate_particles(spec, g, n, seed, grid)
+
+    idx = np.arange(n, dtype=np.uint64)
+    dt = grid.dt(spec.T)
+    x, lam = (np.broadcast_to(v, (n,)).astype(float) for v in spec.initial_sampler(
+        _normal_ref(seed, idx, 0, 0), _uniform_ref(seed, idx, 2, 0),
+        _uniform_ref(seed, idx, 3, 0)))
+    for k, t in enumerate(grid.times(spec.T)[:-1]):
+        nu = mk.NuHandle(grid.x, np.zeros(grid.nx))
+        drift = spec.b0(t, x, nu) + spec.b1_factor(t, x) * np.interp(x, grid.x, g.at_step(k))
+        z = _normal_ref(seed, idx, _NOISE, k + 1)
+        x, lam = x + drift * dt + x * math.sqrt(dt) * z, lam + x * dt
+    assert _same_bits(ens.positions, x)
+    assert _same_bits(ens.intensities, lam)
