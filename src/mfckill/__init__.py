@@ -16,7 +16,6 @@ from .forward import (
     CommonNoisePath,
     ForwardTrajectory1D,
     ForwardTrajectory2D,
-    shift_density,
     solve_forward_1d,
     solve_forward_2d,
 )
@@ -43,6 +42,7 @@ from .mfc import (
     evaluate_cost,
     gateaux_derivative,
     intensity_independence_diag,
+    separability_gap,
     separable_lift,
     smp_residual,
     solve_mfc,
@@ -56,5 +56,6 @@ from .particles import (
     simulate_particles,
 )
 from .regularize import ApproxFamily, build_approx_family, inf_convolution, mollify
+from .steps import shift_density
 
 __version__ = "0.1.0"

@@ -9,7 +9,8 @@ no condition at the lower boundary.
 Discretization mirrors the forward solver step by step: implicit centered
 diffusion, exact exponential handling of the zeroth-order killing term
 (1d), one-sided forward-in-y differencing (2d) so each row reads only
-from above, and an upwind evaluation of the drift bracket.  When a fixed
+from above, and an upwind evaluation of the drift bracket; each stencil
+sits in steps.py beside the forward one it transposes.  When a fixed
 feedback is supplied the step reduces to the exact algebraic transpose of
 the forward step, which makes the discrete first-order conditions hold at
 the stated tolerances; the semilinear modes run the damped inner
@@ -26,20 +27,20 @@ import numpy as np
 
 from .controls import FeedbackControl
 from .errors import ArgumentConflict, FixedPointDiverged, GridMismatch
-from .forward import (
-    CommonNoisePath,
-    ForwardTrajectory1D,
-    ForwardTrajectory2D,
+from .forward import CommonNoisePath, ForwardTrajectory1D, ForwardTrajectory2D
+from .hamiltonians import MU_FLOOR
+from .measures import trapezoid_weights
+from .model import Grid, ModelSpec, NuHandle
+from .steps import (
     StepOperators,
+    central_grad,
     diffuse,
     shift_density,
     upwind_transport_adjoint,
     weighted_l2_sq,
     y_column,
+    y_transport_adjoint_rate,
 )
-from .hamiltonians import MU_FLOOR
-from .measures import trapezoid_weights
-from .model import Grid, ModelSpec, NuHandle
 
 __all__ = [
     "BSPDESolution",
@@ -90,15 +91,6 @@ class BSPDESolution:
         """`energy_report` against the terminal data, computed on first read;
         assigning a dict replaces it."""
         return energy_report(self, self.terminal)
-
-
-def central_grad(u: np.ndarray, dx: float) -> np.ndarray:
-    """Centered interior differences, one-sided at the ends (axis 0)."""
-    out = np.empty_like(u)
-    out[1:-1] = (u[2:] - u[:-2]) / (2.0 * dx)
-    out[0] = (u[1] - u[0]) / dx
-    out[-1] = (u[-1] - u[-2]) / dx
-    return out
 
 
 def energy_report(solution: BSPDESolution, terminal: np.ndarray) -> dict:
@@ -286,15 +278,6 @@ def population_inputs(spec: ModelSpec, grid: Grid, nu_traj: ForwardTrajectory1D,
     return out
 
 
-def _y_upwind_adjoint_rate(w: np.ndarray, lam_nodes: np.ndarray, dy: float,
-                           ghost_decay: float) -> np.ndarray:
-    """lam(x) * (w(y+dy) - w(y)) / dy with a decayed ghost above the top."""
-    upper = np.empty_like(w)
-    upper[:, :-1] = w[:, 1:]
-    upper[:, -1] = ghost_decay * w[:, -1]
-    return lam_nodes[:, None] * (upper - w) / dy
-
-
 def terminal_cost_injection(spec: ModelSpec, g: FeedbackControl,
                             mu_traj: ForwardTrajectory2D, weight: float) -> np.ndarray:
     """The end-point running cost the dual state carries above the psi data.
@@ -356,7 +339,7 @@ def solve_backward_2d(
             ops = operators(k, t)
             gv = y_column(g.at_step(k))
             expl = upwind_transport_adjoint(v, ops.face_drift(gv), dx)
-            expl = expl + _y_upwind_adjoint_rate(v, ops.lam, dy, decay)
+            expl = expl + y_transport_adjoint_rate(v, ops.lam, dy, decay)
             if coupled:
                 expl = expl + ops.nonlocal_term(central_grad(v, dx))
             out = diffuse(v + dt * expl, ops.matrix)
@@ -377,7 +360,7 @@ def solve_backward_2d(
             g_loc = np.where(mu_pos, ops.control(p), g_fb)
             expl = upwind_transport_adjoint(w, ops.face_drift(g_loc), dx)
             expl = expl + ops.ey * ops.cost(g_loc)
-            expl = expl + _y_upwind_adjoint_rate(w, ops.lam, dy, decay)
+            expl = expl + y_transport_adjoint_rate(w, ops.lam, dy, decay)
             if coupled:
                 expl = expl + ops.nonlocal_term(p)
             return diffuse(v + dt * expl, ops.matrix)

@@ -46,6 +46,7 @@ from .measures import s_map
 from .mfc import (
     DAMPING,
     gateaux_derivative,
+    separability_gap,
     separable_lift,
     smp_residual,
     solve_mfc,
@@ -203,14 +204,13 @@ def _run_solve(cfg: RunConfig, spec, out: Path) -> int:
     lift = separable_lift(res.u, grid)
     adj2 = solve_backward_2d(spec, grid, res.mu_traj, u_1d=res.u,
                              terminal=lift.u[-1], tol_fp=cfg.solver["tol_fp"])
-    sep_gap = float(np.abs(adj2.u - lift.u).max() / max(np.abs(res.u.u).max(), 1e-300))
     diag = dict(res.diagnostics)
     diag.update({
         "cost_total": res.cost.total,
         "cost_running": res.cost.running,
         "cost_terminal": res.cost.terminal,
         "cost_form_gap": res.cost.form_gap,
-        "separability_gap": sep_gap,
+        "separability_gap": separability_gap(adj2, res.u),
         "smp_residual": smp_residual(spec, res.g_star, res.mu_traj, lift,
                                      mu_floor=cfg.solver["mu_floor"]),
         "intensity_independence": res.g_star.y_variation(),
@@ -306,8 +306,7 @@ def _run_separability(cfg: RunConfig, spec, out: Path) -> int:
         term2 = np.exp(-grid.y)[None, :] * term1[:, None]
         u2 = solve_backward_2d(spec, grid, mu, u_1d=u1, terminal=term2,
                                tol_fp=cfg.solver["tol_fp"])
-        lift = np.exp(-grid.y)[None, :] * u1.u[:, :, None]
-        gaps.append(float(np.abs(u2.u - lift).max() / np.abs(u1.u).max()))
+        gaps.append(separability_gap(u2, u1))
     decreasing = all(gaps[i + 1] < gaps[i] for i in range(len(gaps) - 1))
     _dump(out / "diagnostics.json", {
         "separability_gap": gaps,

@@ -26,8 +26,9 @@ class FeedbackControl:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         lo, hi = self.box
-        if self.values.size and (
-            self.values.min() < lo - 1e-12 or self.values.max() > hi + 1e-12
+        # "not in range" also rejects NaN, which fails every comparison
+        if self.values.size and not (
+            lo - 1e-12 <= self.values.min() and self.values.max() <= hi + 1e-12
         ):
             raise ControlOutOfBox(
                 f"feedback range [{self.values.min():.6g}, {self.values.max():.6g}] "

@@ -6,7 +6,7 @@ handled in one call.
 
 `minimize_control` is the one box-constrained control minimizer and
 `nonlocal_kernels` the one evaluation of the Db0/Df0 kernels.  The
-solvers call both once per time step through `forward.StepOperators`;
+solvers call both once per time step through `steps.StepOperators`;
 the public functions here serve arbitrary points.
 """
 

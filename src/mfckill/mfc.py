@@ -11,7 +11,6 @@ import numpy as np
 from .backward import (
     TOL_FP,
     BSPDESolution,
-    central_grad,
     population_inputs,
     solve_backward_1d,
     solve_backward_2d,
@@ -23,18 +22,21 @@ from .forward import (
     CommonNoisePath,
     ForwardTrajectory1D,
     ForwardTrajectory2D,
-    StepOperators,
-    diffuse,
-    face_average,
-    face_flux_divergence,
-    shift_density,
     solve_forward_1d,
     solve_forward_2d,
-    y_column,
 )
 from .hamiltonians import MU_FLOOR
 from .measures import s_map, survival_quadrature, trapezoid_weights
 from .model import Grid, ModelSpec, NuHandle
+from .steps import (
+    StepOperators,
+    central_grad,
+    diffuse,
+    face_average,
+    shift_density,
+    upwind_flux_derivative,
+    y_column,
+)
 
 __all__ = [
     "CostReport",
@@ -46,6 +48,7 @@ __all__ = [
     "smp_residual",
     "intensity_independence_diag",
     "separable_lift",
+    "separability_gap",
 ]
 
 DAMPING = 1.0   # the first Picard step of both control loops (solve_mfc may set another)
@@ -213,7 +216,6 @@ def solve_mfc(
     tol_fp: float = TOL_FP,
     strict: bool = False,
     with_2d: bool = False,
-    mean_field: bool = True,
 ) -> MFCResult:
     """Picard loop on the one-dimensional forward-backward system.
 
@@ -225,22 +227,22 @@ def solve_mfc(
     control iterate; a stalled loop returns to the iterate of least cost.
     `strict` raises `PicardStalled` on a stall, and `FixedPointCapped`
     when an inner step of the returned value field stopped at its
-    iteration cap above tol_fp.  Set mean_field=False to drop the nonlocal
-    terms (the game rather than control fixed point) for comparison
-    runs.  When the population does not enter the value equation (see
-    `population_inputs`), the value field and its feedback are solved once
-    and reused; `diagnostics["backward_solves"]` counts the solves made.
+    iteration cap above tol_fp.  For the game rather than the control
+    fixed point, solve `spec.with_params(db0=None, df0=None)`, which has
+    no nonlocal terms.  When the population does not enter the value
+    equation (see `population_inputs`), the value field and its feedback
+    are solved once and reused; `diagnostics["backward_solves"]` counts the
+    solves made.
     """
-    work = spec if mean_field else spec.with_params(db0=None, df0=None)
-    value = _ValueSolves(work, grid, noise, tol_fp)
+    value = _ValueSolves(spec, grid, noise, tol_fp)
     costs = []
     best = last = None
 
     def sweep(g):
         nonlocal best, last
-        nu_traj = solve_forward_1d(work, grid, g, noise)
+        nu_traj = solve_forward_1d(spec, grid, g, noise)
         u, g_new = value(nu_traj)
-        cost = evaluate_cost(work, g, nu_traj=nu_traj).total
+        cost = evaluate_cost(spec, g, nu_traj=nu_traj).total
         costs.append(cost)
         if best is None or cost < best[0]:
             best = (cost, g)
@@ -258,16 +260,16 @@ def solve_mfc(
     # optimal control takes): a converged loop's last sweep gave both
     u = last
     if not converged:
-        u, g_new = value(solve_forward_1d(work, grid, best[1] if stalled else g, noise))
+        u, g_new = value(solve_forward_1d(spec, grid, best[1] if stalled else g, noise))
         g = FeedbackControl.from_array(g_new, spec)
     if strict and u.fixed_point.capped:
         raise FixedPointCapped(
             f"{u.fixed_point.capped} inner steps stopped at the iteration cap "
             f"above tol_fp = {tol_fp}"
         )
-    nu_traj = solve_forward_1d(work, grid, g, noise)
-    mu_traj = solve_forward_2d(work, grid, g, noise) if with_2d else None
-    cost = evaluate_cost(work, g, nu_traj=nu_traj, mu_traj=mu_traj)
+    nu_traj = solve_forward_1d(spec, grid, g, noise)
+    mu_traj = solve_forward_2d(spec, grid, g, noise) if with_2d else None
+    cost = evaluate_cost(spec, g, nu_traj=nu_traj, mu_traj=mu_traj)
     diagnostics = {
         "picard_iterations": len(residuals),
         "residual_trace": residuals,
@@ -292,6 +294,15 @@ def separable_lift(u_1d: BSPDESolution, grid: Grid) -> BSPDESolution:
     sol = BSPDESolution(grid, u_1d.times, u2, q2, u2[-1])
     sol.energy = dict(u_1d.energy)
     return sol
+
+
+def separability_gap(u2: BSPDESolution, u1: BSPDESolution) -> float:
+    """max_k max|u2[k] - e^{-y} u1[k]| / max|u1|, computed one time slice
+    at a time so that no lifted field is held."""
+    ey = np.exp(-u2.grid.y)[None, :]
+    worst = max(float(np.abs(u2.u[k] - ey * u1.u[k][:, None]).max())
+                for k in range(u2.u.shape[0]))
+    return worst / max(float(np.abs(u1.u).max()), 1e-300)
 
 
 def smp_residual(
@@ -349,7 +360,7 @@ def gateaux_derivative(
     lo, hi = spec.box_array[0]
     eps = 1e-9
     probe = g.values + eps * (h_vals if h_vals.ndim == g.values.ndim else h_vals[..., None])
-    if probe.min() < lo - 1e-15 or probe.max() > hi + 1e-15:
+    if not (lo - 1e-15 <= probe.min() and probe.max() <= hi + 1e-15):
         raise DirectionLeavesBox("g + eps h leaves the control box")
 
     increments = mu_traj.noise.increments if mu_traj.noise is not None else None
@@ -390,8 +401,7 @@ def gateaux_derivative(
             v = shift_density(v, -spec.sigma0(t) * increments[k], dx)
         b_face = ops.face_drift(y_column(g.at_step(k)))
         db_face = face_average(ops.fac[:, None] * step_dir(k))
-        d_flux = db_face * np.where(b_face > 0.0, mu_mid[:-1], mu_mid[1:])
-        d_mu = face_flux_divergence(d_flux, dx)
+        d_mu = upwind_flux_derivative(mu_mid, b_face, db_face, dx)
         total += dt * float(wx @ ((d_mu * v) @ wy))
 
     for k in range(nt + 1):

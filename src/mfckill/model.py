@@ -392,17 +392,11 @@ def const_kill(
     """Spatially constant intensity test model (validator warns, not fails).
 
     b = g (with a possibly degenerate box), sigma = 1, lambda = kappa,
-    f0 = f0_const, f1 = 0.5 g^2, psi = 0.
+    f0 = f0_const, f1 = 0.5 g^2, psi = 0: `lq_killing` with those
+    coefficients replaced.
     """
-
-    def b0(t, x, nu):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    def b1_factor(t, x):
-        return np.ones_like(np.asarray(x, dtype=float))
-
-    def sigma(t, x):
-        return np.ones_like(np.asarray(x, dtype=float))
+    base = lq_killing(T=T, control_box=control_box, x0=x0, s0=s0,
+                      zeta_scale=zeta_scale, sigma0=sigma0)
 
     def lam(t, x):
         return np.full_like(np.asarray(x, dtype=float), kappa)
@@ -410,42 +404,12 @@ def const_kill(
     def f0(t, x, nu):
         return np.full_like(np.asarray(x, dtype=float), f0_const)
 
-    def f1(t, x, g):
-        return 0.5 * np.asarray(g, dtype=float) ** 2
-
-    def df1(t, x, g):
-        return np.asarray(g, dtype=float)
-
-    def rho0(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        gx = np.exp(-0.5 * ((x - x0) / s0) ** 2) / (s0 * math.sqrt(2.0 * math.pi))
-        return gx * _gamma2_profile(y, zeta_scale)
-
-    def sample0(z, u1, u2):
-        xs = x0 + s0 * z
-        if zeta_scale <= 0.0:
-            return xs, np.zeros_like(xs)
-        return xs, -zeta_scale * np.log(u1 * u2)
-
-    return ModelSpec(
-        b0=b0,
-        b1_factor=b1_factor,
-        sigma=sigma,
-        sigma0=lambda t: sigma0,
+    return replace(
+        base,
         lam=lam,
         f0=f0,
-        f1=f1,
         psi=lambda nu: 0.0,
         dpsi=lambda nu, x: np.zeros_like(np.asarray(x, dtype=float)),
-        db0=None,
-        df0=None,
-        df1=df1,
-        f1_quad_coeff=1.0,
-        initial_sampler=sample0,
-        control_box=control_box,
-        T=T,
-        initial_density_2d=rho0,
         name="const_kill",
         params=dict(kappa=kappa, T=T, x0=x0, s0=s0, zeta_scale=zeta_scale,
                     f0_const=f0_const, sigma0=sigma0),

@@ -13,9 +13,10 @@ from mfckill.backward import (
 )
 from mfckill.controls import FeedbackControl
 from mfckill.errors import ArgumentConflict, FixedPointDiverged, GridMismatch, NonfiniteInput
-from mfckill.forward import CommonNoisePath, ForwardTrajectory2D, StepOperators
+from mfckill.forward import CommonNoisePath, ForwardTrajectory2D
 from mfckill.hamiltonians import f_nu, f_tilde_mu, minimize_hamiltonian, minimize_k_tilde
 from mfckill.mfc import separable_lift
+from mfckill.steps import StepOperators
 
 
 def gaussian(x, s):

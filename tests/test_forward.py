@@ -6,15 +6,15 @@ import pytest
 import mfckill as mk
 from mfckill.controls import FeedbackControl
 from mfckill.errors import CFLViolation, ControlOutOfBox, GridMismatch, NonfiniteInput
-from mfckill.forward import (
-    CommonNoisePath,
+from mfckill.forward import CommonNoisePath
+from mfckill.measures import metric_dp, trapezoid_weights
+from mfckill.steps import (
     StepOperators,
     diffuse,
     shift_density,
     upwind_flux_divergence,
     upwind_transport_adjoint,
 )
-from mfckill.measures import metric_dp, trapezoid_weights
 
 from conftest import tanh_feedback
 
@@ -139,6 +139,29 @@ def test_shift_moves_mean():
     assert abs(mean1 - mean0 - h) <= dx / 2
 
 
+@pytest.mark.parametrize("shape", [(8,), (8, 3)])
+@pytest.mark.parametrize("offset", [2.0, -2.0, 2.6, -2.1])
+def test_shift_past_the_grid_is_zero(shape, offset):
+    # |offset| >= n dx moves every node out of the grid
+    v = np.random.default_rng(1).random(shape) + 0.5
+    assert not shift_density(v, offset, 0.25).any()
+
+
+@pytest.mark.parametrize("shape", [(8,), (8, 3)])
+@pytest.mark.parametrize("nodes", [1, 3, 7, -1, -3, -7])
+def test_shift_by_whole_nodes_moves_values(shape, nodes):
+    # an offset of exactly `nodes` cells (frac = 0) moves the values
+    # unchanged and zero-fills the inflow cells
+    dx = 0.25
+    v = np.random.default_rng(2).random(shape) + 0.5
+    expect = np.zeros_like(v)
+    if nodes > 0:
+        expect[nodes:] = v[:-nodes]
+    else:
+        expect[:nodes] = v[-nodes:]
+    assert np.array_equal(shift_density(v, nodes * dx, dx), expect)
+
+
 def test_noise_path_reproducible():
     a = CommonNoisePath.from_seed(7, 100, 0.01)
     b = CommonNoisePath.from_seed(7, 100, 0.01)
@@ -186,6 +209,22 @@ def test_control_out_of_box_raises():
     grid = mk.build_grid(-4.0, 4.0, 101, 2.4, 16, 100)
     with pytest.raises(ControlOutOfBox):
         FeedbackControl.from_array(np.full((grid.nt + 1, grid.nx), 2.0), spec)
+
+
+def test_nan_control_rejected():
+    # every comparison with NaN is false, so the box checks test "in range"
+    spec = mk.make_model("lq_killing")
+    grid = mk.build_grid(-4.0, 4.0, 101, 2.4, 16, 100)
+    with pytest.raises(ControlOutOfBox):
+        FeedbackControl.constant(np.nan, grid, spec)
+    vals = np.zeros((grid.nt + 1, grid.nx))
+    vals[3, 5] = np.nan
+    with pytest.raises(ControlOutOfBox):
+        FeedbackControl.from_array(vals, spec)
+    g = FeedbackControl.constant(0.0, grid, spec)
+    g.values[3, 5] = np.nan
+    with pytest.raises(ControlOutOfBox, match="step 3"):
+        mk.solve_forward_1d(spec, grid, g)
 
 
 def test_smap_mass_nonincreasing_along_trajectory():

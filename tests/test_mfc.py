@@ -14,6 +14,7 @@ from mfckill.mfc import (
     evaluate_cost,
     gateaux_derivative,
     intensity_independence_diag,
+    separability_gap,
     separable_lift,
     smp_residual,
     solve_mfc,
@@ -156,6 +157,25 @@ def test_gateaux_direction_leaves_box(lq_mfc):
         gateaux_derivative(spec, g_edge, h, res.mu_traj, lift)
 
 
+def test_gateaux_nan_direction_leaves_box(lq_mfc):
+    grid, res = lq_mfc
+    spec = mk.make_model("lq_killing")
+    lift = separable_lift(res.u, grid)
+    h = np.zeros_like(res.g_star.values)
+    h[4, 7] = np.nan
+    with pytest.raises(DirectionLeavesBox):
+        gateaux_derivative(spec, res.g_star, h, res.mu_traj, lift)
+
+
+def test_separability_gap_of_lift(lq_mfc):
+    grid, res = lq_mfc
+    lift = separable_lift(res.u, grid)
+    assert separability_gap(lift, res.u) == 0.0
+    scale = float(np.abs(res.u.u).max())
+    lift.u[5, 10, 3] += 0.25 * scale
+    assert abs(separability_gap(lift, res.u) - 0.25) <= 1e-12
+
+
 def test_random_competitors_cost_no_better(lq_mfc):
     grid, res = lq_mfc
     spec = mk.make_model("lq_killing")
@@ -175,7 +195,7 @@ def test_mean_field_flag_changes_solution():
     spec = mk.validate_model(mk.make_model("lq_mean_field"))
     grid = mk.build_grid(-4, 4, 81, 2.4, 12, 80)
     with_mf = solve_mfc(spec, grid, max_iter=60)
-    without = solve_mfc(spec, grid, max_iter=60, mean_field=False)
+    without = solve_mfc(spec.with_params(db0=None, df0=None), grid, max_iter=60)
     assert np.abs(with_mf.g_star.values - without.g_star.values).max() > 1e-4
 
 
@@ -231,11 +251,11 @@ def count_backward_solves(monkeypatch) -> list:
     return calls
 
 
-def assert_bit_identical_to_full_solves(monkeypatch, res, spec, grid, **kw):
+def assert_bit_identical_to_full_solves(monkeypatch, res, spec, grid):
     """The same run solving the value field on every sweep gives the same
     result, bit for bit."""
     monkeypatch.setattr(mfc_mod, "population_inputs", lambda *args: None)
-    full = solve_mfc(spec, grid, **kw)
+    full = solve_mfc(spec, grid)
     assert full.diagnostics["backward_solves"] == full.diagnostics["picard_iterations"]
     assert np.array_equal(res.g_star.values, full.g_star.values)
     assert np.array_equal(res.u.u, full.u.u)
@@ -260,9 +280,11 @@ def test_uncoupled_value_field_solved_once(monkeypatch):
 def test_population_dependent_value_field_solved_every_sweep(monkeypatch, mean_field):
     # lq_mean_field's b0 and f0 read nu even without the Db0/Df0 kernels
     spec = mk.make_model("lq_mean_field")
+    if not mean_field:
+        spec = spec.with_params(db0=None, df0=None)
     grid = mk.build_grid(-4, 4, 61, 2.4, 8, 40)
     calls = count_backward_solves(monkeypatch)
-    res = solve_mfc(spec, grid, mean_field=mean_field)
+    res = solve_mfc(spec, grid)
     d = res.diagnostics
     assert d["converged"]
     # coupled, the check is skipped and every sweep solves; without the
@@ -271,8 +293,7 @@ def test_population_dependent_value_field_solved_every_sweep(monkeypatch, mean_f
     n = d["picard_iterations"]
     assert len(calls) == n and d["backward_solves"] == n
     if not mean_field:
-        assert_bit_identical_to_full_solves(monkeypatch, res, spec, grid,
-                                            mean_field=False)
+        assert_bit_identical_to_full_solves(monkeypatch, res, spec, grid)
 
 
 def test_solve_mfc_2d_marginal_value_solved_once(monkeypatch):

@@ -135,3 +135,11 @@ def test_nu_handle_functionals():
     assert abs(h.mean) < 1e-9
     assert abs(h.second_moment - 1.0) < 2e-3
     assert abs(h.pair(x**2) - h.second_moment) < 1e-14
+
+
+def test_const_kill_2d_density_needs_positive_zeta_scale():
+    # const_kill is lq_killing with its coefficients replaced, and shares
+    # its initial law
+    spec = mk.make_model("const_kill", zeta_scale=0.0)
+    with pytest.raises(ValueError):
+        spec.initial_density_2d(np.zeros((3, 1)), np.ones((1, 4)))
