@@ -19,14 +19,7 @@ from .forward import (
     solve_forward_1d,
     solve_forward_2d,
 )
-from .hamiltonians import (
-    f_nu,
-    f_tilde_mu,
-    h_nu,
-    h_tilde_mu,
-    k_tilde,
-    minimize_hamiltonian,
-)
+from .hamiltonians import f_nu, minimize_hamiltonian
 from .measures import (
     Density2D,
     SubProb1D,
@@ -41,7 +34,6 @@ from .mfc import (
     MFCResult,
     evaluate_cost,
     gateaux_derivative,
-    intensity_independence_diag,
     separability_gap,
     separable_lift,
     smp_residual,

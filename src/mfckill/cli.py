@@ -8,8 +8,9 @@ Configuration is a UTF-8 JSON document::
       "grid":   {"x_min": -4.0, "x_max": 4.0, "nx": 161,
                   "y_max": 2.4, "ny": 24, "nt": 160, "extension_ell": 0.0},
       "solver": {"tol_pi": 1e-6, "tol_fp": 1e-10, "max_iter": 200,
-                  "mu_floor": 1e-12},  # "damping": first Picard step,
-                                       # default mfc.DAMPING
+                  "mu_floor": 1e-12},  # defaults backward.TOL_FP and
+                                       # hamiltonians.MU_FLOOR; "damping":
+                                       # first Picard step, default mfc.DAMPING
       "experiment": "solve",
       "seed": 0,
       "control": 0.0,            # constant feedback for forward/backward runs
@@ -38,10 +39,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .backward import solve_backward_1d, solve_backward_2d
+from .backward import TOL_FP, solve_backward_1d, solve_backward_2d
 from .controls import FeedbackControl
 from .errors import ConfigError, MFCKillError, ModelValidationError, UnknownExperiment
 from .forward import CommonNoisePath, solve_forward_1d, solve_forward_2d
+from .hamiltonians import MU_FLOOR
 from .measures import s_map
 from .mfc import (
     DAMPING,
@@ -67,10 +69,10 @@ EXPERIMENTS = (
 
 _DEF_SOLVER = {
     "tol_pi": 1e-6,
-    "tol_fp": 1e-10,
+    "tol_fp": TOL_FP,
     "damping": DAMPING,
     "max_iter": 200,
-    "mu_floor": 1e-12,
+    "mu_floor": MU_FLOOR,
 }
 
 

@@ -46,7 +46,6 @@ __all__ = [
     "solve_mfc_2d",
     "gateaux_derivative",
     "smp_residual",
-    "intensity_independence_diag",
     "separable_lift",
     "separability_gap",
 ]
@@ -291,9 +290,7 @@ def separable_lift(u_1d: BSPDESolution, grid: Grid) -> BSPDESolution:
     ey = np.exp(-grid.y)
     u2 = u_1d.u[:, :, None] * ey[None, None, :]
     q2 = u_1d.q[:, :, None] * ey[None, None, :]
-    sol = BSPDESolution(grid, u_1d.times, u2, q2, u2[-1])
-    sol.energy = dict(u_1d.energy)
-    return sol
+    return BSPDESolution(grid, u_1d.times, u2, q2, u2[-1])
 
 
 def separability_gap(u2: BSPDESolution, u1: BSPDESolution) -> float:
@@ -413,11 +410,6 @@ def gateaux_derivative(
     return total
 
 
-def intensity_independence_diag(g2d: FeedbackControl) -> float:
-    """Max over (t, x) of the feedback's spread along the intensity axis."""
-    return g2d.y_variation()
-
-
 def solve_mfc_2d(
     spec: ModelSpec,
     grid: Grid,
@@ -459,7 +451,7 @@ def solve_mfc_2d(
         "residual_trace": residuals,
         "converged": converged,
         "stalled": stalled,
-        "intensity_independence": intensity_independence_diag(g2),
+        "intensity_independence": g2.y_variation(),
         "backward_solves": value.solves,
         "inner_capped_steps": u1.fixed_point.capped if u1 is not None else 0,
     }

@@ -102,12 +102,12 @@ class ModelSpec:
     initial_density_2d: Callable[[np.ndarray, np.ndarray], np.ndarray]
     # optional analytic helpers
     df1: Coeff | None = None         # (t, x, g) -> gradient of f1 in g
-    f1_quad_coeff: float | None = None  # set when f1(t,x,g) = 0.5 * c * |g|^2
     # (z, u1, u2) -> (x0, y0) draws from the initial law; z standard normal,
     # u1/u2 uniform(0,1); required by the particle simulator
     initial_sampler: Callable[..., tuple] | None = None
-    # (t, x, p, cost_scale) -> argmin of b1 g p + cost_scale * f1(g); an
-    # optional closed-form minimizer bypassing the generic search
+    # (t, x, p, fac, cost_scale) -> array argmin of fac g p + cost_scale *
+    # f1(g), fac = b1_factor(t, x); an optional closed-form minimizer
+    # bypassing the generic search, clipped to the control box by its caller
     control_minimizer: Callable[..., np.ndarray] | None = None
     ellipticity_floor: float = 1e-4  # required lower bound c for sigma^2
     name: str = "custom"
@@ -365,7 +365,7 @@ def lq_killing(
         db0=None,
         df0=None,
         df1=df1,
-        f1_quad_coeff=f1_weight,
+        control_minimizer=lambda t, x, p, fac, scale: -fac * p / (f1_weight * scale),
         initial_sampler=sample0,
         control_box=control_box,
         T=T,

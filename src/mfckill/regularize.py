@@ -114,27 +114,25 @@ def _estimate_cost_modulus(spec: ModelSpec, n: int, x_probe: np.ndarray,
     return slope
 
 
-def _envelope_minimizer(gg: np.ndarray, env: np.ndarray, n: int,
-                        box: tuple[float, float], b1_factor):
-    """Closed-form minimizer of b1 g p + scale * w(x) (E(g) + g^2/n).
+def _envelope_minimizer(gg: np.ndarray, env: np.ndarray, n: int):
+    """Closed-form minimizer of fac g p + scale * w(x) (E(g) + g^2/n).
 
     E is the piecewise-linear interpolant of the envelope samples, so the
     objective's derivative is piecewise affine and increasing; locate the
     zero-crossing segment with a binary search over the knot derivatives.
+    The result lies in [gg[0], gg[-1]].
     """
     slopes = np.diff(env) / np.diff(gg)          # increasing for convex env
     knotval = slopes + 2.0 * gg[:-1] / n         # right-derivative base at knots
-    lo, hi = box
 
-    def minimize(t, x, p, cost_scale):
+    def minimize(t, x, p, fac, cost_scale):
         x = np.asarray(x, dtype=float)
         p = np.asarray(p, dtype=float)
         scale = np.asarray(cost_scale, dtype=float)
         w = np.exp(-(x**2) / n) * scale          # positive cost weight
-        a = np.asarray(b1_factor(t, x), dtype=float) * p
+        a = np.asarray(fac, dtype=float) * p
         target = -a / w
-        shape = np.broadcast(x, p, scale).shape
-        tgt = np.broadcast_to(target, shape).ravel()
+        tgt = target.ravel()
         j = np.searchsorted(knotval, tgt, side="right") - 1
         out = np.empty_like(tgt)
         left = j < 0
@@ -143,7 +141,7 @@ def _envelope_minimizer(gg: np.ndarray, env: np.ndarray, n: int,
         root = (tgt - slopes[jj]) * (n / 2.0)
         root = np.clip(root, gg[jj], gg[jj + 1])
         out[~left] = root[~left]
-        return np.clip(out.reshape(shape), lo, hi)
+        return out.reshape(target.shape)
 
     return minimize
 
@@ -206,7 +204,7 @@ def build_approx_family(
         e = np.interp(g, gg, env_m)
         return np.exp(-(x**2) / n) * (e + g**2 / n)
 
-    minimizer = _envelope_minimizer(gg, env_m, n, (lo, hi), base_b1f)
+    minimizer = _envelope_minimizer(gg, env_m, n)
 
     uses_discretization = spec.df0 is not None
     h_n = 2.0 ** (-k_n)
@@ -245,7 +243,6 @@ def build_approx_family(
         psi=psi_n,
         dpsi=dpsi_n,
         df1=None,
-        f1_quad_coeff=None,
         control_minimizer=minimizer,
         name=f"{spec.name}_approx{n}",
         params=dict(spec.params, approx_index=n),

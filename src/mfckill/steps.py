@@ -158,8 +158,9 @@ class StepOperators:
         return integrate_kernel(self.kernels[1], weigh(unit))
 
     def nonlocal_term(self, p: np.ndarray):
-        """f_nu at the step's nu for a (nx,) gradient; with a joint `mu`,
-        f_tilde_mu on the half-plane for an (nx, ny) gradient."""
+        """<nu, Db0 p> + <nu, Df0> at the step's nu for a (nx,) gradient;
+        with a joint `mu`, e^{-y} (<mu, Db0 p> + <mu, e^{-y'} Df0>) over
+        y' >= 0 on the half-plane for an (nx, ny) gradient."""
         cols, weigh = self._pairing
         vals = integrate_kernel(self.kernels[0], weigh(p[..., cols])) + self._df0_term
         return vals if self.mu is None else self.ey * vals[:, None]

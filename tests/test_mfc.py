@@ -13,7 +13,6 @@ from mfckill.hamiltonians import MU_FLOOR
 from mfckill.mfc import (
     evaluate_cost,
     gateaux_derivative,
-    intensity_independence_diag,
     separability_gap,
     separable_lift,
     smp_residual,
@@ -215,10 +214,10 @@ def test_intensity_diag_flat_and_linear():
     spec = mk.make_model("lq_killing", control_box=(-3.0, 3.0))
     grid = mk.build_grid(-4, 4, 21, 2.4, 13, 10)
     flat = FeedbackControl.constant(0.2, grid, spec)
-    assert intensity_independence_diag(flat) == 0.0
+    assert flat.y_variation() == 0.0
     vals = np.tile(grid.y[None, None, :], (grid.nt + 1, grid.nx, 1))
     lin = FeedbackControl.from_array(vals, spec)
-    assert abs(intensity_independence_diag(lin) - (grid.y[-1] - grid.y[0])) < 1e-14
+    assert abs(lin.y_variation() - (grid.y[-1] - grid.y[0])) < 1e-14
 
 
 def test_solve_mfc_2d_smoke():

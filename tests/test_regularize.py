@@ -5,6 +5,7 @@ import pytest
 
 import mfckill as mk
 from mfckill.errors import EpsBelowGrid
+from mfckill.model import lq_killing
 from mfckill.regularize import build_approx_family, inf_convolution, mollify
 
 
@@ -153,14 +154,38 @@ def test_family_minimizer_matches_search():
     rng = np.random.default_rng(2)
     for _ in range(100):
         x, p, ey = rng.uniform(-3, 3), rng.uniform(-2, 2), rng.uniform(0.1, 1.0)
-        fast = float(np.atleast_1d(sn.control_minimizer(0.0, x, p, ey))[0])
+        fac = np.asarray(sn.b1_factor(0.0, x))
+        fast = float(np.atleast_1d(sn.control_minimizer(0.0, x, p, fac, ey))[0])
 
         def obj(g):
-            return np.asarray(sn.b1_factor(0.0, x)) * g * p \
-                + ey * np.asarray(sn.f1(0.0, x, g))
+            return fac * g * p + ey * np.asarray(sn.f1(0.0, x, g))
 
         slow = float(_golden_min(obj, np.array(-1.0), np.array(1.0), tol=1e-12))
         assert abs(fast - slow) < 1e-7
+
+
+def test_family_step_control_uses_clamped_drift_factor():
+    # beyond |x| = n the derived model's drift factor is clamped; the step's
+    # control must minimize that model's own Hamiltonian there
+    from mfckill.hamiltonians import _golden_min
+    from mfckill.steps import StepOperators
+
+    n = 2
+    spec = lq_killing().with_params(b1_factor=lambda t, x: 1 + 0.5 * x**2)
+    sn = build_approx_family(spec, n).spec_n
+    grid = mk.build_grid(-4, 4, 81, 2.4, 8, 20)
+    x = grid.x
+    p = 0.5 * np.cos(3.0 * x) * np.exp(-(x**2) / n)
+    fast = StepOperators(sn, grid, 0.0).control(p)
+    fac = np.asarray(sn.b1_factor(0.0, x))
+
+    def obj(g):
+        return fac * g * p + np.asarray(sn.f1(0.0, x, g))
+
+    slow = _golden_min(obj, np.full(x.size, -1.0), np.full(x.size, 1.0), tol=1e-12)
+    far = np.abs(x) > n
+    assert far.any()
+    assert np.abs(fast - slow)[far].max() < 1e-7
 
 
 def test_modulus_recorded():
