@@ -14,8 +14,11 @@ sits in steps.py beside the forward one it transposes.  When a fixed
 feedback is supplied the step reduces to the exact algebraic transpose of
 the forward step, which makes the discrete first-order conditions hold at
 the stated tolerances; the semilinear modes run the damped inner
-fixed-point iteration on (u, du/dx) instead.  The finite-difference
-marchers share one time loop, `_march`.
+fixed-point iteration on (u, du/dx) instead.  That iteration starts from
+the extrapolation of the slices above; `solve_backward_1d` also takes the
+field of an earlier solve (a Picard loop's last sweep) and starts from
+that extrapolation corrected by the error it made on the earlier field.
+The finite-difference marchers share one time loop, `_march`.
 """
 
 from __future__ import annotations
@@ -175,6 +178,18 @@ def _run_fixed_point(apply_map, u_init, t_k, tol_fp):
     return w, (it, contraction, residuals[-1] > tol_fp)
 
 
+def _noise_shift(spec: ModelSpec, grid: Grid, noise: CommonNoisePath | None):
+    """`shift(k, t, field)`: the field moved by step k's common-noise shift,
+    which `_march` undoes on the slice above each step; None without noise."""
+    if noise is None:
+        return None
+    increments = noise.increments
+
+    def shift(k, t, field):
+        return shift_density(field, -spec.sigma0(t) * increments[k], grid.dx)
+    return shift
+
+
 def _march(spec: ModelSpec, grid: Grid, terminal: np.ndarray,
            noise: CommonNoisePath | None, step, carry: np.ndarray | None = None
            ) -> BSPDESolution:
@@ -184,7 +199,7 @@ def _march(spec: ModelSpec, grid: Grid, terminal: np.ndarray,
     the slices above k) and, under noise, set q[k] = sigma0 du/dx.  u[nt] is
     the terminal data; the march starts from `carry` instead when given."""
     nt = grid.nt
-    increments = noise.increments if noise is not None else None
+    shift = _noise_shift(spec, grid, noise)
     times = grid.times(spec.T)
     u = np.empty((nt + 1, *terminal.shape))
     q = np.zeros(u.shape)  # unlike zeros_like, leaves pages unmapped until written
@@ -193,22 +208,34 @@ def _march(spec: ModelSpec, grid: Grid, terminal: np.ndarray,
     steps = []
     for k in range(nt - 1, -1, -1):
         t = times[k]
-        if increments is not None:
-            v = shift_density(v, -spec.sigma0(t) * increments[k], grid.dx)
+        if shift is not None:
+            v = shift(k, t, v)
         v, step_record = step(k, t, v, u)
         u[k] = v
         steps.append(step_record)
-        if increments is not None:
+        if shift is not None:
             q[k] = spec.sigma0(t) * central_grad(v, grid.dx)
     return BSPDESolution(grid, times, u, q, terminal, FixedPointStats.from_steps(steps))
 
 
-def _fixed_point_step(step_map, shifted: bool, tol_fp: float):
+def _fixed_point_step(step_map, shift, tol_fp: float,
+                      previous: np.ndarray | None = None):
     """A `_march` step of the semilinear marchers: the damped fixed point
-    on `step_map(k, t, v)`, the step's map w -> w_new, warm-started from
-    the slices above (`shifted`: a noise path moves them between steps)."""
+    on `step_map(k, t, v)`, the step's map w -> w_new, started from the
+    `_warm_start` E of the slices above (`shift`, from `_noise_shift`,
+    moves them between steps).  Given `previous`, the field of an earlier
+    solve of a nearby equation, the start is corrected by the error the
+    same start made on it: w0 = E(u, k, v) + (previous[k] - E(previous, k,
+    pv)), pv being previous[k+1] under the step's noise shift, so the
+    extrapolation error the two fields share cancels."""
+    shifted = shift is not None
+
     def step(k, t, v, u):
-        w0 = _warm_start(u, k, u.shape[0] - 1, v, shifted)
+        nt = u.shape[0] - 1
+        w0 = _warm_start(u, k, nt, v, shifted)
+        if previous is not None:
+            pv = shift(k, t, previous[k + 1]) if shifted else previous[k + 1]
+            w0 = w0 + (previous[k] - _warm_start(previous, k, nt, pv, shifted))
         return _run_fixed_point(step_map(k, t, v), w0, t, tol_fp)
     return step
 
@@ -220,6 +247,7 @@ def solve_backward_1d(
     terminal: np.ndarray,
     noise: CommonNoisePath | None = None,
     tol_fp: float = TOL_FP,
+    previous: np.ndarray | None = None,
 ) -> BSPDESolution:
     """Backward semilinear march on the line.
 
@@ -227,6 +255,10 @@ def solve_backward_1d(
     run the damped fixed point to tol_fp on the explicit Hamiltonian +
     nonlocal terms (drift bracket applied with the upwind stencil),
     multiply by the exact killing factor, and solve the implicit diffusion.
+    `previous`, the (nt+1, nx) field of an earlier solve on the same grid
+    and noise path (a Picard loop's last sweep), moves only where each
+    step's fixed point starts (see `_fixed_point_step`): the result agrees
+    with the solve without it to the accuracy tol_fp sets.
     """
     x, dx, dt = grid.x, grid.dx, grid.dt(spec.T)
     if nu_traj.values.shape != (grid.nt + 1, grid.nx):
@@ -234,6 +266,8 @@ def solve_backward_1d(
     terminal = np.asarray(terminal, dtype=float)
     if terminal.shape != (grid.nx,):
         raise GridMismatch("terminal data must be a (nx,) array")
+    if previous is not None and np.shape(previous) != (grid.nt + 1, grid.nx):
+        raise GridMismatch("previous value field must be a (nt+1, nx) array")
     coupled = spec.coupled
 
     def step_map(k, t, v):
@@ -251,7 +285,8 @@ def solve_backward_1d(
         return apply
 
     return _march(spec, grid, terminal, noise,
-                  _fixed_point_step(step_map, noise is not None, tol_fp))
+                  _fixed_point_step(step_map, _noise_shift(spec, grid, noise), tol_fp,
+                                    previous))
 
 
 def population_inputs(spec: ModelSpec, grid: Grid, nu_traj: ForwardTrajectory1D,
@@ -367,7 +402,7 @@ def solve_backward_2d(
         return apply
 
     return _march(spec, grid, terminal, noise,
-                  _fixed_point_step(step_map, noise is not None, tol_fp))
+                  _fixed_point_step(step_map, _noise_shift(spec, grid, noise), tol_fp))
 
 
 def solve_backward_1d_galerkin(

@@ -179,13 +179,20 @@ class _ValueSolves:
     (`_feedback_from_value`): `solve_backward_1d` on the sweep's
     population, run again only when `population_inputs` differ byte for
     byte from those of the last solve.  The grid, noise path and tol_fp
-    are fixed for the loop, so a reused solution is the one a new solve
-    would return, bit for bit.  `solves` counts the solves made."""
+    are fixed for the loop, so a reused solution is the one the last solve
+    returned for the same inputs; the loop's first solve starts cold, so
+    while the inputs never change it is the cold solve's, bit for bit.  A
+    new solve passes the last solve's field to `solve_backward_1d` as
+    `previous`: the field moves by little between sweeps, so each step's
+    fixed point starts close to where it ends.  `solves` counts the solves
+    made, and `inner_iterations` holds each call's total inner fixed-point
+    iterations, 0 for a reused field."""
 
     def __init__(self, spec: ModelSpec, grid: Grid,
                  noise: CommonNoisePath | None, tol_fp: float):
         self.spec, self.grid, self.noise, self.tol_fp = spec, grid, noise, tol_fp
         self.solves = 0
+        self.inner_iterations = []
         self._inputs = None
         self._last = None
 
@@ -197,11 +204,15 @@ class _ValueSolves:
         inputs = population_inputs(self.spec, self.grid, nu_traj, terminal)
         inputs = None if inputs is None else inputs.tobytes()
         if inputs is None or inputs != self._inputs:
+            previous = None if self._last is None else self._last[0].u
             u = solve_backward_1d(self.spec, self.grid, nu_traj, terminal,
-                                  self.noise, tol_fp=self.tol_fp)
+                                  self.noise, tol_fp=self.tol_fp, previous=previous)
             self._last = u, _feedback_from_value(self.spec, self.grid, u)
             self._inputs = inputs
             self.solves += 1
+            self.inner_iterations.append(sum(u.fixed_point.iterations))
+        else:
+            self.inner_iterations.append(0)
         return self._last
 
 
@@ -231,7 +242,11 @@ def solve_mfc(
     no nonlocal terms.  When the population does not enter the value
     equation (see `population_inputs`), the value field and its feedback
     are solved once and reused; `diagnostics["backward_solves"]` counts the
-    solves made.
+    solves made.  Each later value solve starts from the last sweep's
+    field, and agrees with a cold solve to the accuracy tol_fp sets;
+    `diagnostics["inner_iterations"]` lists each sweep's total inner
+    iterations (0 when the field was reused), then the final field's
+    when the loop did not converge.
     """
     value = _ValueSolves(spec, grid, noise, tol_fp)
     costs = []
@@ -280,6 +295,7 @@ def solve_mfc(
             np.median(u.fixed_point.iterations)
         ),
         "backward_solves": value.solves,
+        "inner_iterations": value.inner_iterations,
         "inner_capped_steps": u.fixed_point.capped,
     }
     return MFCResult(g, u, nu_traj, mu_traj, cost, diagnostics)
@@ -424,10 +440,11 @@ def solve_mfc_2d(
     mu > MU_FLOOR, and the marginal value field's feedback elsewhere.  The
     spread of the converged feedback along y is the numerical measure of
     intensity independence.  The marginal value field and its feedback are
-    solved again only when their population inputs change, as in
-    `solve_mfc`; the returned joint field is linear, so
-    `diagnostics["inner_capped_steps"]` counts the capped steps of the
-    last sweep's marginal solve.
+    solved again only when their population inputs change, and from the
+    last sweep's field, as in `solve_mfc`.  The returned joint field is
+    linear, so `diagnostics["inner_iterations"]` holds each sweep's
+    marginal solve's inner iterations, and `["inner_capped_steps"]` the
+    capped steps of the last sweep's marginal solve.
     """
     ey = np.exp(-grid.y)[None, :]
     value = _ValueSolves(spec, grid, noise, TOL_FP)
@@ -453,6 +470,7 @@ def solve_mfc_2d(
         "stalled": stalled,
         "intensity_independence": g2.y_variation(),
         "backward_solves": value.solves,
+        "inner_iterations": value.inner_iterations,
         "inner_capped_steps": u1.fixed_point.capped if u1 is not None else 0,
     }
     return g2, adj, mu_traj, diagnostics

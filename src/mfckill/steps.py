@@ -160,7 +160,10 @@ class StepOperators:
     def nonlocal_term(self, p: np.ndarray):
         """<nu, Db0 p> + <nu, Df0> at the step's nu for a (nx,) gradient;
         with a joint `mu`, e^{-y} (<mu, Db0 p> + <mu, e^{-y'} Df0>) over
-        y' >= 0 on the half-plane for an (nx, ny) gradient."""
+        y' >= 0 on the half-plane for an (nx, ny) gradient.  Zeros of the
+        gradient's shape for a model without the kernels."""
+        if not self.spec.coupled:
+            return np.zeros(p.shape)
         cols, weigh = self._pairing
         vals = integrate_kernel(self.kernels[0], weigh(p[..., cols])) + self._df0_term
         return vals if self.mu is None else self.ey * vals[:, None]

@@ -181,6 +181,25 @@ def test_grid_mismatch():
     tr = mk.solve_forward_1d(spec, grid, g)
     with pytest.raises(GridMismatch):
         solve_backward_1d(spec, grid, tr, np.zeros(17))
+    with pytest.raises(GridMismatch):
+        solve_backward_1d(spec, grid, tr, np.zeros(41), previous=np.zeros((20, 41)))
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+def test_solve_started_from_its_own_field(noisy):
+    # started from the field of a cold solve of the same inputs, the start
+    # correction cancels the extrapolation (under noise, of the shifted
+    # slice) and each step stops within two inner iterations
+    spec = mk.make_model("lq_mean_field").with_params(sigma0=lambda t: 0.4 if noisy else 0.0)
+    grid = mk.build_grid(-4, 4, 61, 2.4, 8, 40)
+    noise = CommonNoisePath.from_seed(5, grid.nt, grid.dt(spec.T)) if noisy else None
+    tr = mk.solve_forward_1d(spec, grid, FeedbackControl.constant(0.1, grid, spec), noise)
+    term = np.asarray(spec.dpsi(mk.NuHandle(grid.x, tr.values[-1]), grid.x), dtype=float)
+    cold = solve_backward_1d(spec, grid, tr, term, noise)
+    warm = solve_backward_1d(spec, grid, tr, term, noise, previous=cold.u)
+    assert min(cold.fixed_point.iterations) > 2
+    assert max(warm.fixed_point.iterations) <= 2 and warm.fixed_point.capped == 0
+    assert np.abs(warm.u - cold.u).max() <= 1e-9
 
 
 def test_energy_report_zero_data():

@@ -70,6 +70,19 @@ def test_f_nu_zero_without_derivatives():
     assert np.array_equal(f_nu(0.0, x, nu, np.ones(11), spec), np.zeros(11))
 
 
+def test_nonlocal_term_zero_without_kernels():
+    # no Db0/Df0: zeros of the gradient's shape, on the line and on the half-plane
+    spec = mk.make_model("lq_killing")
+    grid = mk.build_grid(-3, 3, 9, 2.0, 5, 10)
+    x, y = grid.x, grid.y
+    ops = StepOperators(spec, grid, 0.0, uniform_nu(x))
+    out = ops.nonlocal_term(np.sin(x))
+    assert isinstance(out, np.ndarray) and np.array_equal(out, np.zeros(9))
+    mu = Density2D(x, y, np.full((9, 5), 0.05))
+    out2 = StepOperators(spec, grid, 0.0, mu=mu).nonlocal_term(np.ones((9, 5)))
+    assert isinstance(out2, np.ndarray) and np.array_equal(out2, np.zeros((9, 5)))
+
+
 def test_f_nu_constant_kernel():
     spec = mk.make_model("lq_mean_field", beta=1.0, gamma=0.0)
     spec.db0 = lambda t, x, nu, z: np.ones(np.broadcast(np.asarray(x), np.asarray(z)).shape)

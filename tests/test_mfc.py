@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ import mfckill.mfc as mfc_mod
 from mfckill.backward import solve_backward_2d
 from mfckill.controls import FeedbackControl
 from mfckill.errors import DirectionLeavesBox, FixedPointCapped, PicardStalled
+from mfckill.forward import CommonNoisePath
 from mfckill.hamiltonians import MU_FLOOR
 from mfckill.mfc import (
     evaluate_cost,
@@ -250,10 +252,26 @@ def count_backward_solves(monkeypatch) -> list:
     return calls
 
 
+def make_value_solves_cold(monkeypatch, cold=None):
+    """Drop the last sweep's field that the control loops pass to the value
+    solves, so that they start as a loop's first solve does; with `cold`,
+    a flag per solve in call order, only from the solves it flags."""
+    real = mfc_mod.solve_backward_1d
+    flags = iter(cold) if cold is not None else itertools.repeat(True)
+
+    def solve(*args, previous=None, **kwargs):
+        return real(*args, previous=None if next(flags) else previous, **kwargs)
+    monkeypatch.setattr(mfc_mod, "solve_backward_1d", solve)
+
+
 def assert_bit_identical_to_full_solves(monkeypatch, res, spec, grid):
-    """The same run solving the value field on every sweep gives the same
-    result, bit for bit."""
+    """The same run solving the value field on every sweep, cold where `res`
+    reused it, gives the same result, bit for bit: a field reused after the
+    loop's first, cold solve is the one a cold solve of the same inputs
+    returns."""
+    reused = [n == 0 for n in res.diagnostics["inner_iterations"]]
     monkeypatch.setattr(mfc_mod, "population_inputs", lambda *args: None)
+    make_value_solves_cold(monkeypatch, reused)
     full = solve_mfc(spec, grid)
     assert full.diagnostics["backward_solves"] == full.diagnostics["picard_iterations"]
     assert np.array_equal(res.g_star.values, full.g_star.values)
@@ -272,6 +290,8 @@ def test_uncoupled_value_field_solved_once(monkeypatch):
     res = solve_mfc(spec, grid)
     assert res.diagnostics["converged"] and res.diagnostics["picard_iterations"] > 1
     assert len(calls) == 1 and res.diagnostics["backward_solves"] == 1
+    its, n = res.diagnostics["inner_iterations"], res.diagnostics["picard_iterations"]
+    assert its == [sum(res.u.fixed_point.iterations)] + [0] * (n - 1)
     assert_bit_identical_to_full_solves(monkeypatch, res, spec, grid)
 
 
@@ -302,6 +322,34 @@ def test_solve_mfc_2d_marginal_value_solved_once(monkeypatch):
     _, _, _, diag = solve_mfc_2d(spec, grid, tol_pi=1e-4, max_iter=40)
     assert diag["picard_iterations"] > 1
     assert len(calls) == 1 and diag["backward_solves"] == 1
+    its = diag["inner_iterations"]
+    assert len(its) == diag["picard_iterations"] and its[0] > 0 and not any(its[1:])
+
+
+@pytest.mark.parametrize("noisy", [True, False])
+def test_value_solves_start_from_last_sweep_field(monkeypatch, noisy):
+    # the mean_field_noise benchmark workload, and a small noise-free grid;
+    # on the latter the last sweep's field alone is a worse start than the
+    # extrapolation of the slices above (6,214 against 5,219 iterations),
+    # so the correction by the error that start made is what saves here
+    spec = mk.make_model("lq_mean_field")
+    if noisy:
+        spec = spec.with_params(sigma0=lambda t: 0.3)
+        grid = mk.build_grid(-4, 4, 101, 2.4, 20, 20)
+        noise = CommonNoisePath.from_seed(7, grid.nt, grid.dt(spec.T))
+    else:
+        grid = mk.build_grid(-4, 4, 61, 2.4, 8, 40)
+        noise = None
+    res = solve_mfc(spec, grid, noise=noise)
+    make_value_solves_cold(monkeypatch)
+    cold = solve_mfc(spec, grid, noise=noise)
+    d, dc = res.diagnostics, cold.diagnostics
+    assert d["converged"] and dc["converged"]
+    assert d["picard_iterations"] == dc["picard_iterations"]
+    assert len(d["inner_iterations"]) == d["picard_iterations"]
+    assert d["inner_iterations"][0] == dc["inner_iterations"][0]   # the first solve is cold
+    assert sum(d["inner_iterations"]) <= 0.7 * sum(dc["inner_iterations"])
+    assert np.abs(res.g_star.values - cold.g_star.values).max() <= 1e-9
 
 
 def test_converged_loop_returns_last_sweep_solves(monkeypatch):
