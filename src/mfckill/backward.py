@@ -180,10 +180,13 @@ def _run_fixed_point(apply_map, u_init, t_k, tol_fp):
 
 def _noise_shift(spec: ModelSpec, grid: Grid, noise: CommonNoisePath | None):
     """`shift(k, t, field)`: the field moved by step k's common-noise shift,
-    which `_march` undoes on the slice above each step; None without noise."""
+    which `_march` undoes on the slice above each step; None without noise.
+    Raises `GridMismatch` unless the path has one increment per time step."""
     if noise is None:
         return None
     increments = noise.increments
+    if increments.size != grid.nt:
+        raise GridMismatch("noise path length does not match grid.nt")
 
     def shift(k, t, field):
         return shift_density(field, -spec.sigma0(t) * increments[k], grid.dx)

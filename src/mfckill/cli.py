@@ -7,10 +7,8 @@ Configuration is a UTF-8 JSON document::
                   "params": { ... keyword overrides ... }},
       "grid":   {"x_min": -4.0, "x_max": 4.0, "nx": 161,
                   "y_max": 2.4, "ny": 24, "nt": 160, "extension_ell": 0.0},
-      "solver": {"tol_pi": 1e-6, "tol_fp": 1e-10, "max_iter": 200,
-                  "mu_floor": 1e-12},  # defaults backward.TOL_FP and
-                                       # hamiltonians.MU_FLOOR; "damping":
-                                       # first Picard step, default mfc.DAMPING
+      "solver": {"tol_pi": 1e-6, "tol_fp": 1e-10,  # default backward.TOL_FP
+                  "max_iter": 200},
       "experiment": "solve",
       "seed": 0,
       "control": 0.0,            # constant feedback for forward/backward runs
@@ -41,12 +39,16 @@ import numpy as np
 from . import __version__
 from .backward import TOL_FP, solve_backward_1d, solve_backward_2d
 from .controls import FeedbackControl
-from .errors import ConfigError, MFCKillError, ModelValidationError, UnknownExperiment
+from .errors import (
+    ConfigError,
+    DegenerateRange,
+    MFCKillError,
+    ModelValidationError,
+    UnknownExperiment,
+)
 from .forward import CommonNoisePath, solve_forward_1d, solve_forward_2d
-from .hamiltonians import MU_FLOOR
 from .measures import s_map
 from .mfc import (
-    DAMPING,
     gateaux_derivative,
     separability_gap,
     separable_lift,
@@ -70,9 +72,7 @@ EXPERIMENTS = (
 _DEF_SOLVER = {
     "tol_pi": 1e-6,
     "tol_fp": TOL_FP,
-    "damping": DAMPING,
     "max_iter": 200,
-    "mu_floor": MU_FLOOR,
 }
 
 
@@ -118,7 +118,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
             raise UnknownExperiment(f"unknown experiment {exp!r}; choose from {EXPERIMENTS}")
         return RunConfig(
             model_name=mdl["name"],
-            model_params=mdl.get("params", {}),
+            model_params=dict(mdl.get("params", {})),
             grid=grid,
             solver=solver,
             experiment=exp,
@@ -128,11 +128,13 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
             particles=int(raw.get("particles", 100_000)),
             refine_levels=int(raw.get("refine_levels", 3)),
             approx_indices=list(raw.get("approx_indices", [1, 2, 4, 8, 16])),
-            sigma0=raw.get("sigma0"),
+            sigma0=None if raw.get("sigma0") is None else float(raw["sigma0"]),
             raw=raw,
         )
     except KeyError as exc:
         raise ConfigError(f"missing config key: {exc}") from exc
+    except (TypeError, ValueError, DegenerateRange) as exc:
+        raise ConfigError(f"bad config value: {exc}") from exc
 
 
 def _refined(grid: Grid, k: int) -> Grid:
@@ -181,7 +183,10 @@ def _spec_for(cfg: RunConfig):
     params = dict(cfg.model_params)
     if cfg.sigma0 is not None:
         params["sigma0"] = cfg.sigma0
-    spec = make_model(cfg.model_name, **params)
+    try:
+        spec = make_model(cfg.model_name, **params)
+    except TypeError as exc:
+        raise ConfigError(f"model {cfg.model_name!r}: {exc}") from exc
     return validate_model(spec)
 
 
@@ -190,11 +195,10 @@ def _terminal_1d(spec, grid, nu_vals):
 
 
 def _solve_mfc(cfg: RunConfig, spec, **kwargs):
-    """`solve_mfc` on the configured grid with every configured solver key
-    it takes (mu_floor is read by `smp_residual`)."""
+    """`solve_mfc` on the configured grid with every configured solver key."""
     s = cfg.solver
     return solve_mfc(spec, cfg.grid, tol_pi=s["tol_pi"], tol_fp=s["tol_fp"],
-                     damping=s["damping"], max_iter=int(s["max_iter"]), **kwargs)
+                     max_iter=int(s["max_iter"]), **kwargs)
 
 
 def _run_solve(cfg: RunConfig, spec, out: Path) -> int:
@@ -213,8 +217,7 @@ def _run_solve(cfg: RunConfig, spec, out: Path) -> int:
         "cost_terminal": res.cost.terminal,
         "cost_form_gap": res.cost.form_gap,
         "separability_gap": separability_gap(adj2, res.u),
-        "smp_residual": smp_residual(spec, res.g_star, res.mu_traj, lift,
-                                     mu_floor=cfg.solver["mu_floor"]),
+        "smp_residual": smp_residual(spec, res.g_star, res.mu_traj, lift),
         "intensity_independence": res.g_star.y_variation(),
         "energy": res.u.energy,
     })
@@ -321,8 +324,7 @@ def _run_separability(cfg: RunConfig, spec, out: Path) -> int:
 def _run_smp(cfg: RunConfig, spec, out: Path) -> int:
     res = _solve_mfc(cfg, spec, with_2d=True)
     lift = separable_lift(res.u, cfg.grid)
-    resid = smp_residual(spec, res.g_star, res.mu_traj, lift,
-                         mu_floor=cfg.solver["mu_floor"])
+    resid = smp_residual(spec, res.g_star, res.mu_traj, lift)
     rng = np.random.default_rng(cfg.seed)
     lo, hi = spec.box_array[0]
     derivs = []

@@ -12,7 +12,7 @@ class ModelValidationError(MFCKillError):
 
 
 class NondegeneracyViolation(ModelValidationError):
-    """sigma^2 dropped below the configured ellipticity floor c."""
+    """sigma^2 dropped below the ellipticity floor c (model.ELLIPTICITY_FLOOR)."""
 
 
 class NegativeIntensity(ModelValidationError):
@@ -24,7 +24,8 @@ class NonconvexControlCost(ModelValidationError):
 
 
 class NonlinearDrift(ModelValidationError):
-    """b1 failed a sampled additivity check."""
+    """The control factor b1_factor is not finite on the validation probe
+    grid, so the drift is not the linear b0 + b1_factor * g."""
 
 
 class DegenerateRange(MFCKillError):

@@ -181,12 +181,12 @@ def _completed_quantiles(
     return x[pos]
 
 
-def metric_dp(v1: SubProb1D, v2: SubProb1D, p: int = 1, refine: int = 10) -> float:
+def metric_dp(v1: SubProb1D, v2: SubProb1D, p: int = 1) -> float:
     """d_p = W_p(completed measures) + |mass gap|.
 
     Both inputs are completed to probability measures by an atom at 0 of
     size (1 - mass).  W_p is the inverse-CDF integral evaluated with the
-    midpoint rule on a quantile grid `refine` times denser than the atom
+    midpoint rule on a quantile grid 10 times denser than the atom
     count, which is exact for atomic inputs up to grid placement.
     """
     if p not in (1, 2):
@@ -195,7 +195,7 @@ def metric_dp(v1: SubProb1D, v2: SubProb1D, p: int = 1, refine: int = 10) -> flo
         raise GridMismatch("inputs live on different grids")
     x1, w1, m1 = _atoms(v1)
     x2, w2, m2 = _atoms(v2)
-    k = refine * (v1.x.size + 1)
+    k = 10 * (v1.x.size + 1)
     q = (np.arange(k) + 0.5) / k
     q1 = _completed_quantiles(x1, w1, m1, q)
     q2 = _completed_quantiles(x2, w2, m2, q)

@@ -50,8 +50,6 @@ __all__ = [
     "separability_gap",
 ]
 
-DAMPING = 1.0   # the first Picard step of both control loops (solve_mfc may set another)
-
 
 @dataclass
 class CostReport:
@@ -149,25 +147,26 @@ def _feedback_from_value(spec: ModelSpec, grid: Grid, u: BSPDESolution) -> np.nd
 
 
 def _picard(sweep, g: FeedbackControl, spec: ModelSpec, tol_pi: float,
-            max_iter: int, damping: float):
+            max_iter: int):
     """The Picard iteration of both control loops on `sweep(g)`, the
     feedback array resynthesized from the iterate g.  Each iterate moves
-    the fraction `damping` of the way to its sweep's feedback; the fraction
-    starts at the given step and halves whenever the residual grows.  It
+    the fraction `step` of the way to its sweep's feedback; the fraction
+    starts at the full step 1 and halves whenever the residual grows.  It
     converges when a sweep moves g by at most tol_pi, and stalls when the
     residual fell by under 0.1% over the last 30 sweeps.  Returns (g,
     residuals, converged, stalled); g is the last sweep's feedback if
     converged, otherwise the step taken after the last sweep."""
     residuals = []
+    step = 1.0
     for _ in range(max_iter):
         g_new = sweep(g)
         residuals.append(float(np.max(np.abs(g_new - g.values))))
         if residuals[-1] <= tol_pi:
             return FeedbackControl.from_array(g_new, spec), residuals, True, False
         if len(residuals) > 1 and residuals[-1] > residuals[-2]:
-            damping *= 0.5
+            step *= 0.5
         g = FeedbackControl.from_array(
-            (1.0 - damping) * g.values + damping * g_new, spec
+            (1.0 - step) * g.values + step * g_new, spec
         )
         if len(residuals) >= 30 and residuals[-1] > 0.999 * residuals[-30]:
             return g, residuals, False, True
@@ -222,7 +221,6 @@ def solve_mfc(
     noise: CommonNoisePath | None = None,
     tol_pi: float = 1e-6,
     max_iter: int = 200,
-    damping: float = DAMPING,
     tol_fp: float = TOL_FP,
     strict: bool = False,
     with_2d: bool = False,
@@ -231,10 +229,10 @@ def solve_mfc(
 
     Each sweep solves the population density for the current feedback,
     the value field for that population, and resynthesizes the feedback
-    from the pointwise Hamiltonian minimizer.  The iterate takes the step
-    `damping` toward that feedback (the full step by default), halved
-    whenever the control residual grows.  Convergence is declared on the
-    control iterate; a stalled loop returns to the iterate of least cost.
+    from the pointwise Hamiltonian minimizer.  The iterate takes the full
+    step to that feedback, halved whenever the control residual grows.
+    Convergence is declared on the control iterate; a stalled loop returns
+    to the iterate of least cost.
     `strict` raises `PicardStalled` on a stall, and `FixedPointCapped`
     when an inner step of the returned value field stopped at its
     iteration cap above tol_fp.  For the game rather than the control
@@ -264,7 +262,7 @@ def solve_mfc(
         return g_new
 
     g0 = FeedbackControl.constant(float(spec.box_array[0].mean()), grid, spec)
-    g, residuals, converged, stalled = _picard(sweep, g0, spec, tol_pi, max_iter, damping)
+    g, residuals, converged, stalled = _picard(sweep, g0, spec, tol_pi, max_iter)
     if stalled and strict:
         raise PicardStalled(
             f"control residual plateaued at {residuals[-1]:.3e} > {tol_pi}"
@@ -323,17 +321,17 @@ def smp_residual(
     g: FeedbackControl,
     mu_traj: ForwardTrajectory2D,
     adjoint_2d: BSPDESolution,
-    mu_floor: float = MU_FLOOR,
 ) -> float:
     """Worst pointwise optimality defect over the support of mu.
 
-    sup over grid cells with mu > floor of K(x, y, du, g) - inf_h K(x, y,
-    du, h); nonnegative up to minimizer tolerance (clipped at zero).
+    sup over grid cells with mu > MU_FLOOR (the support the solvers use)
+    of K(x, y, du, g) - inf_h K(x, y, du, h); nonnegative up to minimizer
+    tolerance (clipped at zero).
     """
     grid = mu_traj.grid
     worst = 0.0
     for k in range(grid.nt + 1):
-        support = mu_traj.values[k] > mu_floor
+        support = mu_traj.values[k] > MU_FLOOR
         if not support.any():
             continue
         ops = StepOperators(spec, grid, mu_traj.times[k], mu=mu_traj.at(k))
@@ -461,7 +459,7 @@ def solve_mfc_2d(
                         _feedback_from_value(spec, grid, adj), g_fb[:, :, None])
 
     g0 = FeedbackControl.constant(float(spec.box_array[0].mean()), grid, spec, two_d=True)
-    g2, residuals, converged, stalled = _picard(sweep, g0, spec, tol_pi, max_iter, DAMPING)
+    g2, residuals, converged, stalled = _picard(sweep, g0, spec, tol_pi, max_iter)
     adj, mu_traj, u1 = last
     diagnostics = {
         "picard_iterations": len(residuals),

@@ -25,9 +25,11 @@ from .model import ModelSpec, NuHandle, validate_model
 
 __all__ = ["inf_convolution", "mollify", "ApproxFamily", "build_approx_family"]
 
+G_GRID_SIZE = 513   # control-grid samples of the regularized control cost
+K_CAP = 9           # the largest dyadic resolution k_n of the measure discretization
 
-def inf_convolution(phi: np.ndarray, g_grid: np.ndarray, n: float,
-                    eval_at: np.ndarray | None = None) -> np.ndarray:
+
+def inf_convolution(phi: np.ndarray, g_grid: np.ndarray, n: float) -> np.ndarray:
     """Discrete Moreau-type envelope min_h phi(h) + n |g - h|^2.
 
     Direct O(M^2) minimization over the sample grid; exact on the grid.
@@ -36,8 +38,7 @@ def inf_convolution(phi: np.ndarray, g_grid: np.ndarray, n: float,
     """
     phi = np.asarray(phi, dtype=float)
     g_grid = np.asarray(g_grid, dtype=float)
-    pts = g_grid if eval_at is None else np.asarray(eval_at, dtype=float)
-    penal = n * (pts[:, None] - g_grid[None, :]) ** 2
+    penal = n * (g_grid[:, None] - g_grid[None, :]) ** 2
     return (phi[None, :] + penal).min(axis=1)
 
 
@@ -146,12 +147,7 @@ def _envelope_minimizer(gg: np.ndarray, env: np.ndarray, n: int):
     return minimize
 
 
-def build_approx_family(
-    spec: ModelSpec,
-    n: int,
-    g_grid_size: int = 513,
-    k_cap: int = 9,
-) -> ApproxFamily:
+def build_approx_family(spec: ModelSpec, n: int) -> ApproxFamily:
     """Derived model: clamped b, capped intensity, regularized costs.
 
     The control cost is assumed state-independent (true for the built-in
@@ -162,22 +158,22 @@ def build_approx_family(
     box = spec.box_array
     lo, hi = float(box[0, 0]), float(box[0, 1])
     width = max(hi - lo, 1e-12)
-    gg = np.linspace(lo, hi, g_grid_size)
-    dg = gg[1] - gg[0] if g_grid_size > 1 else width
+    gg = np.linspace(lo, hi, G_GRID_SIZE)
+    dg = gg[1] - gg[0]
 
     f1_samples = np.asarray(spec.f1(0.0, 0.0, gg), dtype=float)
     env = inf_convolution(f1_samples, gg, n)
     eps_n = max(2.5 * dg, width / (8.0 * max(n, 1)))
-    env_m = mollify(env, dg, eps_n) if g_grid_size > 4 else env
+    env_m = mollify(env, dg, eps_n)
 
     x_probe = np.linspace(-4.0, 4.0, 81)
     slope = _estimate_cost_modulus(spec, n, x_probe)
     if slope > 0.0:
         k_n = 1
-        while slope * 2.0 ** (-k_n) > 1.0 / n and k_n < k_cap:
+        while slope * 2.0 ** (-k_n) > 1.0 / n and k_n < K_CAP:
             k_n += 1
     else:
-        k_n = max(1, min(int(np.ceil(np.log2(max(n, 2)))) + 4, k_cap))
+        k_n = max(1, min(int(np.ceil(np.log2(max(n, 2)))) + 4, K_CAP))
 
     base_b0 = spec.b0
     base_b1f = spec.b1_factor
@@ -246,7 +242,6 @@ def build_approx_family(
         control_minimizer=minimizer,
         name=f"{spec.name}_approx{n}",
         params=dict(spec.params, approx_index=n),
-        validated=False,
     )
 
     certified = _certify(spec, spec_n, n, gg, env_m)

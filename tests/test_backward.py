@@ -185,6 +185,27 @@ def test_grid_mismatch():
         solve_backward_1d(spec, grid, tr, np.zeros(41), previous=np.zeros((20, 41)))
 
 
+@pytest.mark.parametrize("n_increments", [15, 25])
+def test_noise_path_length_mismatch(n_increments):
+    # a path longer than grid.nt is not cut, and a shorter one is not read
+    # past its end: both marchers refuse it, as solve_forward_1d does
+    spec = mk.make_model("lq_killing", sigma0=0.4)
+    grid = mk.build_grid(-4, 4, 41, 2.4, 8, 20)
+    g = FeedbackControl.constant(0.1, grid, spec)
+    tr = mk.solve_forward_1d(spec, grid, g)
+    mu = mk.solve_forward_2d(spec, grid, g)
+    term = np.asarray(spec.dpsi(None, grid.x), dtype=float)
+    term2 = np.exp(-grid.y)[None, :] * term[:, None]
+    u1 = solve_backward_1d(spec, grid, tr, term)
+    noise = CommonNoisePath.from_seed(5, n_increments, grid.dt(spec.T))
+    with pytest.raises(GridMismatch, match="noise path"):
+        solve_backward_1d(spec, grid, tr, term, noise)
+    with pytest.raises(GridMismatch, match="noise path"):
+        solve_backward_2d(spec, grid, mu, g=g, terminal=term2, noise=noise)
+    with pytest.raises(GridMismatch, match="noise path"):
+        solve_backward_2d(spec, grid, mu, u_1d=u1, terminal=term2, noise=noise)
+
+
 @pytest.mark.parametrize("noisy", [False, True])
 def test_solve_started_from_its_own_field(noisy):
     # started from the field of a cold solve of the same inputs, the start

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfckill.cli import main
+from mfckill.cli import load_config, main
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "mfckill" / "configs"
 
@@ -88,6 +88,35 @@ def test_unknown_solver_key_exit_2(tmp_path, capsys):
     assert "eps_neg" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["damping", "mu_floor"])
+def test_removed_solver_keys_exit_2(tmp_path, capsys, key):
+    # the first Picard step and the residual's density floor are not settable
+    cfg = small_config(tmp_path, solver={"tol_pi": 1e-6, key: 0.5})
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert repr(key) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides", [
+    {"solver": {"tol_pi": "1e-6"}},
+    {"grid": {"x_min": -4.0, "x_max": 4.0, "nx": "21", "y_max": 2.4, "ny": 10, "nt": 60}},
+    {"model": {"name": "lq_killing", "params": {"kapa": 0.5}}},
+    {"model": {"name": "lq_killing", "params": [0.5]}},
+    {"grid": {"x_min": -4.0, "x_max": 4.0, "nx": 1, "y_max": 2.4, "ny": 10, "nt": 60}},
+    {"sigma0": "0.4x"},
+], ids=["solver-string", "grid-string", "model-unknown-param", "model-params-list",
+        "grid-too-coarse", "sigma0-string"])
+def test_bad_config_value_exit_2(tmp_path, capsys, overrides):
+    # a configuration error exits 2 with one line, not 1 with a traceback
+    cfg = small_config(tmp_path, **overrides)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.name)
+def test_bundled_configs_load(path):
+    assert set(load_config(path).solver) == {"tol_pi", "tol_fp", "max_iter"}
+
+
 def test_too_few_particles_exit_2(tmp_path, capsys):
     cfg = small_config(tmp_path, experiment="particles", particles=5)
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
@@ -160,7 +189,7 @@ def test_regularize_sweep(tmp_path):
 def test_runners_pass_every_solver_key(tmp_path, monkeypatch, experiment):
     import mfckill.cli as cli
 
-    solver = {"tol_pi": 1e-5, "tol_fp": 1e-9, "damping": 0.7, "max_iter": 150}
+    solver = {"tol_pi": 1e-5, "tol_fp": 1e-9, "max_iter": 150}
     calls = []
     solve_mfc = cli.solve_mfc
 

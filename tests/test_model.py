@@ -14,7 +14,7 @@ from mfckill.model import NuHandle, lq_killing
 
 def test_lq_killing_validates():
     spec = mk.make_model("lq_killing")
-    assert mk.validate_model(spec).validated
+    assert mk.validate_model(spec) is spec
 
 
 def test_zero_volatility_rejected():
@@ -57,7 +57,7 @@ def test_vector_control_box_rejected():
 def test_constant_intensity_warns_not_fails():
     spec = mk.make_model("const_kill", kappa=0.8)
     with pytest.warns(UserWarning):
-        assert mk.validate_model(spec).validated
+        assert mk.validate_model(spec) is spec
 
 
 def test_build_grid_spacings():

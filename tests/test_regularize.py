@@ -93,7 +93,7 @@ def test_mollify_eps_below_grid():
 def test_family_passes_validation(n):
     spec = mk.make_model("lq_killing")
     fam = build_approx_family(spec, n)
-    assert mk.validate_model(fam.spec_n, n_samples=300).validated
+    assert mk.validate_model(fam.spec_n, n_samples=300) is fam.spec_n
     assert fam.certified["assumptions"]
 
 
