@@ -22,6 +22,7 @@ from .forward import (
 from .hamiltonians import f_nu, minimize_hamiltonian
 from .measures import (
     Density2D,
+    NuHandle,
     SubProb1D,
     discretize_measure,
     metric_d0,
@@ -40,7 +41,7 @@ from .mfc import (
     solve_mfc,
     solve_mfc_2d,
 )
-from .model import Grid, ModelSpec, NuHandle, build_grid, make_model, validate_model
+from .model import Grid, ModelSpec, build_grid, make_model, validate_model
 from .particles import (
     ParticleEnsemble,
     empirical_subprob,

@@ -28,16 +28,17 @@ from functools import cached_property
 
 import numpy as np
 
-from .controls import FeedbackControl
+from .controls import FeedbackControl, check_on_grid
 from .errors import ArgumentConflict, FixedPointDiverged, GridMismatch
 from .forward import CommonNoisePath, ForwardTrajectory1D, ForwardTrajectory2D
 from .hamiltonians import MU_FLOOR
-from .measures import trapezoid_weights
-from .model import Grid, ModelSpec, NuHandle
+from .measures import NuHandle, trapezoid_weights
+from .model import Grid, ModelSpec
 from .steps import (
     StepOperators,
     central_grad,
     diffuse,
+    noise_offsets,
     shift_density,
     upwind_transport_adjoint,
     weighted_l2_sq,
@@ -179,17 +180,15 @@ def _run_fixed_point(apply_map, u_init, t_k, tol_fp):
 
 
 def _noise_shift(spec: ModelSpec, grid: Grid, noise: CommonNoisePath | None):
-    """`shift(k, t, field)`: the field moved by step k's common-noise shift,
-    which `_march` undoes on the slice above each step; None without noise.
-    Raises `GridMismatch` unless the path has one increment per time step."""
-    if noise is None:
+    """`shift(k, field)`: the field moved back by step k's common-noise
+    offset (`noise_offsets`), which `_march` undoes on the slice above each
+    step; None without noise."""
+    offsets = noise_offsets(spec, grid, noise)
+    if offsets is None:
         return None
-    increments = noise.increments
-    if increments.size != grid.nt:
-        raise GridMismatch("noise path length does not match grid.nt")
 
-    def shift(k, t, field):
-        return shift_density(field, -spec.sigma0(t) * increments[k], grid.dx)
+    def shift(k, field):
+        return shift_density(field, -offsets[k], grid.dx)
     return shift
 
 
@@ -212,7 +211,7 @@ def _march(spec: ModelSpec, grid: Grid, terminal: np.ndarray,
     for k in range(nt - 1, -1, -1):
         t = times[k]
         if shift is not None:
-            v = shift(k, t, v)
+            v = shift(k, v)
         v, step_record = step(k, t, v, u)
         u[k] = v
         steps.append(step_record)
@@ -237,7 +236,7 @@ def _fixed_point_step(step_map, shift, tol_fp: float,
         nt = u.shape[0] - 1
         w0 = _warm_start(u, k, nt, v, shifted)
         if previous is not None:
-            pv = shift(k, t, previous[k + 1]) if shifted else previous[k + 1]
+            pv = shift(k, previous[k + 1]) if shifted else previous[k + 1]
             w0 = w0 + (previous[k] - _warm_start(previous, k, nt, pv, shifted))
         return _run_fixed_point(step_map(k, t, v), w0, t, tol_fp)
     return step
@@ -274,8 +273,7 @@ def solve_backward_1d(
     coupled = spec.coupled
 
     def step_map(k, t, v):
-        nu = nu_traj.at(k)  # validates the step's measure
-        ops = StepOperators(spec, grid, t, NuHandle(x, nu.values), noise, transpose=True)
+        ops = StepOperators(spec, grid, t, nu_traj.at(k), noise, transpose=True)
 
         def apply(w):
             p = central_grad(w, dx)
@@ -305,12 +303,11 @@ def population_inputs(spec: ModelSpec, grid: Grid, nu_traj: ForwardTrajectory1D,
     """
     if spec.coupled:
         return None
-    x = grid.x
     times = grid.times(spec.T)
     out = np.empty((2 * grid.nt + 1, grid.nx))
     out[0] = terminal
     for k in range(grid.nt - 1, -1, -1):  # the march's order, so a bad step raises as there
-        ops = StepOperators(spec, grid, times[k], NuHandle(x, nu_traj.at(k).values))
+        ops = StepOperators(spec, grid, times[k], nu_traj.at(k))
         out[1 + 2 * k] = ops.b0
         out[2 + 2 * k] = ops.f0
     return out
@@ -355,6 +352,8 @@ def solve_backward_2d(
     """
     if (g is None) == (u_1d is None):
         raise ArgumentConflict("supply exactly one of g and u_1d")
+    if g is not None:
+        check_on_grid(g.values, grid)
     dx, dy, dt = grid.dx, grid.dy, grid.dt(spec.T)
     sh = (grid.nx, grid.ny_total)
     if mu_traj.values.shape != (grid.nt + 1, *sh):

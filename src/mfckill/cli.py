@@ -4,7 +4,8 @@ Configuration is a UTF-8 JSON document::
 
     {
       "model":  {"name": "lq_killing" | "const_kill" | "lq_mean_field",
-                  "params": { ... keyword overrides ... }},
+                  "params": { ... keyword overrides: real numbers,
+                              a [lo, hi] pair for control_box ... }},
       "grid":   {"x_min": -4.0, "x_max": 4.0, "nx": 161,
                   "y_max": 2.4, "ny": 24, "nt": 160, "extension_ell": 0.0},
       "solver": {"tol_pi": 1e-6, "tol_fp": 1e-10,  # default backward.TOL_FP
@@ -29,7 +30,9 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
+import numbers
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -47,7 +50,7 @@ from .errors import (
     UnknownExperiment,
 )
 from .forward import CommonNoisePath, solve_forward_1d, solve_forward_2d
-from .measures import s_map
+from .measures import NuHandle, s_map
 from .mfc import (
     gateaux_derivative,
     separability_gap,
@@ -55,7 +58,7 @@ from .mfc import (
     smp_residual,
     solve_mfc,
 )
-from .model import Grid, NuHandle, build_grid, make_model, validate_model
+from .model import _BUILTINS, Grid, build_grid, make_model, validate_model
 from .particles import empirical_subprob, estimate_cost_mc, simulate_particles
 from .regularize import build_approx_family
 
@@ -187,7 +190,20 @@ def _spec_for(cfg: RunConfig):
         spec = make_model(cfg.model_name, **params)
     except TypeError as exc:
         raise ConfigError(f"model {cfg.model_name!r}: {exc}") from exc
+    defaults = inspect.signature(_BUILTINS[cfg.model_name]).parameters
+    for key, val in params.items():
+        if isinstance(defaults[key].default, tuple):
+            kind = "a pair of real numbers"
+            ok = isinstance(val, (list, tuple)) and len(val) == 2 and all(map(_is_real, val))
+        else:
+            kind, ok = "a real number", _is_real(val)
+        if not ok:
+            raise ConfigError(f"model parameter {key!r} must be {kind}, not {val!r}")
     return validate_model(spec)
+
+
+def _is_real(val) -> bool:
+    return isinstance(val, numbers.Real) and not isinstance(val, bool)
 
 
 def _terminal_1d(spec, grid, nu_vals):

@@ -6,10 +6,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ControlOutOfBox
+from .errors import ControlOutOfBox, GridMismatch
 from .model import Grid, ModelSpec
 
 __all__ = ["FeedbackControl"]
+
+
+def check_on_grid(values: np.ndarray, grid: Grid, what: str = "feedback") -> None:
+    """Raise `GridMismatch` unless `values` has one (nx,) or (nx, ny_total)
+    slice per time node of `grid`; `what` names the array in the message."""
+    rows = (grid.nt + 1, grid.nx)
+    if values.shape not in (rows, (*rows, grid.ny_total)):
+        raise GridMismatch(f"{what} of shape {values.shape} is not on the grid's "
+                           f"(nt+1, nx) = {rows} nodes")
 
 
 @dataclass
@@ -40,7 +49,7 @@ class FeedbackControl:
         return self.values.ndim == 3
 
     def at_step(self, k: int) -> np.ndarray:
-        return self.values[min(k, self.values.shape[0] - 1)]
+        return self.values[k]
 
     def y_variation(self) -> float:
         """Max over (t, x) of the spread along y; 0 for (t, x) feedbacks."""

@@ -19,20 +19,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controls import FeedbackControl
+from .controls import FeedbackControl, check_on_grid
 from .errors import CFLViolation, ControlOutOfBox, GridMismatch
 from .measures import (
     Density2D,
+    NuHandle,
     SubProb1D,
     s_map,
     survival_quadrature,
     trapezoid_weights,
 )
-from .model import Grid, ModelSpec, NuHandle
+from .model import Grid, ModelSpec
 from .steps import (
     StepOperators,
     diffuse,
     face_average,
+    noise_offsets,
     shift_density,
     upwind_flux_divergence,
     weighted_l2_sq,
@@ -83,31 +85,25 @@ class EnergyRecord:
 
 
 @dataclass
-class ForwardTrajectory1D:
+class _ForwardTrajectory:
+    """The record of a forward solve; the subclasses read its slices."""
+
     grid: Grid
     times: np.ndarray
-    values: np.ndarray          # (nt+1, nx)
+    values: np.ndarray          # (nt+1, nx) on the line, (nt+1, nx, ny_total) jointly
     control: FeedbackControl
     noise: CommonNoisePath | None
     mass_series: np.ndarray     # solver (rectangle) mass per step
     energy: EnergyRecord
     boundary_leakage: float
 
+
+class ForwardTrajectory1D(_ForwardTrajectory):
     def at(self, k: int) -> SubProb1D:
         return SubProb1D(self.grid.x, self.values[k])
 
 
-@dataclass
-class ForwardTrajectory2D:
-    grid: Grid
-    times: np.ndarray
-    values: np.ndarray          # (nt+1, nx, ny_total)
-    control: FeedbackControl
-    noise: CommonNoisePath | None
-    mass_series: np.ndarray
-    energy: EnergyRecord
-    boundary_leakage: float
-
+class ForwardTrajectory2D(_ForwardTrajectory):
     def at(self, k: int) -> Density2D:
         return Density2D(self.grid.x, self.grid.y, self.values[k])
 
@@ -163,9 +159,7 @@ def _march(spec: ModelSpec, grid: Grid, vals0: np.ndarray,
     shape = (grid.nx,) if wy is None else (grid.nx, grid.ny_total)
     if rho.shape != shape:
         raise GridMismatch(f"initial density has shape {rho.shape}, not {shape}")
-    increments = noise.increments if noise is not None else None
-    if increments is not None and increments.size != nt:
-        raise GridMismatch("noise path length does not match grid.nt")
+    offsets = noise_offsets(spec, grid, noise)
 
     out = np.empty((nt + 1, *shape))
     out[0] = rho
@@ -177,9 +171,9 @@ def _march(spec: ModelSpec, grid: Grid, vals0: np.ndarray,
     for k in range(nt):
         t = times[k]
         rho = step(k, t, rho)
-        if increments is not None:
+        if offsets is not None:
             pre = rho.sum()
-            rho = shift_density(rho, spec.sigma0(t) * increments[k], dx)
+            rho = shift_density(rho, offsets[k], dx)
             leakage += abs(pre - rho.sum()) * dx * dy
 
         out[k + 1] = rho
@@ -208,6 +202,7 @@ def solve_forward_1d(
     e^{-lam dt} per step, so a constant intensity decays total mass
     exactly like e^{-lam t} while diffusion and transport conserve it.
     """
+    check_on_grid(g.values, grid)
     x, dx, dt = grid.x, grid.dx, grid.dt(spec.T)
     if initial is None:
         # weighted x marginal of the initial joint density
@@ -238,6 +233,7 @@ def solve_forward_2d(
     upward at rate lam(x) instead, with zero inflow at y = 0, so total
     mass is conserved exactly by the scheme.
     """
+    check_on_grid(g.values, grid)
     x, y = grid.x, grid.y
     dx, dy, dt = grid.dx, grid.dy, grid.dt(spec.T)
     wy = trapezoid_weights(grid.ny_total, dy)

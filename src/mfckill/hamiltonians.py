@@ -16,8 +16,8 @@ import math
 import numpy as np
 
 from .errors import GridMismatch, NonfiniteInput
-from .measures import SubProb1D
-from .model import ModelSpec, NuHandle
+from .measures import NuHandle, SubProb1D
+from .model import ModelSpec
 
 __all__ = [
     "minimize_hamiltonian",
@@ -106,7 +106,7 @@ def f_nu(t, x_eval, nu: SubProb1D, dxu_field: np.ndarray, spec: ModelSpec):
     dxu_field = np.asarray(dxu_field, dtype=float)
     if dxu_field.shape != nu.x.shape:
         raise GridMismatch("gradient field must live on nu's grid")
-    kb, kf = nonlocal_kernels(t, nu.x, NuHandle(nu.x, nu.values), x_eval, spec)
+    kb, kf = nonlocal_kernels(t, nu.x, nu, x_eval, spec)
     w = nu.weights
     return (integrate_kernel(kb, nu.values * dxu_field * w)
             + integrate_kernel(kf, nu.values * w))

@@ -1,5 +1,13 @@
 """Subprobability containers, the survival-weighted marginal, and metrics.
 
+A measure on the line has one type: `NuHandle`, what the coefficients of
+a model read (mass, moments, density values, trapezoid weights and the
+L2 pairing).  `SubProb1D` is the `NuHandle` whose density is checked: it
+has the shape of x, no value below the clip floor and mass at most 1.
+`s_map`, `ForwardTrajectory1D.at` and `empirical_subprob` return one, and
+the solvers hand it to the model as it is.  A plain `NuHandle` is built
+only where a solver holds raw density values, such as mid-march.
+
 Conventions: densities live on uniform node grids and all pairings use the
 trapezoid rule (tensor-product trapezoid in 2d).  Negative values produced
 by numerics are tolerated down to -1e-12 and clipped only in diagnostics,
@@ -15,6 +23,7 @@ import numpy as np
 from .errors import GridMismatch
 
 __all__ = [
+    "NuHandle",
     "SubProb1D",
     "Density2D",
     "s_map",
@@ -38,34 +47,58 @@ def trapezoid_weights(n: int, h: float) -> np.ndarray:
     return w
 
 
-@dataclass
-class SubProb1D:
-    """Density values of a subprobability measure on a uniform x grid."""
+class NuHandle:
+    """Read-only view of a gridded subprobability measure.
 
-    x: np.ndarray
-    values: np.ndarray
+    Exposes exactly the functionals the drift and cost coefficients use:
+    total mass, first/second moments, raw density values and trapezoid
+    weights, and the trapezoid L2 pairing against a sampled function.
+    """
 
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.x.shape != self.values.shape:
-            raise GridMismatch("x and values must have the same shape")
-        if self.values.min(initial=0.0) < NEG_FLOOR:
-            raise ValueError(f"density below clip floor: {self.values.min():.3e}")
-        if self.mass > 1.0 + 1e-8:
-            raise ValueError(f"total mass {self.mass:.10f} exceeds 1")
+    __slots__ = ("x", "values", "weights")
+
+    def __init__(self, x: np.ndarray, values: np.ndarray):
+        self.x = x
+        self.values = values
+        self.weights = trapezoid_weights(x.size, x[1] - x[0])
 
     @property
     def dx(self) -> float:
         return float(self.x[1] - self.x[0])
 
     @property
-    def weights(self) -> np.ndarray:
-        return trapezoid_weights(self.x.size, self.dx)
-
-    @property
     def mass(self) -> float:
         return float(self.values @ self.weights)
+
+    @property
+    def mean(self) -> float:
+        return float((self.values * self.x) @ self.weights)
+
+    @property
+    def second_moment(self) -> float:
+        return float((self.values * self.x**2) @ self.weights)
+
+    def pair(self, f_values: np.ndarray) -> float:
+        """Trapezoid integral of f against the measure."""
+        return float((self.values * f_values) @ self.weights)
+
+
+class SubProb1D(NuHandle):
+    """A `NuHandle` whose density values on the uniform x grid are checked:
+    same shape as x, none below the clip floor, and total mass at most 1."""
+
+    __slots__ = ()
+
+    def __init__(self, x: np.ndarray, values: np.ndarray):
+        x = np.asarray(x, dtype=float)
+        values = np.asarray(values, dtype=float)
+        if x.shape != values.shape:
+            raise GridMismatch("x and values must have the same shape")
+        if values.min(initial=0.0) < NEG_FLOOR:
+            raise ValueError(f"density below clip floor: {values.min():.3e}")
+        super().__init__(x, values)
+        if self.mass > 1.0 + 1e-8:
+            raise ValueError(f"total mass {self.mass:.10f} exceeds 1")
 
     def to_csv(self, path) -> None:
         header = "x,value"

@@ -16,7 +16,7 @@ from .backward import (
     solve_backward_2d,
     terminal_cost_injection,
 )
-from .controls import FeedbackControl
+from .controls import FeedbackControl, check_on_grid
 from .errors import DirectionLeavesBox, FixedPointCapped, GridMismatch, PicardStalled
 from .forward import (
     CommonNoisePath,
@@ -26,13 +26,14 @@ from .forward import (
     solve_forward_2d,
 )
 from .hamiltonians import MU_FLOOR
-from .measures import s_map, survival_quadrature, trapezoid_weights
-from .model import Grid, ModelSpec, NuHandle
+from .measures import NuHandle, s_map, survival_quadrature, trapezoid_weights
+from .model import Grid, ModelSpec
 from .steps import (
     StepOperators,
     central_grad,
     diffuse,
     face_average,
+    noise_offsets,
     shift_density,
     upwind_flux_derivative,
     y_column,
@@ -91,6 +92,7 @@ def evaluate_cost(
         if traj is None:
             continue
         grid = traj.grid
+        check_on_grid(g.values, grid)
         x = grid.x
         dt = grid.dt(spec.T)
         cw = trapezoid_weights(grid.nt + 1, 1.0)
@@ -114,7 +116,7 @@ def evaluate_cost(
         if name == "nu":
             nuT = NuHandle(x, nu_traj.values[-1])
         else:
-            nuT = NuHandle(x, s_map(mu_traj.at(grid.nt)).values)
+            nuT = s_map(mu_traj.at(grid.nt))
         terminal = float(spec.psi(nuT))
         results[name] = (running, terminal, running + terminal)
 
@@ -329,6 +331,7 @@ def smp_residual(
     tolerance (clipped at zero).
     """
     grid = mu_traj.grid
+    check_on_grid(g.values, grid)
     worst = 0.0
     for k in range(grid.nt + 1):
         support = mu_traj.values[k] > MU_FLOOR
@@ -368,20 +371,21 @@ def gateaux_derivative(
     dt = grid.dt(spec.T)
     nt = grid.nt
     h_vals = h.values if isinstance(h, FeedbackControl) else np.asarray(h, dtype=float)
+    check_on_grid(g.values, grid)
+    check_on_grid(h_vals, grid, "direction")
     lo, hi = spec.box_array[0]
     eps = 1e-9
     probe = g.values + eps * (h_vals if h_vals.ndim == g.values.ndim else h_vals[..., None])
     if not (lo - 1e-15 <= probe.min() and probe.max() <= hi + 1e-15):
         raise DirectionLeavesBox("g + eps h leaves the control box")
 
-    increments = mu_traj.noise.increments if mu_traj.noise is not None else None
     cw = trapezoid_weights(nt + 1, 1.0)
     wx = trapezoid_weights(grid.nx, dx)
     wy = trapezoid_weights(grid.ny_total, dy)
     keep, wy_pos, survival = survival_quadrature(y, dy)
 
     def step_dir(k):
-        return y_column(h_vals[min(k, h_vals.shape[0] - 1)])
+        return y_column(h_vals[k])
 
     if quadrature not in ("dual", "node"):
         raise ValueError("quadrature must be 'dual' or 'node'")
@@ -399,6 +403,7 @@ def gateaux_derivative(
                 * np.broadcast_to(integ, mu_traj.values[k].shape)[:, keep]
             total += cw[k] * dt * float(wx @ (contrib @ wy_pos))
         return total
+    offsets = noise_offsets(spec, grid, mu_traj.noise)
     for k in range(nt):
         t = times[k]
         ops = StepOperators(spec, grid, t, noise=mu_traj.noise, mu=mu_traj.at(k))
@@ -408,8 +413,8 @@ def gateaux_derivative(
             # the stored terminal slice is the raw psi data; restore the
             # half-weight running-cost injection carried by the dual state
             v = v + terminal_cost_injection(spec, g, mu_traj, cw[nt])
-        if increments is not None:
-            v = shift_density(v, -spec.sigma0(t) * increments[k], dx)
+        if offsets is not None:
+            v = shift_density(v, -offsets[k], dx)
         b_face = ops.face_drift(y_column(g.at_step(k)))
         db_face = face_average(ops.fac[:, None] * step_dir(k))
         d_mu = upwind_flux_derivative(mu_mid, b_face, db_face, dx)

@@ -9,8 +9,9 @@ together with the running costs f0/f1, the terminal cost psi and its
 derivative, the control box G, the horizon, and the initial joint density
 of (X, Lambda).  Coefficients are plain callables that must broadcast over
 numpy arrays in the state argument.  Measure arguments are passed as
-:class:`NuHandle` objects exposing mass, moments, density values and an
-L2 pairing, which is all the coefficients in this suite ever consume.
+:class:`mfckill.measures.NuHandle` objects (a checked `SubProb1D` where
+the solver holds one) exposing mass, moments, density values and an L2
+pairing, which is all the coefficients in this suite ever consume.
 """
 
 from __future__ import annotations
@@ -30,10 +31,9 @@ from .errors import (
     NondegeneracyViolation,
     NonlinearDrift,
 )
-from .measures import trapezoid_weights
+from .measures import NuHandle
 
 __all__ = [
-    "NuHandle",
     "ModelSpec",
     "Grid",
     "build_grid",
@@ -45,38 +45,6 @@ __all__ = [
 ]
 
 ELLIPTICITY_FLOOR = 1e-4  # the lower bound c that validate_model requires of sigma^2
-
-
-class NuHandle:
-    """Read-only view of a gridded subprobability measure.
-
-    Exposes exactly the functionals the drift and cost coefficients use:
-    total mass, first/second moments, raw density values and trapezoid
-    weights, and the trapezoid L2 pairing against a sampled function.
-    """
-
-    __slots__ = ("x", "values", "weights")
-
-    def __init__(self, x: np.ndarray, values: np.ndarray):
-        self.x = x
-        self.values = values
-        self.weights = trapezoid_weights(x.size, x[1] - x[0])
-
-    @property
-    def mass(self) -> float:
-        return float(self.values @ self.weights)
-
-    @property
-    def mean(self) -> float:
-        return float((self.values * self.x) @ self.weights)
-
-    @property
-    def second_moment(self) -> float:
-        return float((self.values * self.x**2) @ self.weights)
-
-    def pair(self, f_values: np.ndarray) -> float:
-        """Trapezoid integral of f against the measure."""
-        return float((self.values * f_values) @ self.weights)
 
 
 # Type aliases for the coefficient callables.  t is a float, x an array,
@@ -212,6 +180,8 @@ def build_grid(
 def validate_model(spec: ModelSpec, n_samples: int = 1000) -> ModelSpec:
     """Check the standing assumptions on the probe grid t_probe x x_probe
     and, for the convexity of f1, on `n_samples` seeded random points.
+    sigma0 must be finite on t_probe, and b0 and f0 finite on t_probe x
+    x_probe at a standard normal probe measure.
 
     Returns spec itself.  Raises the first violated assumption; emits a
     warning (not an error) when the intensity is nonzero for x >= 0, since
@@ -220,6 +190,8 @@ def validate_model(spec: ModelSpec, n_samples: int = 1000) -> ModelSpec:
     rng = np.random.default_rng(0)
     x_probe = np.linspace(-5.0, 5.0, 41)
     t_probe = np.linspace(0.0, spec.T, 7)
+    # the one measure b0 and f0 are probed at: a standard normal density
+    nu_probe = NuHandle(x_probe, np.exp(-0.5 * x_probe**2) / math.sqrt(2.0 * math.pi))
     box = spec.box_array
     if box.shape != (1, 2):
         raise ModelValidationError(
@@ -240,6 +212,12 @@ def validate_model(spec: ModelSpec, n_samples: int = 1000) -> ModelSpec:
         fac = np.asarray(spec.b1_factor(t, x_probe), dtype=float)
         if not np.all(np.isfinite(fac)):
             raise NonlinearDrift(f"b1_factor not finite at t={t:.3f}")
+        if not np.isfinite(np.asarray(spec.sigma0(t), dtype=float)).all():
+            raise ModelValidationError(f"sigma0 not finite at t={t:.3f}")
+        for name in ("b0", "f0"):
+            vals = np.asarray(getattr(spec, name)(t, x_probe, nu_probe), dtype=float)
+            if not np.isfinite(vals).all():
+                raise ModelValidationError(f"{name} not finite at t={t:.3f}")
 
     lamT = np.asarray(spec.lam(0.0, x_probe), dtype=float)
     if np.any(lamT[x_probe >= 0.0] > 0.0):

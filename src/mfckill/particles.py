@@ -18,11 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controls import FeedbackControl
+from .controls import FeedbackControl, check_on_grid
 from .errors import SeedRequired
 from .forward import CommonNoisePath, ForwardTrajectory1D
-from .measures import SubProb1D, trapezoid_weights
-from .model import Grid, ModelSpec, NuHandle
+from .measures import NuHandle, SubProb1D, trapezoid_weights
+from .model import Grid, ModelSpec
+from .steps import noise_offsets
 
 __all__ = [
     "ParticleEnsemble",
@@ -161,7 +162,6 @@ class ParticleEnsemble:
     running_cost_soft: np.ndarray
     batch_index: np.ndarray
     noise: CommonNoisePath | None
-    coupling: str
 
 
 def _histogram(positions: np.ndarray, w: np.ndarray, n_total: int,
@@ -208,18 +208,16 @@ def simulate_particles(
     seed: int | None,
     grid: Grid,
     noise: CommonNoisePath | None = None,
-    coupling: str = "none",
     nu_traj: ForwardTrajectory1D | None = None,
 ) -> ParticleEnsemble:
     """Euler-Maruyama ensemble with cumulative-intensity bookkeeping.
 
-    coupling="none" reads the measure argument of the coefficients from
-    `nu_traj` when given (otherwise from the ensemble itself, which is
-    exact for measure-free coefficients); coupling="empirical" rebuilds
-    the smoothed weighted histogram every step and feeds it back into the
-    drift and running cost.  The histogram is built only in steps whose
-    coefficients read it.  Raises ValueError for another coupling and for
-    fewer than 10 particles (one per batch of the cost estimate).
+    The coefficients read their measure argument from `nu_traj` when it
+    is given, and otherwise from the ensemble's own smoothed weighted
+    histogram, built anew in each step whose coefficients read it.
+    Raises ValueError for fewer than 10 particles (one per batch of the
+    cost estimate), and `GridMismatch` for a feedback or noise path off
+    the grid.
 
     One helper thread draws the Brownian normals of the next steps while
     the current step runs (every variate depends only on seed, particle,
@@ -230,10 +228,10 @@ def simulate_particles(
         raise SeedRequired("particle simulations require an explicit seed")
     if spec.initial_sampler is None:
         raise SeedRequired("model provides no initial sampler")
-    if coupling not in ("none", "empirical"):
-        raise ValueError(f"unknown coupling {coupling!r}")
     if n < _N_BATCH:
         raise ValueError(f"n = {n} particles cannot fill {_N_BATCH} batches")
+    check_on_grid(g.values, grid)
+    offsets = noise_offsets(spec, grid, noise)
     nt = grid.nt
     dt = grid.dt(spec.T)
     times = grid.times(spec.T)
@@ -254,14 +252,13 @@ def simulate_particles(
     weights = np.empty(n)
     alive = np.empty(n, dtype=bool)
 
-    increments = noise.increments if noise is not None else None
     cw = trapezoid_weights(nt + 1, 1.0)
     alive_fraction = np.empty(nt + 1)
     mean_weight = np.empty(nt + 1)
     rc = np.zeros(2 * _N_BATCH)
 
     def nu_handle_at(k: int) -> NuHandle:
-        if coupling == "none" and nu_traj is not None:
+        if nu_traj is not None:
             return NuHandle(grid.x, nu_traj.values[k])
         return _EnsembleNu(grid.x, lambda: _smooth3(_histogram(x_pos, weights, n, grid)))
 
@@ -306,7 +303,7 @@ def simulate_particles(
             drift += np.asarray(spec.b0(t, x_pos, nu), dtype=float)
             lam_rate = np.asarray(spec.lam(t, x_pos), dtype=float)  # left endpoint
             sigma = np.asarray(spec.sigma(t, x_pos), dtype=float)
-            dx_common = spec.sigma0(t) * increments[k] if increments is not None else 0.0
+            dx_common = offsets[k] if offsets is not None else 0.0
             if k % rows == 0:
                 z_rows = pending.result()
                 pending = draw_from(k + rows) if k + rows < nt else None
@@ -330,7 +327,7 @@ def simulate_particles(
         alive=lam_cum < theta, weights=np.exp(-lam_cum),
         alive_fraction=alive_fraction, mean_weight=mean_weight,
         running_cost_hard=rc_hard, running_cost_soft=rc_soft,
-        batch_index=batch.copy(), noise=noise, coupling=coupling,
+        batch_index=batch.copy(), noise=noise,
     )
 
 

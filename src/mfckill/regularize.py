@@ -15,13 +15,14 @@ import numpy as np
 
 from .errors import EpsBelowGrid
 from .measures import (
+    NuHandle,
     SubProb1D,
     cutoff,
     hat_weights,
     metric_dp,
     truncate_measure,
 )
-from .model import ModelSpec, NuHandle, validate_model
+from .model import ModelSpec, validate_model
 
 __all__ = ["inf_convolution", "mollify", "ApproxFamily", "build_approx_family"]
 
@@ -105,12 +106,11 @@ def _estimate_cost_modulus(spec: ModelSpec, n: int, x_probe: np.ndarray,
         if d < 1e-9:
             continue
         df = 0.0
-        ha, hb = NuHandle(xg, v1), NuHandle(xg, v2)
         for xq in x_probe[:: max(1, x_probe.size // 8)]:
-            fa = float(np.asarray(spec.f0(0.0, np.array([xq]), ha))[0])
-            fb = float(np.asarray(spec.f0(0.0, np.array([xq]), hb))[0])
+            fa = float(np.asarray(spec.f0(0.0, np.array([xq]), a))[0])
+            fb = float(np.asarray(spec.f0(0.0, np.array([xq]), b))[0])
             df = max(df, abs(fa - fb))
-        df = max(df, abs(spec.psi(ha) - spec.psi(hb)))
+        df = max(df, abs(spec.psi(a) - spec.psi(b)))
         slope = max(slope, df / d)
     return slope
 

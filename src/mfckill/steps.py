@@ -16,16 +16,16 @@ import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgtsv
 
-from .errors import NonfiniteInput
+from .errors import GridMismatch, NonfiniteInput
 from .hamiltonians import integrate_kernel, minimize_control, nonlocal_kernels
-from .measures import Density2D, s_map, survival_pairing
-from .model import Grid, ModelSpec, NuHandle
+from .measures import Density2D, NuHandle, s_map, survival_pairing
+from .model import Grid, ModelSpec
 
 if TYPE_CHECKING:
     from .forward import CommonNoisePath
 
 __all__ = [
-    "StepOperators", "diffuse", "face_average", "y_column", "central_grad",
+    "StepOperators", "noise_offsets", "diffuse", "face_average", "y_column", "central_grad",
     "weighted_l2_sq", "shift_density", "face_flux_divergence",
     "upwind_flux_divergence", "upwind_transport_adjoint", "upwind_flux_derivative",
     "y_transport", "y_transport_adjoint_rate",
@@ -53,7 +53,7 @@ class StepOperators:
                  mu: Density2D | None = None):
         self.spec, self.grid, self.t, self.mu = spec, grid, t, mu
         self.x, self.dx, self.dt = grid.x, grid.dx, grid.dt(spec.T)
-        self.nu = NuHandle(self.x, s_map(mu).values) if mu is not None else nu
+        self.nu = s_map(mu) if mu is not None else nu
         self.noisy = noise is not None
         self.transpose = transpose
 
@@ -167,6 +167,20 @@ class StepOperators:
         cols, weigh = self._pairing
         vals = integrate_kernel(self.kernels[0], weigh(p[..., cols])) + self._df0_term
         return vals if self.mu is None else self.ey * vals[:, None]
+
+
+def noise_offsets(spec: ModelSpec, grid: Grid,
+                  noise: CommonNoisePath | None) -> np.ndarray | None:
+    """sigma0(t_k) dW_k for each step k < nt: how far the common noise
+    moves the state over step k; None without a noise path.  Raises
+    `GridMismatch` unless the path has one increment per time step."""
+    if noise is None:
+        return None
+    increments = noise.increments
+    if increments.size != grid.nt:
+        raise GridMismatch("noise path length does not match grid.nt")
+    times = grid.times(spec.T)
+    return np.array([spec.sigma0(times[k]) * increments[k] for k in range(grid.nt)])
 
 
 def diffuse(values: np.ndarray, matrix: tuple) -> np.ndarray:

@@ -23,7 +23,7 @@ from mfckill.mfc import (
     solve_mfc,
     solve_mfc_2d,
 )
-from mfckill.model import NuHandle
+from mfckill.measures import NuHandle
 from mfckill.particles import empirical_subprob, simulate_particles
 from mfckill.regularize import build_approx_family, inf_convolution
 
@@ -197,7 +197,7 @@ def test_criterion_5_smp_and_gateaux():
         gv = smooth_field(grid, 10 + trial, *lohi)
         g = FeedbackControl.from_array(gv, spec)
         mu = mk.solve_forward_2d(spec, grid, g)
-        nu_t = NuHandle(grid.x, mk.s_map(mu.at(grid.nt)).values)
+        nu_t = mk.s_map(mu.at(grid.nt))
         term1 = np.asarray(spec.dpsi(nu_t, grid.x))
         term2 = np.exp(-grid.y)[None, :] * term1[:, None]
         adj = solve_backward_2d(spec, grid, mu, g=g, terminal=term2)

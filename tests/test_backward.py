@@ -188,7 +188,8 @@ def test_grid_mismatch():
 @pytest.mark.parametrize("n_increments", [15, 25])
 def test_noise_path_length_mismatch(n_increments):
     # a path longer than grid.nt is not cut, and a shorter one is not read
-    # past its end: both marchers refuse it, as solve_forward_1d does
+    # past its end: both backward marchers and the particle oracle refuse
+    # it, as solve_forward_1d does
     spec = mk.make_model("lq_killing", sigma0=0.4)
     grid = mk.build_grid(-4, 4, 41, 2.4, 8, 20)
     g = FeedbackControl.constant(0.1, grid, spec)
@@ -204,6 +205,8 @@ def test_noise_path_length_mismatch(n_increments):
         solve_backward_2d(spec, grid, mu, g=g, terminal=term2, noise=noise)
     with pytest.raises(GridMismatch, match="noise path"):
         solve_backward_2d(spec, grid, mu, u_1d=u1, terminal=term2, noise=noise)
+    with pytest.raises(GridMismatch, match="noise path"):
+        mk.simulate_particles(spec, g, 100, 1, grid, noise)
 
 
 @pytest.mark.parametrize("noisy", [False, True])
@@ -312,14 +315,14 @@ def test_fixed_feedback_duality_with_measure_dependent_cost(noisy):
     x, y = grid.x, grid.y
     g = FeedbackControl.from_array(np.tile(0.3 * np.tanh(x), (grid.nt + 1, 1)), spec)
     mu = mk.solve_forward_2d(spec, grid, g, noise)
-    nu_T = mk.NuHandle(x, mk.s_map(mu.at(grid.nt)).values)
+    nu_T = mk.s_map(mu.at(grid.nt))
     term = np.exp(-y)[None, :] * np.asarray(spec.dpsi(nu_T, x))[:, None]
     adj = solve_backward_2d(spec, grid, mu, g=g, terminal=term, noise=noise)
     dt, cell = grid.dt(spec.T), grid.dx * grid.dy
     cost = float((mu.values[-1] * term).sum()) * cell
     for k in range(grid.nt + 1):
         t = mu.times[k]
-        nu = mk.NuHandle(x, mk.s_map(mu.at(k)).values)
+        nu = mk.s_map(mu.at(k))
         f = np.asarray(spec.f0(t, x, nu))[:, None] + spec.f1(t, x[:, None], g.at_step(k)[:, None])
         weight = 0.5 if k in (0, grid.nt) else 1.0
         cost += weight * dt * float((mu.values[k] * np.exp(-y)[None, :] * f).sum()) * cell
@@ -360,7 +363,7 @@ def test_step_operators_match_pointwise_functions():
     x, y, t = grid.x, grid.y, 0.2
     nu = mk.SubProb1D(x, 0.9 * gaussian(x, 0.6) / (0.6 * math.sqrt(2 * math.pi)))
     p = np.sin(x)
-    ops = StepOperators(spec, grid, t, mk.NuHandle(x, nu.values))
+    ops = StepOperators(spec, grid, t, nu)
     assert np.array_equal(ops.nonlocal_term(p), f_nu(t, x, nu, p, spec))
     assert np.array_equal(ops.control(p), minimize_hamiltonian(t, x, p, spec))
     mu = mk.solve_forward_2d(spec, grid, FeedbackControl.constant(0.1, grid, spec)).at(5)

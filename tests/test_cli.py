@@ -103,11 +103,19 @@ def test_removed_solver_keys_exit_2(tmp_path, capsys, key):
     {"model": {"name": "lq_killing", "params": [0.5]}},
     {"grid": {"x_min": -4.0, "x_max": 4.0, "nx": 1, "y_max": 2.4, "ny": 10, "nt": 60}},
     {"sigma0": "0.4x"},
+    {"model": {"name": "lq_killing", "params": {"kappa": "0.5"}}},
+    {"model": {"name": "lq_killing", "params": {"x0": "0.3"}}},
+    {"model": {"name": "lq_killing", "params": {"kappa": True}}},
+    {"model": {"name": "lq_killing", "params": {"kappa": [0.5, 0.6]}}},
+    {"model": {"name": "lq_killing", "params": {"control_box": [-1.0, "1"]}}},
+    {"sigma0": float("nan")},
 ], ids=["solver-string", "grid-string", "model-unknown-param", "model-params-list",
-        "grid-too-coarse", "sigma0-string"])
+        "grid-too-coarse", "sigma0-string", "kappa-string", "x0-string", "kappa-bool",
+        "kappa-pair", "box-string", "sigma0-nan"])
 def test_bad_config_value_exit_2(tmp_path, capsys, overrides):
-    # a configuration error exits 2 with one line, not 1 with a traceback
-    cfg = small_config(tmp_path, **overrides)
+    # a configuration error exits 2 with one line, not 1 with a traceback,
+    # before the experiment reads a coefficient
+    cfg = small_config(tmp_path, experiment="forward", **overrides)
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 

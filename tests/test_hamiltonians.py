@@ -6,8 +6,8 @@ import pytest
 import mfckill as mk
 from mfckill.errors import NonfiniteInput
 from mfckill.hamiltonians import f_nu, minimize_hamiltonian
-from mfckill.measures import Density2D, SubProb1D, trapezoid_weights
-from mfckill.model import NuHandle, lq_killing
+from mfckill.measures import Density2D, NuHandle, SubProb1D, trapezoid_weights
+from mfckill.model import lq_killing
 from mfckill.steps import StepOperators
 
 
@@ -91,7 +91,7 @@ def test_f_nu_constant_kernel():
     x = grid.x
     nu = SubProb1D(x, np.full(201, 0.1))
     pbar = np.full(201, 0.7)
-    ops = StepOperators(spec, grid, 0.0, NuHandle(x, nu.values))
+    ops = StepOperators(spec, grid, 0.0, nu)
     for out in (f_nu(0.0, x, nu, pbar, spec), ops.nonlocal_term(pbar)):
         assert np.allclose(out, nu.mass * 0.7, atol=1e-12)
 

@@ -9,7 +9,7 @@ import mfckill.backward as backward_mod
 import mfckill.mfc as mfc_mod
 from mfckill.backward import solve_backward_2d
 from mfckill.controls import FeedbackControl
-from mfckill.errors import DirectionLeavesBox, FixedPointCapped, PicardStalled
+from mfckill.errors import DirectionLeavesBox, FixedPointCapped, GridMismatch, PicardStalled
 from mfckill.forward import CommonNoisePath
 from mfckill.hamiltonians import MU_FLOOR
 from mfckill.mfc import (
@@ -21,7 +21,6 @@ from mfckill.mfc import (
     solve_mfc,
     solve_mfc_2d,
 )
-from mfckill.model import NuHandle
 
 from conftest import tanh_feedback
 
@@ -156,6 +155,36 @@ def test_gateaux_nan_direction_leaves_box(lq_mfc):
     h[4, 7] = np.nan
     with pytest.raises(DirectionLeavesBox):
         gateaux_derivative(spec, res.g_star, h, res.mu_traj, lift)
+
+
+@pytest.mark.parametrize("other", [(41, 20), (31, 40)], ids=["coarser-time", "other-nx"])
+def test_feedback_off_the_grid_raises(other):
+    # a feedback from a coarser time grid is not clamped to its last row,
+    # and one on other x nodes is not left to numpy's broadcasting: every
+    # solver that takes a feedback (or a direction) refuses it at entry
+    spec = mk.make_model("lq_killing")
+    grid = mk.build_grid(-4, 4, 41, 2.4, 8, 40)
+    nx, nt = other
+    g = FeedbackControl.constant(0.1, grid, spec)
+    bad = FeedbackControl.constant(0.1, mk.build_grid(-4, 4, nx, 2.4, 8, nt), spec)
+    nu = mk.solve_forward_1d(spec, grid, g)
+    mu = mk.solve_forward_2d(spec, grid, g)
+    term2 = np.exp(-grid.y)[None, :] * np.asarray(spec.dpsi(None, grid.x))[:, None]
+    adj = solve_backward_2d(spec, grid, mu, g=g, terminal=term2)
+    calls = [
+        lambda: mk.solve_forward_1d(spec, grid, bad),
+        lambda: mk.solve_forward_2d(spec, grid, bad),
+        lambda: evaluate_cost(spec, bad, nu_traj=nu),
+        lambda: evaluate_cost(spec, bad, mu_traj=mu),
+        lambda: mk.simulate_particles(spec, bad, 100, 1, grid),
+        lambda: solve_backward_2d(spec, grid, mu, g=bad, terminal=term2),
+        lambda: smp_residual(spec, bad, mu, adj),
+        lambda: gateaux_derivative(spec, bad, np.zeros(bad.values.shape), mu, adj),
+        lambda: gateaux_derivative(spec, g, np.zeros(bad.values.shape), mu, adj),
+    ]
+    for call in calls:
+        with pytest.raises(GridMismatch, match="not on the grid"):
+            call()
 
 
 def test_separability_gap_of_lift(lq_mfc):

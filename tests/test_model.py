@@ -9,7 +9,8 @@ from mfckill.errors import (
     NonconvexControlCost,
     NondegeneracyViolation,
 )
-from mfckill.model import NuHandle, lq_killing
+from mfckill.measures import NuHandle
+from mfckill.model import lq_killing
 
 
 def test_lq_killing_validates():
@@ -44,6 +45,21 @@ def test_nonfinite_drift_factor_rejected():
     spec = lq_killing()
     spec.b1_factor = lambda t, x: np.full_like(np.asarray(x, dtype=float), np.nan)
     with pytest.raises(NonlinearDrift):
+        mk.validate_model(spec)
+
+
+@pytest.mark.parametrize("name", ["sigma0", "b0", "f0"])
+def test_nonfinite_coefficient_rejected(name):
+    # sigma0 is probed on t_probe, b0 and f0 on t_probe x x_probe at one
+    # fixed measure; a coefficient that is not finite there is named
+    def nan_at_half(x):
+        return np.where(np.asarray(x, dtype=float) > 0.5, np.nan, 1.0)
+
+    coeff = {"sigma0": lambda t: np.nan if t > 0.1 else 0.2,
+             "b0": lambda t, x, nu: nan_at_half(x),
+             "f0": lambda t, x, nu: np.inf * nu.mass * np.ones_like(x)}[name]
+    spec = lq_killing().with_params(**{name: coeff})
+    with pytest.raises(ModelValidationError, match=f"^{name} not finite"):
         mk.validate_model(spec)
 
 

@@ -79,7 +79,7 @@ def test_empirical_all_mass_at_one_node():
         clocks=np.ones(n), alive=np.ones(n, dtype=bool), weights=np.ones(n),
         alive_fraction=np.ones(11), mean_weight=np.ones(11),
         running_cost_hard=np.zeros(10), running_cost_soft=np.zeros(10),
-        batch_index=np.arange(n) % 10, noise=None, coupling="none",
+        batch_index=np.arange(n) % 10, noise=None,
     )
     nu = empirical_subprob(ens, "hard", grid)
     assert abs(nu.mass - 1.0) < 1e-12
@@ -170,8 +170,8 @@ def test_empirical_coupling_runs_deterministically():
     spec = mk.validate_model(mk.make_model("lq_mean_field"))
     grid = mk.build_grid(-4, 4, 81, 2.4, 11, 60)
     g = FeedbackControl.constant(0.1, grid, spec)
-    a = simulate_particles(spec, g, 4000, 31, grid, coupling="empirical")
-    b = simulate_particles(spec, g, 4000, 31, grid, coupling="empirical")
+    a = simulate_particles(spec, g, 4000, 31, grid)
+    b = simulate_particles(spec, g, 4000, 31, grid)
     assert np.array_equal(a.positions, b.positions)
     assert np.isfinite(a.positions).all()
 
@@ -184,8 +184,8 @@ def test_pde_handle_coupling_close_to_empirical():
     g = FeedbackControl.constant(0.1, grid, spec)
     tr = mk.solve_forward_1d(spec, grid, g)
     n = 20000
-    ens_pde = simulate_particles(spec, g, n, 41, grid, coupling="none", nu_traj=tr)
-    ens_emp = simulate_particles(spec, g, n, 41, grid, coupling="empirical")
+    ens_pde = simulate_particles(spec, g, n, 41, grid, nu_traj=tr)
+    ens_emp = simulate_particles(spec, g, n, 41, grid)
     d = metric_dp(empirical_subprob(ens_pde, "soft", grid),
                   empirical_subprob(ens_emp, "soft", grid), p=1)
     assert d <= 3.0 / math.sqrt(n) + 0.25 * (grid.dx + grid.dt(spec.T))
@@ -346,7 +346,7 @@ def test_histogram_built_only_when_a_coefficient_reads_it(monkeypatch):
     assert len(built) == 0
     spec = mk.validate_model(mk.make_model("lq_mean_field"))
     g = FeedbackControl.constant(0.1, grid, spec)
-    simulate_particles(spec, g, 4000, 3, grid, coupling="empirical")
+    simulate_particles(spec, g, 4000, 3, grid)
     assert len(built) == grid.nt + 1
 
 
@@ -354,8 +354,6 @@ def test_invalid_arguments_raise():
     spec = mk.make_model("lq_killing")
     grid = mk.build_grid(-4, 4, 41, 2.4, 11, 20)
     g = tanh_feedback(grid, spec)
-    with pytest.raises(ValueError, match="coupling"):
-        simulate_particles(spec, g, 100, 1, grid, coupling="empiricl")
     with pytest.raises(ValueError, match="batches"):
         simulate_particles(spec, g, 5, 1, grid)
     ens = simulate_particles(spec, g, 10, 1, grid)
