@@ -150,8 +150,9 @@ def _feedback_from_value(spec: ModelSpec, grid: Grid, u: BSPDESolution) -> np.nd
 
 def _picard(sweep, g: FeedbackControl, spec: ModelSpec, tol_pi: float,
             max_iter: int):
-    """The Picard iteration of both control loops on `sweep(g)`, the
-    feedback array resynthesized from the iterate g.  Each iterate moves
+    """The Picard iteration of both control loops on `sweep(g, residual)`,
+    the feedback array resynthesized from the iterate g; `residual` is the
+    last sweep's residual, None on the first sweep.  Each iterate moves
     the fraction `step` of the way to its sweep's feedback; the fraction
     starts at the full step 1 and halves whenever the residual grows.  It
     converges when a sweep moves g by at most tol_pi, and stalls when the
@@ -161,7 +162,7 @@ def _picard(sweep, g: FeedbackControl, spec: ModelSpec, tol_pi: float,
     residuals = []
     step = 1.0
     for _ in range(max_iter):
-        g_new = sweep(g)
+        g_new = sweep(g, residuals[-1] if residuals else None)
         residuals.append(float(np.max(np.abs(g_new - g.values))))
         if residuals[-1] <= tol_pi:
             return FeedbackControl.from_array(g_new, spec), residuals, True, False
@@ -178,42 +179,57 @@ def _picard(sweep, g: FeedbackControl, spec: ModelSpec, tol_pi: float,
 class _ValueSolves:
     """The value field of one Picard loop's sweeps and its feedback
     (`_feedback_from_value`): `solve_backward_1d` on the sweep's
-    population, run again only when `population_inputs` differ byte for
-    byte from those of the last solve.  The grid, noise path and tol_fp
-    are fixed for the loop, so a reused solution is the one the last solve
-    returned for the same inputs; the loop's first solve starts cold, so
-    while the inputs never change it is the cold solve's, bit for bit.  A
-    new solve passes the last solve's field to `solve_backward_1d` as
-    `previous`: the field moves by little between sweeps, so each step's
-    fixed point starts close to where it ends.  `solves` counts the solves
-    made, and `inner_iterations` holds each call's total inner fixed-point
-    iterations, 0 for a reused field."""
+    population.  A call given the last sweep's Picard residual r asks for
+    the inner tolerance max(tol_fp, tol_fp * r / tol_pi), so that every
+    sweep solves with the inner/outer ratio of the loop's last one; a call
+    given None (a loop's first sweep, or the field after the loop) asks
+    for tol_fp.  The stored field is reused when `population_inputs` equal
+    those of its solve byte for byte and it was solved at a tolerance no
+    looser than the one asked for; otherwise the field is solved again.
+    The grid and noise path are fixed for the loop, so a reused solution is
+    the one the last solve returned for the same inputs; the loop's first
+    solve starts cold, so while the inputs never change it is the cold
+    solve's at tol_fp, bit for bit.  A new solve passes the last solve's
+    field to `solve_backward_1d` as `previous`: the field moves by little
+    between sweeps, so each step's fixed point starts close to where it
+    ends.  `solves` counts the solves made, `tol` is the tolerance the
+    stored field was solved at, `inner_iterations` holds each call's total
+    inner fixed-point iterations, 0 for a reused field, and
+    `inner_tolerances` the tolerance each call asked for."""
 
     def __init__(self, spec: ModelSpec, grid: Grid,
-                 noise: CommonNoisePath | None, tol_fp: float):
-        self.spec, self.grid, self.noise, self.tol_fp = spec, grid, noise, tol_fp
+                 noise: CommonNoisePath | None, tol_fp: float, tol_pi: float):
+        self.spec, self.grid, self.noise = spec, grid, noise
+        self.tol_fp, self.tol_pi = tol_fp, tol_pi
         self.solves = 0
+        self.tol = None
         self.inner_iterations = []
+        self.inner_tolerances = []
         self._inputs = None
         self._last = None
 
-    def __call__(self, nu_traj: ForwardTrajectory1D) -> tuple[BSPDESolution, np.ndarray]:
+    def __call__(self, nu_traj: ForwardTrajectory1D,
+                 residual: float | None = None) -> tuple[BSPDESolution, np.ndarray]:
+        tol = self.tol_fp
+        if residual is not None:
+            tol = max(tol, self.tol_fp * residual / self.tol_pi)
         x = self.grid.x
         terminal = np.asarray(
             self.spec.dpsi(NuHandle(x, nu_traj.values[-1]), x), dtype=float
         )
         inputs = population_inputs(self.spec, self.grid, nu_traj, terminal)
         inputs = None if inputs is None else inputs.tobytes()
-        if inputs is None or inputs != self._inputs:
+        if inputs is None or inputs != self._inputs or self.tol > tol:
             previous = None if self._last is None else self._last[0].u
             u = solve_backward_1d(self.spec, self.grid, nu_traj, terminal,
-                                  self.noise, tol_fp=self.tol_fp, previous=previous)
+                                  self.noise, tol_fp=tol, previous=previous)
             self._last = u, _feedback_from_value(self.spec, self.grid, u)
-            self._inputs = inputs
+            self._inputs, self.tol = inputs, tol
             self.solves += 1
             self.inner_iterations.append(sum(u.fixed_point.iterations))
         else:
             self.inner_iterations.append(0)
+        self.inner_tolerances.append(tol)
         return self._last
 
 
@@ -237,25 +253,30 @@ def solve_mfc(
     to the iterate of least cost.
     `strict` raises `PicardStalled` on a stall, and `FixedPointCapped`
     when an inner step of the returned value field stopped at its
-    iteration cap above tol_fp.  For the game rather than the control
-    fixed point, solve `spec.with_params(db0=None, df0=None)`, which has
-    no nonlocal terms.  When the population does not enter the value
-    equation (see `population_inputs`), the value field and its feedback
-    are solved once and reused; `diagnostics["backward_solves"]` counts the
-    solves made.  Each later value solve starts from the last sweep's
-    field, and agrees with a cold solve to the accuracy tol_fp sets;
+    iteration cap above the tolerance its solve asked for.  For the game
+    rather than the control fixed point, solve
+    `spec.with_params(db0=None, df0=None)`, which has no nonlocal terms.
+    When the population does not enter the value equation (see
+    `population_inputs`), the value field and its feedback are solved
+    once and reused; `diagnostics["backward_solves"]` counts the solves
+    made.  Each later value solve starts from the last sweep's field.
+    The first sweep's value solve asks for tol_fp, and sweep s for
+    max(tol_fp, tol_fp * r / tol_pi), r being the residual of sweep s-1,
+    so its inner error shrinks with the outer one; a field solved after a
+    loop that did not converge asks for tol_fp.
     `diagnostics["inner_iterations"]` lists each sweep's total inner
-    iterations (0 when the field was reused), then the final field's
-    when the loop did not converge.
+    iterations (0 when the field was reused), then the final field's when
+    the loop did not converge, and `diagnostics["inner_tolerances"]` the
+    tolerance each of those value solves asked for.
     """
-    value = _ValueSolves(spec, grid, noise, tol_fp)
+    value = _ValueSolves(spec, grid, noise, tol_fp, tol_pi)
     costs = []
     best = last = None
 
-    def sweep(g):
+    def sweep(g, residual):
         nonlocal best, last
         nu_traj = solve_forward_1d(spec, grid, g, noise)
-        u, g_new = value(nu_traj)
+        u, g_new = value(nu_traj, residual)
         cost = evaluate_cost(spec, g, nu_traj=nu_traj).total
         costs.append(cost)
         if best is None or cost < best[0]:
@@ -279,7 +300,8 @@ def solve_mfc(
     if strict and u.fixed_point.capped:
         raise FixedPointCapped(
             f"{u.fixed_point.capped} inner steps stopped at the iteration cap "
-            f"above tol_fp = {tol_fp}"
+            f"above the tolerance {value.tol:.3e} their solve asked for "
+            f"(tol_fp = {tol_fp})"
         )
     nu_traj = solve_forward_1d(spec, grid, g, noise)
     mu_traj = solve_forward_2d(spec, grid, g, noise) if with_2d else None
@@ -296,6 +318,7 @@ def solve_mfc(
         ),
         "backward_solves": value.solves,
         "inner_iterations": value.inner_iterations,
+        "inner_tolerances": value.inner_tolerances,
         "inner_capped_steps": u.fixed_point.capped,
     }
     return MFCResult(g, u, nu_traj, mu_traj, cost, diagnostics)
@@ -444,19 +467,21 @@ def solve_mfc_2d(
     spread of the converged feedback along y is the numerical measure of
     intensity independence.  The marginal value field and its feedback are
     solved again only when their population inputs change, and from the
-    last sweep's field, as in `solve_mfc`.  The returned joint field is
-    linear, so `diagnostics["inner_iterations"]` holds each sweep's
-    marginal solve's inner iterations, and `["inner_capped_steps"]` the
+    last sweep's field, to the inner tolerance that follows the Picard
+    residual, as in `solve_mfc` with tol_fp = TOL_FP.  The returned joint
+    field is linear, so `diagnostics["inner_iterations"]` and
+    `["inner_tolerances"]` hold each sweep's marginal solve's inner
+    iterations and asked-for tolerance, and `["inner_capped_steps"]` the
     capped steps of the last sweep's marginal solve.
     """
     ey = np.exp(-grid.y)[None, :]
-    value = _ValueSolves(spec, grid, noise, TOL_FP)
+    value = _ValueSolves(spec, grid, noise, TOL_FP, tol_pi)
     last = (None, None, None)
 
-    def sweep(g2):
+    def sweep(g2, residual):
         nonlocal last
         mu_traj = solve_forward_2d(spec, grid, g2, noise)
-        u1, g_fb = value(mu_traj.marginal())
+        u1, g_fb = value(mu_traj.marginal(), residual)
         adj = solve_backward_2d(spec, grid, mu_traj, g=g2,
                                 terminal=ey * u1.terminal[:, None], noise=noise)
         last = adj, mu_traj, u1
@@ -474,6 +499,7 @@ def solve_mfc_2d(
         "intensity_independence": g2.y_variation(),
         "backward_solves": value.solves,
         "inner_iterations": value.inner_iterations,
+        "inner_tolerances": value.inner_tolerances,
         "inner_capped_steps": u1.fixed_point.capped if u1 is not None else 0,
     }
     return g2, adj, mu_traj, diagnostics

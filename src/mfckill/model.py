@@ -180,8 +180,8 @@ def build_grid(
 def validate_model(spec: ModelSpec, n_samples: int = 1000) -> ModelSpec:
     """Check the standing assumptions on the probe grid t_probe x x_probe
     and, for the convexity of f1, on `n_samples` seeded random points.
-    sigma0 must be finite on t_probe, and b0 and f0 finite on t_probe x
-    x_probe at a standard normal probe measure.
+    sigma0 must be finite on t_probe, lam finite on t_probe x x_probe, and
+    b0 and f0 finite there at a standard normal probe measure.
 
     Returns spec itself.  Raises the first violated assumption; emits a
     warning (not an error) when the intensity is nonzero for x >= 0, since
@@ -205,6 +205,8 @@ def validate_model(spec: ModelSpec, n_samples: int = 1000) -> ModelSpec:
                 f"sigma^2 < {ELLIPTICITY_FLOOR} at t={t:.3f} (min {sig2.min():.3e})"
             )
         lam = np.asarray(spec.lam(t, x_probe), dtype=float)
+        if not np.isfinite(lam).all():
+            raise ModelValidationError(f"lam not finite at t={t:.3f}")
         if np.any(lam < 0.0):
             raise NegativeIntensity(f"lambda < 0 at t={t:.3f} (min {lam.min():.3e})")
         # the drift is b0 + b1_factor * g, linear in g by construction; what

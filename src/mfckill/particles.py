@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controls import FeedbackControl, check_on_grid
-from .errors import SeedRequired
+from .errors import GridMismatch, SeedRequired
 from .forward import CommonNoisePath, ForwardTrajectory1D
 from .measures import NuHandle, SubProb1D, trapezoid_weights
 from .model import Grid, ModelSpec
@@ -216,8 +216,8 @@ def simulate_particles(
     is given, and otherwise from the ensemble's own smoothed weighted
     histogram, built anew in each step whose coefficients read it.
     Raises ValueError for fewer than 10 particles (one per batch of the
-    cost estimate), and `GridMismatch` for a feedback or noise path off
-    the grid.
+    cost estimate), and `GridMismatch` for a feedback, noise path or
+    `nu_traj` off the grid.
 
     One helper thread draws the Brownian normals of the next steps while
     the current step runs (every variate depends only on seed, particle,
@@ -231,6 +231,8 @@ def simulate_particles(
     if n < _N_BATCH:
         raise ValueError(f"n = {n} particles cannot fill {_N_BATCH} batches")
     check_on_grid(g.values, grid)
+    if nu_traj is not None and nu_traj.values.shape != (grid.nt + 1, grid.nx):
+        raise GridMismatch("nu trajectory does not match the grid")
     offsets = noise_offsets(spec, grid, noise)
     nt = grid.nt
     dt = grid.dt(spec.T)

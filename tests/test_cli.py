@@ -37,6 +37,9 @@ def test_solve_smoke(tmp_path):
     assert diag["picard_iterations"] > 0
     man = json.loads((out / "manifest.json").read_text())
     assert man["grid"]["nx"] == 61
+    # the inner tolerance each value solve asked for, the first at tol_fp
+    assert len(diag["inner_tolerances"]) == len(diag["inner_iterations"])
+    assert diag["inner_tolerances"][0] == man["tolerances"]["tol_fp"]
     assert len(man["config_sha256"]) == 64
     assert "tol_pi" in man["tolerances"]
     assert man["version"]
@@ -109,9 +112,11 @@ def test_removed_solver_keys_exit_2(tmp_path, capsys, key):
     {"model": {"name": "lq_killing", "params": {"kappa": [0.5, 0.6]}}},
     {"model": {"name": "lq_killing", "params": {"control_box": [-1.0, "1"]}}},
     {"sigma0": float("nan")},
+    {"model": {"name": "lq_killing", "params": {"kappa": float("nan")}}},
 ], ids=["solver-string", "grid-string", "model-unknown-param", "model-params-list",
         "grid-too-coarse", "sigma0-string", "kappa-string", "x0-string", "kappa-bool",
-        "kappa-pair", "box-string", "sigma0-nan"])
+        "kappa-pair", "box-string", "sigma0-nan",
+        "kappa-nan"])
 def test_bad_config_value_exit_2(tmp_path, capsys, overrides):
     # a configuration error exits 2 with one line, not 1 with a traceback,
     # before the experiment reads a coefficient

@@ -10,7 +10,7 @@ import pytest
 import mfckill as mk
 import mfckill.particles as particles_mod
 from mfckill.controls import FeedbackControl
-from mfckill.errors import SeedRequired
+from mfckill.errors import GridMismatch, SeedRequired
 from mfckill.measures import metric_dp
 from mfckill.mfc import evaluate_cost
 from mfckill.particles import (
@@ -360,6 +360,22 @@ def test_invalid_arguments_raise():
     assert np.isfinite(ens.running_cost_soft).all()
     with pytest.raises(ValueError, match="mode"):
         estimate_cost_mc(spec, g, ens, mode="bogus")
+
+
+@pytest.mark.parametrize("nx, nt", [(31, 40), (41, 20)], ids=["31-nodes", "20-steps"])
+def test_nu_traj_off_the_grid_raises(nx, nt):
+    # a trajectory from another grid is refused at entry, as
+    # solve_backward_1d refuses it: not run unnoticed on the wrong nodes,
+    # nor stopped by an IndexError after its last step
+    spec = mk.make_model("lq_killing")
+    grid = mk.build_grid(-4, 4, 41, 2.4, 8, 40)
+    other = mk.build_grid(-4, 4, nx, 2.4, 8, nt)
+    tr = mk.solve_forward_1d(spec, other, FeedbackControl.constant(0.1, other, spec))
+    g = FeedbackControl.constant(0.1, grid, spec)
+    with pytest.raises(GridMismatch, match="nu trajectory"):
+        mk.solve_backward_1d(spec, grid, tr, np.zeros(grid.nx))
+    with pytest.raises(GridMismatch, match="nu trajectory"):
+        simulate_particles(spec, g, 100, 1, grid, nu_traj=tr)
 
 
 def test_coefficients_returning_their_input_read_the_step_start_positions():
