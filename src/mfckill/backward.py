@@ -261,6 +261,12 @@ def solve_backward_1d(
     and noise path (a Picard loop's last sweep), moves only where each
     step's fixed point starts (see `_fixed_point_step`): the result agrees
     with the solve without it to the accuracy tol_fp sets.
+
+    A noise path gives the pathwise solve, in which the whole path is
+    known in advance: step k moves u[k+1] by the offset sigma0 (W(t_{k+1})
+    - W(t_k)), so u[k] reads every increment after t_k.  It is not the
+    adapted solution of the paper's BSPDE, which at t_k depends only on
+    the increments before t_k.
     """
     x, dx, dt = grid.x, grid.dx, grid.dt(spec.T)
     if nu_traj.values.shape != (grid.nt + 1, grid.nx):
@@ -349,6 +355,10 @@ def solve_backward_2d(
     step and the running cost enters with the trapezoid time weights,
     so the discrete duality with the forward solve is exact up to
     boundary-weight corrections.
+
+    A noise path gives the pathwise solve, as in `solve_backward_1d`:
+    u[k] reads every increment after t_k, so it is not the adapted
+    solution of the paper's BSPDE.
     """
     if (g is None) == (u_1d is None):
         raise ArgumentConflict("supply exactly one of g and u_1d")

@@ -181,9 +181,12 @@ class _ValueSolves:
     (`_feedback_from_value`): `solve_backward_1d` on the sweep's
     population.  A call given the last sweep's Picard residual r asks for
     the inner tolerance max(tol_fp, tol_fp * r / tol_pi), so that every
-    sweep solves with the inner/outer ratio of the loop's last one; a call
-    given None (a loop's first sweep, or the field after the loop) asks
-    for tol_fp.  The stored field is reused when `population_inputs` equal
+    sweep solves with the inner/outer ratio of the loop's last one.  The
+    first call of a coupled loop (`spec.coupled`) takes r to be the width
+    hi - lo of the control box, the largest residual a sweep can have; any
+    other call given None (an uncoupled loop's first sweep, whose field may
+    be reused as the final one, or the field after the loop) asks for
+    tol_fp.  The stored field is reused when `population_inputs` equal
     those of its solve byte for byte and it was solved at a tolerance no
     looser than the one asked for; otherwise the field is solved again.
     The grid and noise path are fixed for the loop, so a reused solution is
@@ -210,6 +213,11 @@ class _ValueSolves:
 
     def __call__(self, nu_traj: ForwardTrajectory1D,
                  residual: float | None = None) -> tuple[BSPDESolution, np.ndarray]:
+        if residual is None and self._last is None and self.spec.coupled:
+            # no field of a coupled loop is reused, and no sweep's residual
+            # exceeds the box width: iterate and feedback both lie in it
+            lo, hi = self.spec.box_array[0]
+            residual = float(hi - lo)
         tol = self.tol_fp
         if residual is not None:
             tol = max(tol, self.tol_fp * residual / self.tol_pi)
@@ -260,9 +268,12 @@ def solve_mfc(
     `population_inputs`), the value field and its feedback are solved
     once and reused; `diagnostics["backward_solves"]` counts the solves
     made.  Each later value solve starts from the last sweep's field.
-    The first sweep's value solve asks for tol_fp, and sweep s for
-    max(tol_fp, tol_fp * r / tol_pi), r being the residual of sweep s-1,
-    so its inner error shrinks with the outer one; a field solved after a
+    Sweep s's value solve asks for max(tol_fp, tol_fp * r / tol_pi), r
+    being the residual of sweep s-1, so its inner error shrinks with the
+    outer one.  The first sweep has no residual: for a coupled model
+    (`spec.coupled`) r is the control box's width, which bounds every
+    sweep's residual, and otherwise its solve asks for tol_fp, because
+    that field may be reused as the final one.  A field solved after a
     loop that did not converge asks for tol_fp.
     `diagnostics["inner_iterations"]` lists each sweep's total inner
     iterations (0 when the field was reused), then the final field's when
@@ -468,8 +479,9 @@ def solve_mfc_2d(
     intensity independence.  The marginal value field and its feedback are
     solved again only when their population inputs change, and from the
     last sweep's field, to the inner tolerance that follows the Picard
-    residual, as in `solve_mfc` with tol_fp = TOL_FP.  The returned joint
-    field is linear, so `diagnostics["inner_iterations"]` and
+    residual (the box width standing in for the first sweep's on a
+    coupled model), as in `solve_mfc` with tol_fp = TOL_FP.  The returned
+    joint field is linear, so `diagnostics["inner_iterations"]` and
     `["inner_tolerances"]` hold each sweep's marginal solve's inner
     iterations and asked-for tolerance, and `["inner_capped_steps"]` the
     capped steps of the last sweep's marginal solve.

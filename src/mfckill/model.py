@@ -180,8 +180,8 @@ def build_grid(
 def validate_model(spec: ModelSpec, n_samples: int = 1000) -> ModelSpec:
     """Check the standing assumptions on the probe grid t_probe x x_probe
     and, for the convexity of f1, on `n_samples` seeded random points.
-    sigma0 must be finite on t_probe, lam finite on t_probe x x_probe, and
-    b0 and f0 finite there at a standard normal probe measure.
+    sigma0 must be finite on t_probe, sigma and lam finite on t_probe x
+    x_probe, and b0 and f0 finite there at a standard normal probe measure.
 
     Returns spec itself.  Raises the first violated assumption; emits a
     warning (not an error) when the intensity is nonzero for x >= 0, since
@@ -199,7 +199,10 @@ def validate_model(spec: ModelSpec, n_samples: int = 1000) -> ModelSpec:
         )
 
     for t in t_probe:
-        sig2 = np.asarray(spec.sigma(t, x_probe), dtype=float) ** 2
+        sig = np.asarray(spec.sigma(t, x_probe), dtype=float)
+        if not np.isfinite(sig).all():
+            raise ModelValidationError(f"sigma not finite at t={t:.3f}")
+        sig2 = sig**2
         if np.any(sig2 < ELLIPTICITY_FLOOR):
             raise NondegeneracyViolation(
                 f"sigma^2 < {ELLIPTICITY_FLOOR} at t={t:.3f} (min {sig2.min():.3e})"

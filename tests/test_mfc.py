@@ -320,6 +320,8 @@ def test_uncoupled_value_field_solved_once(monkeypatch):
     assert len(calls) == 1 and res.diagnostics["backward_solves"] == 1
     its, n = res.diagnostics["inner_iterations"], res.diagnostics["picard_iterations"]
     assert its == [sum(res.u.fixed_point.iterations)] + [0] * (n - 1)
+    # that one field is the final one, so its solve asks for tol_fp
+    assert res.diagnostics["inner_tolerances"][0] == backward_mod.TOL_FP
     assert_bit_identical_to_full_solves(monkeypatch, res, spec, grid)
 
 
@@ -339,6 +341,9 @@ def test_population_dependent_value_field_solved_every_sweep(monkeypatch, mean_f
     # converged sweep's solve is the returned one in both cases
     n = d["picard_iterations"]
     assert len(calls) == n and d["backward_solves"] == n
+    # the first solve asks for tol_fp unless the loop is coupled
+    assert spec.coupled == mean_field
+    assert (d["inner_tolerances"][0] == backward_mod.TOL_FP) != mean_field
     if not mean_field:
         assert_bit_identical_to_full_solves(monkeypatch, res, spec, grid)
 
@@ -352,6 +357,7 @@ def test_solve_mfc_2d_marginal_value_solved_once(monkeypatch):
     assert len(calls) == 1 and diag["backward_solves"] == 1
     its = diag["inner_iterations"]
     assert len(its) == diag["picard_iterations"] and its[0] > 0 and not any(its[1:])
+    assert diag["inner_tolerances"][0] == backward_mod.TOL_FP
 
 
 @pytest.mark.parametrize("noisy", [True, False])
@@ -390,9 +396,10 @@ INNER_AT_TOL_FP = {7: 2931, 3: 3053}
 
 @pytest.mark.parametrize("seed", [7, 3])
 def test_inner_tolerance_follows_picard_residual(seed):
-    # the first sweep asks for tol_fp, sweep s for tol_fp * r_{s-1} / tol_pi:
-    # fewer inner iterations, and g_star as close to a tight solve as when
-    # every sweep asked for tol_fp (1.27e-8 and 1.98e-8)
+    # sweep s asks for tol_fp * r_{s-1} / tol_pi, the first sweep of this
+    # coupled loop for tol_fp * (hi - lo) / tol_pi: fewer inner iterations,
+    # and g_star as close to a tight solve as when every sweep asked for
+    # tol_fp (1.27e-8 and 1.98e-8)
     spec = mk.make_model("lq_mean_field").with_params(sigma0=lambda t: 0.3)
     grid = mk.build_grid(-4, 4, 101, 2.4, 20, 20)
     noise = CommonNoisePath.from_seed(seed, grid.nt, grid.dt(spec.T))
@@ -402,12 +409,46 @@ def test_inner_tolerance_follows_picard_residual(seed):
     assert d["converged"]
     tols = d["inner_tolerances"]
     assert len(tols) == len(d["inner_iterations"]) == d["picard_iterations"]
-    assert tols[0] == tol_fp
+    lo, hi = spec.box_array[0]
+    assert tols[0] == max(tol_fp, tol_fp * (hi - lo) / tol_pi)
     assert tols[1:] == [max(tol_fp, tol_fp * r / tol_pi) for r in d["residual_trace"][:-1]]
     assert sum(d["inner_iterations"]) <= 0.7 * INNER_AT_TOL_FP[seed]
     tight = solve_mfc(spec, grid, noise=noise, tol_pi=1e-10, tol_fp=1e-13)
     assert tight.diagnostics["converged"]
     assert np.abs(res.g_star.values - tight.g_star.values).max() <= 2e-8
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+def test_coupled_first_sweep_follows_box_width(monkeypatch, noisy):
+    # a coupled loop's first sweep asks for the tolerance of a residual as
+    # wide as the control box: the same sweeps as a loop whose first solve
+    # asks for tol_fp, fewer inner iterations (1,315 against 1,948 on the
+    # noise-free grid, 1,329 against 1,743 on the mean_field_noise workload)
+    # and the same g_star to the accuracy the last solve asked for
+    spec = mk.make_model("lq_mean_field")
+    if noisy:
+        spec = spec.with_params(sigma0=lambda t: 0.3)
+        grid = mk.build_grid(-4, 4, 101, 2.4, 20, 20)
+        noise = CommonNoisePath.from_seed(7, grid.nt, grid.dt(spec.T))
+    else:
+        grid = mk.build_grid(-4, 4, 61, 2.4, 8, 40)
+        noise = None
+    assert spec.coupled
+    res = solve_mfc(spec, grid, noise=noise)
+    d = res.diagnostics
+    lo, hi = spec.box_array[0]
+    assert d["inner_tolerances"][0] == max(backward_mod.TOL_FP,
+                                           backward_mod.TOL_FP * (hi - lo) / 1e-6)
+    # the first solve at tol_fp, cold as every first solve; the later ones
+    # as the loop makes them
+    make_value_solves_cold(monkeypatch, [backward_mod.TOL_FP] + [None] * 200)
+    first_at_tol_fp = solve_mfc(spec, grid, noise=noise)
+    df = first_at_tol_fp.diagnostics
+    assert d["converged"] and df["converged"]
+    assert d["picard_iterations"] == df["picard_iterations"]
+    assert sum(d["inner_iterations"]) <= 0.8 * sum(df["inner_iterations"])
+    final_tol = max(d["inner_tolerances"][-1], df["inner_tolerances"][-1])
+    assert np.abs(res.g_star.values - first_at_tol_fp.g_star.values).max() <= 10 * final_tol
 
 
 def test_field_solved_looser_than_asked_is_solved_again():

@@ -48,14 +48,16 @@ def test_nonfinite_drift_factor_rejected():
         mk.validate_model(spec)
 
 
-@pytest.mark.parametrize("name", ["sigma0", "lam", "b0", "f0"])
+@pytest.mark.parametrize("name", ["sigma0", "sigma", "lam", "b0", "f0"])
 def test_nonfinite_coefficient_rejected(name):
-    # sigma0 is probed on t_probe, lam on t_probe x x_probe, b0 and f0 there
-    # at one fixed measure; a coefficient that is not finite there is named
+    # sigma0 is probed on t_probe, sigma and lam on t_probe x x_probe, b0
+    # and f0 there at one fixed measure; a coefficient that is not finite
+    # there is named (a NaN sigma compares false with the ellipticity floor)
     def nan_at_half(x):
         return np.where(np.asarray(x, dtype=float) > 0.5, np.nan, 1.0)
 
     coeff = {"sigma0": lambda t: np.nan if t > 0.1 else 0.2,
+             "sigma": lambda t, x: nan_at_half(x),
              "lam": lambda t, x: nan_at_half(x),
              "b0": lambda t, x, nu: nan_at_half(x),
              "f0": lambda t, x, nu: np.inf * nu.mass * np.ones_like(x)}[name]
