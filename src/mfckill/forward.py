@@ -10,7 +10,12 @@ to sigma^2/2; the noise enters purely as transport.
 The splitting order is fixed so that the linear backward stepper is the
 exact algebraic transpose of a forward step; the step operators and
 stencils, each beside its transpose, are in steps.py.  Both marchers run
-in one time loop, `_march`.
+in one time loop, `_march`.  Each step reads what does not depend on the
+density (the diffusion diagonals, lam and its kill factor, b1_factor and
+the box) from `steps.StepOperators`, which takes them from the control
+loop's `steps.step_table` when one is active; a control loop also builds
+the default initial marginal (`initial_marginal`) once and passes it as
+`initial`.
 """
 
 from __future__ import annotations
@@ -189,6 +194,14 @@ def _march(spec: ModelSpec, grid: Grid, vals0: np.ndarray,
     return times, out, mass, energy, leakage
 
 
+def initial_marginal(spec: ModelSpec, grid: Grid) -> np.ndarray:
+    """The survival-weighted x marginal of the initial joint density on the
+    grid's x nodes: a 2001-node trapezoid rule in y over [0, max(y_max, 6)]."""
+    yq = np.linspace(0.0, max(grid.y_max, 6.0), 2001)
+    rho2 = spec.initial_density_2d(grid.x[:, None], yq[None, :])
+    return rho2 @ survival_quadrature(yq, yq[1] - yq[0])[2]
+
+
 def solve_forward_1d(
     spec: ModelSpec,
     grid: Grid,
@@ -201,14 +214,13 @@ def solve_forward_1d(
     The killing term is applied through the exact integrating factor
     e^{-lam dt} per step, so a constant intensity decays total mass
     exactly like e^{-lam t} while diffusion and transport conserve it.
+    The march starts from `initial`, by default `initial_marginal(spec,
+    grid)`.
     """
     check_on_grid(g.values, grid)
     x, dx, dt = grid.x, grid.dx, grid.dt(spec.T)
     if initial is None:
-        # weighted x marginal of the initial joint density
-        yq = np.linspace(0.0, max(grid.y_max, 6.0), 2001)
-        rho2 = spec.initial_density_2d(x[:, None], yq[None, :])
-        initial = rho2 @ survival_quadrature(yq, yq[1] - yq[0])[2]
+        initial = initial_marginal(spec, grid)
 
     def step(k, t, rho):
         ops = StepOperators(spec, grid, t, NuHandle(x, rho), noise)

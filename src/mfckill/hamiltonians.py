@@ -15,6 +15,11 @@ import math
 
 import numpy as np
 
+try:  # the ufunc behind ndarray.clip, called without the method's Python wrapper
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _clip
+
 from .errors import GridMismatch, NonfiniteInput
 from .measures import NuHandle, SubProb1D
 from .model import ModelSpec
@@ -64,7 +69,7 @@ def minimize_control(t, x, p, fac, box, spec: ModelSpec, scale=1.0, tol: float =
         raise NonfiniteInput("control minimizer received a non-finite gradient")
     lo, hi = box
     if spec.control_minimizer is not None:
-        return spec.control_minimizer(t, x, p, fac, scale).clip(lo, hi)
+        return _clip(spec.control_minimizer(t, x, p, fac, scale), lo, hi)
     shape = np.broadcast(x, p, scale).shape
 
     def obj(g):

@@ -164,14 +164,6 @@ def survival_quadrature(y: np.ndarray, dy: float):
     return keep, wy, np.exp(-y[keep]) * wy
 
 
-def survival_pairing(mu: Density2D):
-    """The y >= 0 mask, and field -> (int_{y >= 0} mu field dy) w_x: the
-    x weights a field on the y >= 0 columns carries against mu."""
-    keep, wy, _ = survival_quadrature(mu.y, mu.dy)
-    wx = mu.wx
-    return keep, lambda field: ((mu.values[:, keep] * field) @ wy) * wx
-
-
 def s_map(mu: Density2D) -> SubProb1D:
     """Survival-weighted x marginal: nu(x) = int e^{-y} mu(x, y) dy.
 

@@ -22,6 +22,7 @@ from .forward import (
     CommonNoisePath,
     ForwardTrajectory1D,
     ForwardTrajectory2D,
+    initial_marginal,
     solve_forward_1d,
     solve_forward_2d,
 )
@@ -35,6 +36,7 @@ from .steps import (
     face_average,
     noise_offsets,
     shift_density,
+    step_table,
     upwind_flux_derivative,
     y_column,
 )
@@ -279,14 +281,21 @@ def solve_mfc(
     iterations (0 when the field was reused), then the final field's when
     the loop did not converge, and `diagnostics["inner_tolerances"]` the
     tolerance each of those value solves asked for.
+    For the length of the call, every step of every solve and cost the
+    loop makes reads sigma, lam, its kill factor, b1_factor, the box and
+    the diffusion diagonals from one `steps.step_table`, evaluated once
+    per time node, and every forward solve starts from one
+    `initial_marginal`; the outputs are those of evaluating them afresh,
+    bit for bit.
     """
     value = _ValueSolves(spec, grid, noise, tol_fp, tol_pi)
+    initial = initial_marginal(spec, grid)
     costs = []
     best = last = None
 
     def sweep(g, residual):
         nonlocal best, last
-        nu_traj = solve_forward_1d(spec, grid, g, noise)
+        nu_traj = solve_forward_1d(spec, grid, g, noise, initial=initial)
         u, g_new = value(nu_traj, residual)
         cost = evaluate_cost(spec, g, nu_traj=nu_traj).total
         costs.append(cost)
@@ -296,27 +305,29 @@ def solve_mfc(
         return g_new
 
     g0 = FeedbackControl.constant(float(spec.box_array[0].mean()), grid, spec)
-    g, residuals, converged, stalled = _picard(sweep, g0, spec, tol_pi, max_iter)
-    if stalled and strict:
-        raise PicardStalled(
-            f"control residual plateaued at {residuals[-1]:.3e} > {tol_pi}"
-        )
+    with step_table(spec, grid):
+        g, residuals, converged, stalled = _picard(sweep, g0, spec, tol_pi, max_iter)
+        if stalled and strict:
+            raise PicardStalled(
+                f"control residual plateaued at {residuals[-1]:.3e} > {tol_pi}"
+            )
 
-    # g_star is the feedback of the returned value field (the form every
-    # optimal control takes): a converged loop's last sweep gave both
-    u = last
-    if not converged:
-        u, g_new = value(solve_forward_1d(spec, grid, best[1] if stalled else g, noise))
-        g = FeedbackControl.from_array(g_new, spec)
-    if strict and u.fixed_point.capped:
-        raise FixedPointCapped(
-            f"{u.fixed_point.capped} inner steps stopped at the iteration cap "
-            f"above the tolerance {value.tol:.3e} their solve asked for "
-            f"(tol_fp = {tol_fp})"
-        )
-    nu_traj = solve_forward_1d(spec, grid, g, noise)
-    mu_traj = solve_forward_2d(spec, grid, g, noise) if with_2d else None
-    cost = evaluate_cost(spec, g, nu_traj=nu_traj, mu_traj=mu_traj)
+        # g_star is the feedback of the returned value field (the form every
+        # optimal control takes): a converged loop's last sweep gave both
+        u = last
+        if not converged:
+            u, g_new = value(solve_forward_1d(spec, grid, best[1] if stalled else g, noise,
+                                              initial=initial))
+            g = FeedbackControl.from_array(g_new, spec)
+        if strict and u.fixed_point.capped:
+            raise FixedPointCapped(
+                f"{u.fixed_point.capped} inner steps stopped at the iteration cap "
+                f"above the tolerance {value.tol:.3e} their solve asked for "
+                f"(tol_fp = {tol_fp})"
+            )
+        nu_traj = solve_forward_1d(spec, grid, g, noise, initial=initial)
+        mu_traj = solve_forward_2d(spec, grid, g, noise) if with_2d else None
+        cost = evaluate_cost(spec, g, nu_traj=nu_traj, mu_traj=mu_traj)
     diagnostics = {
         "picard_iterations": len(residuals),
         "residual_trace": residuals,
@@ -335,8 +346,18 @@ def solve_mfc(
     return MFCResult(g, u, nu_traj, mu_traj, cost, diagnostics)
 
 
+def _check_field(sol: BSPDESolution, grid: Grid, joint: bool, what: str) -> None:
+    """Raise `GridMismatch` unless `sol` is a field on `grid`: (nt+1, nx),
+    or (nt+1, nx, ny) when `joint`."""
+    shape = (grid.nt + 1, grid.nx) + ((grid.ny_total,) if joint else ())
+    if sol.grid != grid or sol.u.shape != shape:
+        raise GridMismatch(f"{what} is not on the grid: shape {sol.u.shape} on "
+                           f"{sol.grid}, not {shape} on {grid}")
+
+
 def separable_lift(u_1d: BSPDESolution, grid: Grid) -> BSPDESolution:
-    """Lift a 1d value field to the half-plane via the e^{-y} profile."""
+    """Lift a 1d value field on `grid` to the half-plane via the e^{-y} profile."""
+    _check_field(u_1d, grid, False, "u_1d")
     ey = np.exp(-grid.y)
     u2 = u_1d.u[:, :, None] * ey[None, None, :]
     q2 = u_1d.q[:, :, None] * ey[None, None, :]
@@ -345,7 +366,10 @@ def separable_lift(u_1d: BSPDESolution, grid: Grid) -> BSPDESolution:
 
 def separability_gap(u2: BSPDESolution, u1: BSPDESolution) -> float:
     """max_k max|u2[k] - e^{-y} u1[k]| / max|u1|, computed one time slice
-    at a time so that no lifted field is held."""
+    at a time so that no lifted field is held.  Both fields must be on
+    u2's grid."""
+    _check_field(u2, u2.grid, True, "u2")
+    _check_field(u1, u2.grid, False, "u1")
     ey = np.exp(-u2.grid.y)[None, :]
     worst = max(float(np.abs(u2.u[k] - ey * u1.u[k][:, None]).max())
                 for k in range(u2.u.shape[0]))
@@ -362,10 +386,12 @@ def smp_residual(
 
     sup over grid cells with mu > MU_FLOOR (the support the solvers use)
     of K(x, y, du, g) - inf_h K(x, y, du, h); nonnegative up to minimizer
-    tolerance (clipped at zero).
+    tolerance (clipped at zero).  Raises `GridMismatch` unless
+    `adjoint_2d` is a joint field on mu_traj's grid.
     """
     grid = mu_traj.grid
     check_on_grid(g.values, grid)
+    _check_field(adjoint_2d, grid, True, "adjoint_2d")
     worst = 0.0
     for k in range(grid.nt + 1):
         support = mu_traj.values[k] > MU_FLOOR
@@ -398,6 +424,9 @@ def gateaux_derivative(
     quadrature="node" evaluates the integrand at nodes with the centered
     gradient, which inherits the pointwise sign of the minimizer's
     first-order condition.  The cost part always uses trapezoid weights.
+    Raises `GridMismatch` unless `adjoint_2d` is a joint field on
+    mu_traj's grid, and, with the dual quadrature, `NonfiniteInput` for a
+    non-finite step of mu_traj's noise path.
     """
     grid = mu_traj.grid
     x, y = grid.x, grid.y
@@ -407,6 +436,7 @@ def gateaux_derivative(
     h_vals = h.values if isinstance(h, FeedbackControl) else np.asarray(h, dtype=float)
     check_on_grid(g.values, grid)
     check_on_grid(h_vals, grid, "direction")
+    _check_field(adjoint_2d, grid, True, "adjoint_2d")
     lo, hi = spec.box_array[0]
     eps = 1e-9
     probe = g.values + eps * (h_vals if h_vals.ndim == g.values.ndim else h_vals[..., None])
@@ -484,7 +514,9 @@ def solve_mfc_2d(
     joint field is linear, so `diagnostics["inner_iterations"]` and
     `["inner_tolerances"]` hold each sweep's marginal solve's inner
     iterations and asked-for tolerance, and `["inner_capped_steps"]` the
-    capped steps of the last sweep's marginal solve.
+    capped steps of the last sweep's marginal solve.  The sweeps read what
+    does not depend on the measure from one `steps.step_table`, as in
+    `solve_mfc`.
     """
     ey = np.exp(-grid.y)[None, :]
     value = _ValueSolves(spec, grid, noise, TOL_FP, tol_pi)
@@ -501,7 +533,8 @@ def solve_mfc_2d(
                         _feedback_from_value(spec, grid, adj), g_fb[:, :, None])
 
     g0 = FeedbackControl.constant(float(spec.box_array[0].mean()), grid, spec, two_d=True)
-    g2, residuals, converged, stalled = _picard(sweep, g0, spec, tol_pi, max_iter)
+    with step_table(spec, grid):
+        g2, residuals, converged, stalled = _picard(sweep, g0, spec, tol_pi, max_iter)
     adj, mu_traj, u1 = last
     diagnostics = {
         "picard_iterations": len(residuals),

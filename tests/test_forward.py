@@ -6,7 +6,7 @@ import pytest
 import mfckill as mk
 from mfckill.controls import FeedbackControl
 from mfckill.errors import CFLViolation, ControlOutOfBox, GridMismatch, NonfiniteInput
-from mfckill.forward import CommonNoisePath
+from mfckill.forward import CommonNoisePath, initial_marginal
 from mfckill.measures import metric_dp, trapezoid_weights
 from mfckill.steps import (
     StepOperators,
@@ -242,6 +242,79 @@ def test_noise_length_mismatch():
     bad = CommonNoisePath.from_seed(1, grid.nt + 5, grid.dt(spec.T))
     with pytest.raises(GridMismatch):
         mk.solve_forward_1d(spec, grid, g, noise=bad)
+
+
+def _noise_callers(spec, grid, noise):
+    """Every solver that reads a common-noise path, as calls on `noise`."""
+    g = FeedbackControl.constant(0.1, grid, spec)
+    nu = mk.solve_forward_1d(spec, grid, g)
+    mu = mk.solve_forward_2d(spec, grid, g)
+    term2 = np.exp(-grid.y)[None, :] * np.ones((grid.nx, 1))
+    adj = mk.solve_backward_2d(spec, grid, mu, g=g, terminal=term2)
+    mu_noisy = mk.ForwardTrajectory2D(grid, mu.times, mu.values, g, noise, mu.mass_series,
+                                      mu.energy, 0.0)
+    return {
+        "solve_forward_1d": lambda: mk.solve_forward_1d(spec, grid, g, noise=noise),
+        "solve_forward_2d": lambda: mk.solve_forward_2d(spec, grid, g, noise=noise),
+        "solve_backward_1d": lambda: mk.solve_backward_1d(spec, grid, nu, np.ones(grid.nx),
+                                                          noise=noise),
+        "solve_backward_2d": lambda: mk.solve_backward_2d(spec, grid, mu, g=g,
+                                                          terminal=term2, noise=noise),
+        "solve_mfc": lambda: mk.solve_mfc(spec, grid, noise=noise),
+        "gateaux_derivative": lambda: mk.gateaux_derivative(spec, g, 0.0 * g.values,
+                                                            mu_noisy, adj),
+        "simulate_particles": lambda: mk.simulate_particles(spec, g, 100, 1, grid,
+                                                            noise=noise),
+    }
+
+
+NOISE_CALLERS = ("solve_forward_1d", "solve_forward_2d", "solve_backward_1d",
+                 "solve_backward_2d", "solve_mfc", "gateaux_derivative",
+                 "simulate_particles")
+
+
+@pytest.mark.parametrize("caller", NOISE_CALLERS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_noise_increment_raises(caller, bad):
+    # a NaN increment used to end in a bare ValueError inside shift_density,
+    # an infinite one in OverflowError, and the particle oracle in NaN positions
+    spec = mk.make_model("lq_killing", sigma0=0.3)
+    grid = mk.build_grid(-4.0, 4.0, 41, 2.4, 8, 20)
+    noise = CommonNoisePath.from_seed(1, grid.nt, grid.dt(spec.T))
+    noise.increments[7] = bad
+    with pytest.raises(NonfiniteInput, match="step 7"):
+        _noise_callers(spec, grid, noise)[caller]()
+
+
+@pytest.mark.parametrize("solver", [mk.solve_forward_1d, mk.solve_forward_2d,
+                                    mk.simulate_particles])
+def test_nonfinite_sigma0_raises(solver):
+    # validate_model probes sigma0 at seven times only; step 10 of this
+    # grid (t = 0.32) meets the bad value between them
+    spec = mk.make_model("lq_killing").with_params(
+        sigma0=lambda t: np.inf if 0.3 < t < 0.35 else 0.3)
+    grid = mk.build_grid(-4.0, 4.0, 41, 2.4, 8, 25)
+    g = FeedbackControl.constant(0.1, grid, spec)
+    noise = CommonNoisePath.from_seed(1, grid.nt, grid.dt(spec.T))
+    with pytest.raises(NonfiniteInput, match="step 10 .*sigma0 = inf"):
+        if solver is mk.simulate_particles:
+            solver(spec, g, 100, 1, grid, noise=noise)
+        else:
+            solver(spec, grid, g, noise=noise)
+
+
+def test_default_initial_is_initial_marginal():
+    # solve_mfc builds the initial marginal once and passes it; the default
+    # start of every other forward solve is the same array, bit for bit
+    spec = mk.make_model("lq_mean_field")
+    grid = mk.build_grid(-4.0, 4.0, 61, 2.4, 8, 20)
+    g = tanh_feedback(grid, spec)
+    initial = initial_marginal(spec, grid)
+    default = mk.solve_forward_1d(spec, grid, g)
+    passed = mk.solve_forward_1d(spec, grid, g, initial=initial)
+    assert np.array_equal(default.values[0], initial)
+    assert np.array_equal(default.values, passed.values)
+    assert np.array_equal(default.mass_series, passed.mass_series)
 
 
 @pytest.mark.parametrize("solver", [mk.solve_forward_1d, mk.solve_forward_2d])

@@ -1,3 +1,5 @@
+import collections
+import contextlib
 import math
 
 import numpy as np
@@ -184,6 +186,66 @@ def test_feedback_off_the_grid_raises(other):
     for call in calls:
         with pytest.raises(GridMismatch, match="not on the grid"):
             call()
+
+
+# grids whose fields the routines below must refuse on build_grid(-4, 4, 41,
+# 2.4, 8, 10): more time steps, and more y nodes
+OFF_GRIDS = {"12-steps": (-4, 4, 41, 2.4, 8, 12), "ny-10": (-4, 4, 41, 2.4, 10, 10)}
+
+
+def joint_solves(spec, grid):
+    """A feedback, its joint density and the linear adjoint on `grid`."""
+    g = FeedbackControl.constant(0.1, grid, spec)
+    mu = mk.solve_forward_2d(spec, grid, g)
+    term2 = np.exp(-grid.y)[None, :] * np.asarray(spec.dpsi(None, grid.x))[:, None]
+    return g, mu, solve_backward_2d(spec, grid, mu, g=g, terminal=term2)
+
+
+def value_field_1d(spec, grid):
+    nu = mk.solve_forward_1d(spec, grid, FeedbackControl.constant(0.1, grid, spec))
+    return mk.solve_backward_1d(spec, grid, nu, np.asarray(spec.dpsi(None, grid.x)))
+
+
+@pytest.mark.parametrize("off", OFF_GRIDS)
+def test_smp_residual_refuses_adjoint_off_the_grid(off):
+    # the slices of a 12-step adjoint are not the trajectory's time steps
+    spec = mk.make_model("lq_killing")
+    g, mu, _ = joint_solves(spec, mk.build_grid(-4, 4, 41, 2.4, 8, 10))
+    _, _, adj = joint_solves(spec, mk.build_grid(*OFF_GRIDS[off]))
+    with pytest.raises(GridMismatch, match="adjoint_2d is not on the grid"):
+        smp_residual(spec, g, mu, adj)
+
+
+@pytest.mark.parametrize("off", OFF_GRIDS)
+def test_gateaux_derivative_refuses_adjoint_off_the_grid(off):
+    # the slices of a 12-step adjoint are not the trajectory's time steps
+    spec = mk.make_model("lq_killing")
+    g, mu, _ = joint_solves(spec, mk.build_grid(-4, 4, 41, 2.4, 8, 10))
+    _, _, adj = joint_solves(spec, mk.build_grid(*OFF_GRIDS[off]))
+    with pytest.raises(GridMismatch, match="adjoint_2d is not on the grid"):
+        gateaux_derivative(spec, g, 0.1 * np.ones(g.values.shape), mu, adj)
+
+
+@pytest.mark.parametrize("off", OFF_GRIDS)
+def test_separability_gap_refuses_fields_on_two_grids(off):
+    # u1 and u2 must share their time steps, and u1 its grid with u2
+    spec = mk.make_model("lq_killing")
+    grid, other = mk.build_grid(-4, 4, 41, 2.4, 8, 10), mk.build_grid(*OFF_GRIDS[off])
+    u1, u1_other = value_field_1d(spec, grid), value_field_1d(spec, other)
+    u2, u2_other = separable_lift(u1, grid), separable_lift(u1_other, other)
+    assert separability_gap(u2, u1) == 0.0
+    with pytest.raises(GridMismatch, match="u1 is not on the grid"):
+        separability_gap(u2, u1_other)
+    with pytest.raises(GridMismatch, match="u1 is not on the grid"):
+        separability_gap(u2_other, u1)
+
+
+@pytest.mark.parametrize("off", OFF_GRIDS)
+def test_separable_lift_refuses_another_grid(off):
+    spec = mk.make_model("lq_killing")
+    u1 = value_field_1d(spec, mk.build_grid(-4, 4, 41, 2.4, 8, 10))
+    with pytest.raises(GridMismatch, match="u_1d is not on the grid"):
+        separable_lift(u1, mk.build_grid(*OFF_GRIDS[off]))
 
 
 def test_separability_gap_of_lift(lq_mfc):
@@ -526,6 +588,107 @@ def test_strict_raises_on_capped_inner_steps(monkeypatch):
     asked = f"{d['inner_tolerances'][-1]:.3e}".replace(".", r"\.")
     with pytest.raises(FixedPointCapped, match=f"above the tolerance {asked} "):
         solve_mfc(spec, grid, max_iter=30, strict=True)
+
+
+def re_evaluate_every_step(monkeypatch):
+    """Run the control loops without their step table: every step evaluates
+    its inputs afresh, and every forward solve builds its own initial
+    marginal."""
+    monkeypatch.setattr(mfc_mod, "step_table", lambda spec, grid: contextlib.nullcontext())
+    real = mfc_mod.solve_forward_1d
+
+    def solve(*args, initial=None, **kwargs):
+        return real(*args, **kwargs)
+    monkeypatch.setattr(mfc_mod, "solve_forward_1d", solve)
+
+
+def loop_outputs(loop, spec, grid, noise) -> dict:
+    """Every array and number a control loop returns."""
+    if loop == "solve_mfc":
+        res = solve_mfc(spec, grid, noise=noise, with_2d=True)
+        d = res.diagnostics
+        return dict(g=res.g_star.values, u=res.u.u, q=res.u.q, nu=res.nu_traj.values,
+                    mu=res.mu_traj.values, cost=(res.cost.total, res.cost.form_gap),
+                    traces=(d["residual_trace"], d["cost_trace"], d["inner_iterations"]))
+    g2, adj, mu, d = solve_mfc_2d(spec, grid, noise=noise, tol_pi=1e-4, max_iter=40)
+    return dict(g=g2.values, u=adj.u, q=adj.q, mu=mu.values,
+                traces=(d["residual_trace"], d["inner_iterations"]))
+
+
+def mean_field_case(noisy):
+    """lq_mean_field on a small grid, with sigma0 = 0.3 and a seeded noise
+    path when `noisy`."""
+    spec = mk.make_model("lq_mean_field")
+    grid = mk.build_grid(-4, 4, 41, 2.4, 8, 20)
+    if not noisy:
+        return spec, grid, None
+    spec = spec.with_params(sigma0=lambda t: 0.3)
+    return spec, grid, CommonNoisePath.from_seed(5, grid.nt, grid.dt(spec.T))
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+@pytest.mark.parametrize("loop", ["solve_mfc", "solve_mfc_2d"])
+def test_step_table_changes_no_bit(monkeypatch, loop, noisy):
+    spec, grid, noise = mean_field_case(noisy)
+    out = loop_outputs(loop, spec, grid, noise)
+    re_evaluate_every_step(monkeypatch)
+    ref = loop_outputs(loop, spec, grid, noise)
+    assert out.keys() == ref.keys()
+    for key in out:
+        if isinstance(out[key], np.ndarray):
+            assert np.array_equal(out[key], ref[key]), key
+        else:
+            assert out[key] == ref[key], key
+
+
+def counting_spec(spec):
+    """`spec` with sigma, lam and b1_factor counting their calls per time."""
+    counts = {name: collections.Counter() for name in ("sigma", "lam", "b1_factor")}
+
+    def counting(name):
+        fn = getattr(spec, name)
+
+        def coeff(t, x):
+            counts[name][float(t)] += 1
+            return fn(t, x)
+        return coeff
+    return spec.with_params(**{name: counting(name) for name in counts}), counts
+
+
+@pytest.mark.parametrize("loop, noisy", [("solve_mfc", False), ("solve_mfc", True),
+                                         ("solve_mfc_2d", False)])
+def test_loop_evaluates_measure_free_inputs_once_per_node(loop, noisy):
+    # sigma, lam and b1_factor do not read the measure: a loop evaluates
+    # each once per time node, however many sweeps and marchers read them
+    spec, grid, noise = mean_field_case(noisy)
+    spec, counts = counting_spec(spec)
+    out = loop_outputs(loop, spec, grid, noise)
+    assert len(out["traces"][0]) > 1        # more than one sweep read them
+    nodes = set(grid.times(spec.T).tolist())
+    for name, per_time in counts.items():
+        assert set(per_time) <= nodes and len(per_time) >= grid.nt, name
+        assert max(per_time.values()) == 1, name
+
+
+def test_step_table_does_not_outlive_the_loop():
+    # a loop's table holds the model's values only while the loop runs: a
+    # spec changed in place between two loops gives the new model's result
+    spec = mk.make_model("lq_mean_field")
+    grid = mk.build_grid(-4, 4, 41, 2.4, 8, 20)
+    first = solve_mfc(spec, grid)
+    new = mk.make_model("lq_mean_field", kappa=1.5).with_params(
+        sigma=lambda t, x: np.full(np.shape(x), 0.8),
+        b1_factor=lambda t, x: np.full(np.shape(x), 0.7))
+    spec.lam, spec.sigma, spec.b1_factor = new.lam, new.sigma, new.b1_factor
+    g = FeedbackControl.constant(0.1, grid, spec)
+    assert np.array_equal(mk.solve_forward_1d(spec, grid, g).values,
+                          mk.solve_forward_1d(new, grid, g).values)
+    second = solve_mfc(spec, grid)
+    fresh = solve_mfc(new, grid)
+    assert not np.array_equal(first.g_star.values, second.g_star.values)
+    assert np.array_equal(second.g_star.values, fresh.g_star.values)
+    assert np.array_equal(second.nu_traj.values, fresh.nu_traj.values)
+    assert second.cost.total == fresh.cost.total
 
 
 def test_picard_halves_step_when_residual_grows():
