@@ -7,7 +7,6 @@ from .backward import (
     BSPDESolution,
     energy_report,
     solve_backward_1d,
-    solve_backward_1d_galerkin,
     solve_backward_2d,
 )
 from .controls import FeedbackControl
@@ -19,13 +18,10 @@ from .forward import (
     solve_forward_1d,
     solve_forward_2d,
 )
-from .hamiltonians import f_nu, minimize_hamiltonian
 from .measures import (
     Density2D,
     NuHandle,
     SubProb1D,
-    discretize_measure,
-    metric_d0,
     metric_dp,
     s_map,
     truncate_measure,
@@ -49,6 +45,5 @@ from .particles import (
     simulate_particles,
 )
 from .regularize import ApproxFamily, build_approx_family, inf_convolution, mollify
-from .steps import shift_density
 
 __version__ = "0.1.0"

@@ -18,7 +18,9 @@ fixed-point iteration on (u, du/dx) instead.  That iteration starts from
 the extrapolation of the slices above; `solve_backward_1d` also takes the
 field of an earlier solve (a Picard loop's last sweep) and starts from
 that extrapolation corrected by the error it made on the earlier field.
-The finite-difference marchers share one time loop, `_march`.
+Every mode (the line's, and the half-plane's linear and semilinear) runs
+in one time loop, `_march`, which builds the solve's common-noise shift
+once and hands it to each step.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .controls import FeedbackControl, check_on_grid
 from .errors import ArgumentConflict, FixedPointDiverged, GridMismatch
 from .forward import CommonNoisePath, ForwardTrajectory1D, ForwardTrajectory2D
 from .hamiltonians import MU_FLOOR
-from .measures import NuHandle, trapezoid_weights
+from .measures import trapezoid_weights
 from .model import Grid, ModelSpec
 from .steps import (
     StepOperators,
@@ -51,7 +53,6 @@ __all__ = [
     "solve_backward_1d",
     "population_inputs",
     "solve_backward_2d",
-    "solve_backward_1d_galerkin",
     "energy_report",
 ]
 
@@ -92,13 +93,14 @@ class BSPDESolution:
 
     @cached_property
     def energy(self) -> dict:
-        """`energy_report` against the terminal data, computed on first read;
-        assigning a dict replaces it."""
-        return energy_report(self, self.terminal)
+        """`energy_report`, computed on first read; assigning a dict
+        replaces it."""
+        return energy_report(self)
 
 
-def energy_report(solution: BSPDESolution, terminal: np.ndarray) -> dict:
-    """Norm summary and the smallest constant relating it to the data."""
+def energy_report(solution: BSPDESolution) -> dict:
+    """Norm summary and the smallest constant relating it to the terminal
+    data."""
     grid = solution.grid
     dt = float(solution.times[1] - solution.times[0])
     wx = trapezoid_weights(grid.nx, grid.dx)
@@ -111,7 +113,7 @@ def energy_report(solution: BSPDESolution, terminal: np.ndarray) -> dict:
         gr = central_grad(solution.u[k], grid.dx)
         grad_sum += weighted_l2_sq(gr, wx, wy) * dt
         q_sum += weighted_l2_sq(solution.q[k], wx, wy) * dt
-    psi_sq = weighted_l2_sq(np.asarray(terminal, dtype=float), wx, wy)
+    psi_sq = weighted_l2_sq(solution.terminal, wx, wy)
     lhs = sup_u + grad_sum + q_sum
     c = 0.0 if lhs <= 1e-300 else lhs / (1.0 + psi_sq)
     return {
@@ -197,9 +199,10 @@ def _march(spec: ModelSpec, grid: Grid, terminal: np.ndarray,
            ) -> BSPDESolution:
     """The backward time loop of every finite-difference marcher: from
     k = nt-1 down to 0, undo the common-noise shift of the slice above, take
-    u[k] and its `FixedPointStats` record from `step(k, t, v, u)` (u holds
-    the slices above k) and, under noise, set q[k] = sigma0 du/dx.  u[nt] is
-    the terminal data; the march starts from `carry` instead when given."""
+    u[k] and its `FixedPointStats` record from `step(k, t, v, u, shift)` (u
+    holds the slices above k, `shift` is the solve's one `_noise_shift`)
+    and, under noise, set q[k] = sigma0 du/dx.  u[nt] is the terminal data;
+    the march starts from `carry` instead when given."""
     nt = grid.nt
     shift = _noise_shift(spec, grid, noise)
     times = grid.times(spec.T)
@@ -212,7 +215,7 @@ def _march(spec: ModelSpec, grid: Grid, terminal: np.ndarray,
         t = times[k]
         if shift is not None:
             v = shift(k, v)
-        v, step_record = step(k, t, v, u)
+        v, step_record = step(k, t, v, u, shift)
         u[k] = v
         steps.append(step_record)
         if shift is not None:
@@ -220,20 +223,19 @@ def _march(spec: ModelSpec, grid: Grid, terminal: np.ndarray,
     return BSPDESolution(grid, times, u, q, terminal, FixedPointStats.from_steps(steps))
 
 
-def _fixed_point_step(step_map, shift, tol_fp: float,
-                      previous: np.ndarray | None = None):
+def _fixed_point_step(step_map, tol_fp: float, previous: np.ndarray | None = None):
     """A `_march` step of the semilinear marchers: the damped fixed point
     on `step_map(k, t, v)`, the step's map w -> w_new, started from the
-    `_warm_start` E of the slices above (`shift`, from `_noise_shift`,
-    moves them between steps).  Given `previous`, the field of an earlier
-    solve of a nearby equation, the start is corrected by the error the
-    same start made on it: w0 = E(u, k, v) + (previous[k] - E(previous, k,
-    pv)), pv being previous[k+1] under the step's noise shift, so the
-    extrapolation error the two fields share cancels."""
-    shifted = shift is not None
+    `_warm_start` E of the slices above (the march's `shift` moves them
+    between steps).  Given `previous`, the field of an earlier solve of a
+    nearby equation, the start is corrected by the error the same start
+    made on it: w0 = E(u, k, v) + (previous[k] - E(previous, k, pv)), pv
+    being previous[k+1] under the step's noise shift, so the extrapolation
+    error the two fields share cancels."""
 
-    def step(k, t, v, u):
+    def step(k, t, v, u, shift):
         nt = u.shape[0] - 1
+        shifted = shift is not None
         w0 = _warm_start(u, k, nt, v, shifted)
         if previous is not None:
             pv = shift(k, previous[k + 1]) if shifted else previous[k + 1]
@@ -292,8 +294,7 @@ def solve_backward_1d(
         return apply
 
     return _march(spec, grid, terminal, noise,
-                  _fixed_point_step(step_map, _noise_shift(spec, grid, noise), tol_fp,
-                                    previous))
+                  _fixed_point_step(step_map, tol_fp, previous))
 
 
 def population_inputs(spec: ModelSpec, grid: Grid, nu_traj: ForwardTrajectory1D,
@@ -337,7 +338,8 @@ def solve_backward_2d(
     mu_traj: ForwardTrajectory2D,
     g: FeedbackControl | None = None,
     u_1d: BSPDESolution | None = None,
-    terminal: np.ndarray | None = None,
+    *,
+    terminal: np.ndarray,
     noise: CommonNoisePath | None = None,
     tol_fp: float = TOL_FP,
 ) -> BSPDESolution:
@@ -368,8 +370,6 @@ def solve_backward_2d(
     sh = (grid.nx, grid.ny_total)
     if mu_traj.values.shape != (grid.nt + 1, *sh):
         raise GridMismatch("mu trajectory does not match the grid")
-    if terminal is None:
-        raise GridMismatch("2d solve requires terminal data e^{-y} dpsi")
     terminal = np.asarray(terminal, dtype=float)
     if terminal.shape != sh:
         raise GridMismatch("terminal data must be a (nx, ny) array")
@@ -382,7 +382,7 @@ def solve_backward_2d(
     if g is not None:
         cost_weights = trapezoid_weights(grid.nt + 1, 1.0)
 
-        def step(k, t, v, u):
+        def step(k, t, v, u, shift):
             ops = operators(k, t)
             gv = y_column(g.at_step(k))
             expl = upwind_transport_adjoint(v, ops.face_drift(gv), dx)
@@ -413,54 +413,5 @@ def solve_backward_2d(
             return diffuse(v + dt * expl, ops.matrix)
         return apply
 
-    return _march(spec, grid, terminal, noise,
-                  _fixed_point_step(step_map, _noise_shift(spec, grid, noise), tol_fp))
+    return _march(spec, grid, terminal, noise, _fixed_point_step(step_map, tol_fp))
 
-
-def solve_backward_1d_galerkin(
-    spec: ModelSpec,
-    grid: Grid,
-    nu_traj: ForwardTrajectory1D,
-    terminal: np.ndarray,
-    n_modes: int = 48,
-) -> BSPDESolution:
-    """Spectral cross-check for the linear regime (singleton control box).
-
-    Projects the equation on a sine basis over the x interval and marches
-    the mode coefficients with backward Euler.  Intended for comparison
-    against the finite-difference path on problems whose solution decays
-    at the boundary; not a production scheme.
-    """
-    box = spec.box_array
-    if abs(box[0, 1] - box[0, 0]) > 1e-14:
-        raise ArgumentConflict("galerkin mode supports a singleton control box only")
-    g0 = float(box[0, 0])
-    x = grid.x
-    dx = grid.dx
-    dt = grid.dt(spec.T)
-    nt = grid.nt
-    L = grid.x_max - grid.x_min
-    n = np.arange(1, n_modes + 1)
-    phi = np.sqrt(2.0 / L) * np.sin(np.outer(x - grid.x_min, n) * np.pi / L)
-    dphi = np.sqrt(2.0 / L) * (n * np.pi / L)[None, :] * np.cos(
-        np.outer(x - grid.x_min, n) * np.pi / L
-    )
-    d2phi = -((n * np.pi / L) ** 2)[None, :] * phi
-    w = trapezoid_weights(grid.nx, dx)
-
-    times = grid.times(spec.T)
-    u = np.empty((nt + 1, grid.nx))
-    u[nt] = np.asarray(terminal, dtype=float)
-    coef = phi.T @ (w * u[nt])
-    for k in range(nt - 1, -1, -1):
-        t = times[k]
-        ops = StepOperators(spec, grid, t, NuHandle(x, nu_traj.values[k]))
-        b = ops.b0 + ops.fac * g0
-        f = ops.f0 + np.asarray(spec.f1(t, x, g0), dtype=float)
-        op = phi.T @ (w[:, None] * (ops.a[:, None] * d2phi + b[:, None] * dphi
-                                    - ops.lam[:, None] * phi))
-        rhs = coef + dt * (phi.T @ (w * f))
-        coef = np.linalg.solve(np.eye(n_modes) - dt * op, rhs)
-        u[k] = phi @ coef
-    q = np.zeros(u.shape)  # unlike zeros_like, leaves pages unmapped until written
-    return BSPDESolution(grid, times, u, q, u[nt])

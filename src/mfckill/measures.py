@@ -1,4 +1,5 @@
-"""Subprobability containers, the survival-weighted marginal, and metrics.
+"""Subprobability containers, the survival-weighted marginal, the d_p
+metrics, and the hat-basis weights and smooth truncation `regularize` uses.
 
 A measure on the line has one type: `NuHandle`, what the coefficients of
 a model read (mass, moments, density values, trapezoid weights and the
@@ -28,12 +29,9 @@ __all__ = [
     "Density2D",
     "s_map",
     "metric_dp",
-    "metric_d0",
-    "discretize_measure",
     "truncate_measure",
     "trapezoid_weights",
     "hat_nodes",
-    "hat_cutoff",
     "cutoff",
 ]
 
@@ -142,13 +140,6 @@ class Density2D:
     def mass(self) -> float:
         return float(self.wx @ self.values @ self.wy)
 
-    def mass_below_zero(self) -> float:
-        """Mass carried by nodes with y < 0 (should be ~0)."""
-        below = self.y < 0.0
-        if not below.any():
-            return 0.0
-        return float(abs(self.wx @ self.values[:, below] @ self.wy[below]))
-
     def to_csv(self, path) -> None:
         xs, ys = np.meshgrid(self.x, self.y, indexing="ij")
         data = np.column_stack([xs.ravel(), ys.ravel(), self.values.ravel()])
@@ -228,36 +219,6 @@ def metric_dp(v1: SubProb1D, v2: SubProb1D, p: int = 1) -> float:
     return float(wp + abs(m1 - m2))
 
 
-def metric_d0(v1: SubProb1D, v2: SubProb1D) -> float:
-    """Bounded-Lipschitz distance via linear programming on the grid.
-
-    Maximises <v1 - v2, phi> over grid functions with |phi| <= 1 and
-    |phi_{i+1} - phi_i| <= dx.
-    """
-    from scipy.optimize import linprog
-
-    if v1.x.shape != v2.x.shape or not np.allclose(v1.x, v2.x):
-        raise GridMismatch("inputs live on different grids")
-    c = (v1.values - v2.values) * v1.weights
-    n = c.size
-    dx = v1.dx
-    # maximize c.phi  ->  minimize (-c).phi
-    rows = np.arange(n - 1)
-    import scipy.sparse as sp
-
-    d = sp.csr_matrix(
-        (np.concatenate([np.ones(n - 1), -np.ones(n - 1)]),
-         (np.concatenate([rows, rows]), np.concatenate([rows + 1, rows]))),
-        shape=(n - 1, n),
-    )
-    a_ub = sp.vstack([d, -d])
-    b_ub = np.full(2 * (n - 1), dx)
-    res = linprog(-c, A_ub=a_ub, b_ub=b_ub, bounds=(-1.0, 1.0), method="highs")
-    if not res.success:  # pragma: no cover - HiGHS is reliable on this LP
-        raise RuntimeError(f"d0 LP failed: {res.message}")
-    return float(-res.fun)
-
-
 # ---------------------------------------------------------------------------
 # Partition-of-unity discretization and smooth truncation
 # ---------------------------------------------------------------------------
@@ -270,42 +231,15 @@ def hat_nodes(n: int, k: int) -> np.ndarray:
     return -n + h * np.arange(1, count)
 
 
-def _hat_eval(xq: np.ndarray, centers: np.ndarray, h: float) -> np.ndarray:
-    """Evaluate all hat functions at query points -> (len(xq), len(centers))."""
-    d = np.abs(xq[:, None] - centers[None, :]) / h
-    return np.maximum(0.0, 1.0 - d)
-
-
 def hat_weights(v: SubProb1D, n: int, k: int) -> np.ndarray:
     """Partition-of-unity weights w_i = int psi_i dv."""
     if n < 1 or k < 1:
         raise ValueError("n and k must be >= 1")
     h = 2.0 ** (-k)
-    basis = _hat_eval(v.x, hat_nodes(n, k), h)  # (nx, L-1)
+    # every hat function at every node of v: (nx, number of hat nodes)
+    basis = np.maximum(0.0, 1.0 - np.abs(v.x[:, None] - hat_nodes(n, k)[None, :]) / h)
     cell = np.maximum(v.values, 0.0) * v.weights
     return cell @ basis
-
-
-def discretize_measure(
-    v: SubProb1D, n: int, k: int
-) -> tuple[np.ndarray, SubProb1D]:
-    """Project v onto the hat partition of unity on [-n, n], spacing 2^{-k}.
-
-    Returns the weight vector w_i = int psi_i dv and the reconstruction
-    sum_i w_i psi_i / int(psi_i) sampled on v's grid (meaningful when the
-    hat spacing is no finer than the sampling grid).
-    """
-    weights = hat_weights(v, n, k)
-    h = 2.0 ** (-k)
-    basis = _hat_eval(v.x, hat_nodes(n, k), h)
-    recon_vals = (basis / h) @ weights
-    return weights, SubProb1D(v.x, recon_vals)
-
-
-def hat_cutoff(x: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Sum of the hat partition, = 1 on [-n + 2^{-k}, n - 2^{-k}]."""
-    h = 2.0 ** (-k)
-    return _hat_eval(np.asarray(x, dtype=float), hat_nodes(n, k), h).sum(axis=1)
 
 
 def smooth_step(t: np.ndarray) -> np.ndarray:

@@ -146,11 +146,6 @@ class Grid:
     def ny_total(self) -> int:
         return self.ny + self.n_ext
 
-    @property
-    def iy0(self) -> int:
-        """Index of the y = 0 node."""
-        return self.n_ext
-
     def times(self, T: float) -> np.ndarray:
         return np.linspace(0.0, T, self.nt + 1)
 

@@ -66,16 +66,14 @@ class NodeInputs:
     def sigma_sq(self) -> np.ndarray:
         return self._coeff(self.spec.sigma) ** 2
 
-    def a(self, noisy: bool) -> np.ndarray:
-        if noisy:
-            return 0.5 * self.sigma_sq
-        return 0.5 * (self.sigma_sq + self.spec.sigma0(self.t) ** 2)
-
     def diagonals(self, noisy: bool) -> tuple:
         """(lower, main, upper) diagonals of the implicit diffusion matrix."""
         out = self._diagonals.get(noisy)
         if out is None:
-            a = self.a(noisy)
+            if noisy:
+                a = 0.5 * self.sigma_sq
+            else:
+                a = 0.5 * (self.sigma_sq + self.spec.sigma0(self.t) ** 2)
             if not np.all(np.isfinite(a)):
                 raise NonfiniteInput("diffusion coefficient is not finite")
             r = self.grid.dt(self.spec.T) / self.grid.dx**2
@@ -156,7 +154,7 @@ def _from_node(name: str) -> cached_property:
 class StepOperators:
     """What one time step of a solver reads from the model.
 
-    The measure-free members (`lam`, `kill`, `fac`, `box`, `ey`, `a` and
+    The measure-free members (`lam`, `kill`, `fac`, `box`, `ey` and
     `matrix`) come from the step's `NodeInputs`.  The step itself
     evaluates what reads its measure (`nu`, or the survival marginal of a
     joint density `mu`): b0, f0, the nonlocal kernels and their Df0 term,
@@ -183,10 +181,6 @@ class StepOperators:
     fac = _from_node("fac")
     box = _from_node("box")
     ey = _from_node("ey")
-
-    @property
-    def a(self) -> np.ndarray:
-        return self.node.a(self.noisy)
 
     @cached_property
     def matrix(self) -> tuple:

@@ -84,13 +84,13 @@ def test_criterion_2_no_boundary_condition():
 
     rng = np.random.default_rng(0)
     term_p = term2.copy()
-    term_p[:, : grid.iy0] = rng.normal(size=(grid.nx, grid.iy0))
+    term_p[:, : grid.n_ext] = rng.normal(size=(grid.nx, grid.n_ext))
     vals = mu.values.copy()
-    vals[:, :, : grid.iy0] = np.abs(rng.normal(size=vals[:, :, : grid.iy0].shape))
+    vals[:, :, : grid.n_ext] = np.abs(rng.normal(size=vals[:, :, : grid.n_ext].shape))
     mu_p = ForwardTrajectory2D(grid, mu.times, vals, g, None, mu.mass_series,
                                mu.energy, 0.0)
     pert = solve_backward_2d(spec, grid, mu_p, g=g, terminal=term_p)
-    identical = np.array_equal(base.u[:, :, grid.iy0:], pert.u[:, :, grid.iy0:])
+    identical = np.array_equal(base.u[:, :, grid.n_ext:], pert.u[:, :, grid.n_ext:])
     elapsed = time.time() - t0
     report(2, identical and elapsed < 10.0,
            f"solution on y >= 0 bit-identical under sub-zero perturbations "

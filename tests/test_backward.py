@@ -5,18 +5,14 @@ import pytest
 
 import mfckill as mk
 import mfckill.backward as backward_mod
-from mfckill.backward import (
-    energy_report,
-    solve_backward_1d,
-    solve_backward_1d_galerkin,
-    solve_backward_2d,
-)
+from mfckill.backward import energy_report, solve_backward_1d, solve_backward_2d
 from mfckill.controls import FeedbackControl
 from mfckill.errors import ArgumentConflict, FixedPointDiverged, GridMismatch, NonfiniteInput
 from mfckill.forward import CommonNoisePath, ForwardTrajectory2D
 from mfckill.hamiltonians import f_nu, minimize_hamiltonian, minimize_k_tilde
 from mfckill.mfc import separable_lift
-from mfckill.steps import StepOperators
+from mfckill.steps import StepOperators, noise_offsets
+from oracles import solve_backward_1d_galerkin
 
 
 def gaussian(x, s):
@@ -133,13 +129,13 @@ def test_no_boundary_condition_below_zero():
 
     rng = np.random.default_rng(0)
     term_perturbed = term2.copy()
-    term_perturbed[:, : grid.iy0] += rng.normal(size=(grid.nx, grid.iy0))
+    term_perturbed[:, : grid.n_ext] += rng.normal(size=(grid.nx, grid.n_ext))
     vals = mu.values.copy()
-    vals[:, :, : grid.iy0] += np.abs(rng.normal(size=(grid.nt + 1, grid.nx, grid.iy0)))
+    vals[:, :, : grid.n_ext] += np.abs(rng.normal(size=(grid.nt + 1, grid.nx, grid.n_ext)))
     mu2 = ForwardTrajectory2D(grid, mu.times, vals, g, None, mu.mass_series,
                               mu.energy, 0.0)
     pert = solve_backward_2d(spec, grid, mu2, g=g, terminal=term_perturbed)
-    assert np.array_equal(base.u[:, :, grid.iy0:], pert.u[:, :, grid.iy0:])
+    assert np.array_equal(base.u[:, :, grid.n_ext:], pert.u[:, :, grid.n_ext:])
 
 
 def test_monotonicity_nonnegative_data():
@@ -209,6 +205,31 @@ def test_noise_path_length_mismatch(n_increments):
         mk.simulate_particles(spec, g, 100, 1, grid, noise)
 
 
+def test_noise_offsets_built_once_per_solve(monkeypatch):
+    # each backward solve builds its common-noise shift once, in _march,
+    # and hands it to the step
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return noise_offsets(*args)
+    monkeypatch.setattr(backward_mod, "noise_offsets", counted)
+    spec = mk.make_model("lq_killing", sigma0=0.4)
+    grid = mk.build_grid(-4, 4, 41, 2.4, 8, 20)
+    g = FeedbackControl.constant(0.1, grid, spec)
+    noise = CommonNoisePath.from_seed(5, grid.nt, grid.dt(spec.T))
+    tr = mk.solve_forward_1d(spec, grid, g, noise)
+    mu = mk.solve_forward_2d(spec, grid, g, noise)
+    term = np.asarray(spec.dpsi(None, grid.x), dtype=float)
+    term2 = np.exp(-grid.y)[None, :] * term[:, None]
+    u1 = solve_backward_1d(spec, grid, tr, term, noise)
+    assert len(calls) == 1
+    solve_backward_2d(spec, grid, mu, u_1d=u1, terminal=term2, noise=noise)
+    assert len(calls) == 2
+    solve_backward_2d(spec, grid, mu, g=g, terminal=term2, noise=noise)
+    assert len(calls) == 3
+
+
 @pytest.mark.parametrize("noisy", [False, True])
 def test_solve_started_from_its_own_field(noisy):
     # started from the field of a cold solve of the same inputs, the start
@@ -276,17 +297,8 @@ def test_galerkin_cross_check():
     tr = mk.solve_forward_1d(spec, grid, g, initial=rho0 / (rho0.sum() * grid.dx))
     sp = solve_backward_1d_galerkin(spec, grid, tr, term, n_modes=64)
     inner = np.abs(grid.x) <= 3.0
-    rel = np.abs(fd.u[0, inner] - sp.u[0, inner]).max() / np.abs(fd.u[0]).max()
+    rel = np.abs(fd.u[0, inner] - sp[0, inner]).max() / np.abs(fd.u[0]).max()
     assert rel < 0.02
-
-
-def test_galerkin_requires_singleton_box():
-    spec = mk.make_model("lq_killing")
-    grid = mk.build_grid(-4, 4, 81, 2.0, 9, 40)
-    g = FeedbackControl.constant(0.0, grid, spec)
-    tr = mk.solve_forward_1d(spec, grid, g)
-    with pytest.raises(ArgumentConflict):
-        solve_backward_1d_galerkin(spec, grid, tr, np.zeros(grid.nx))
 
 
 def test_energy_constant_stable_under_refinement():
@@ -400,9 +412,9 @@ def test_energy_computed_on_first_read(monkeypatch):
     sol2 = solve_backward_2d(spec, grid, mu, g=g, terminal=term2)
     lift = separable_lift(sol, grid)
     assert calls == []
-    assert sol.energy == energy_report(sol, sol.terminal)
-    assert sol2.energy == energy_report(sol2, sol2.terminal)
-    assert lift.energy == energy_report(lift, lift.terminal)
+    assert sol.energy == energy_report(sol)
+    assert sol2.energy == energy_report(sol2)
+    assert lift.energy == energy_report(lift)
     assert len(calls) == 3
 
 

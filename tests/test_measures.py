@@ -9,15 +9,14 @@ from mfckill.measures import (
     Density2D,
     SubProb1D,
     cutoff,
-    discretize_measure,
-    hat_cutoff,
     hat_nodes,
-    metric_d0,
+    hat_weights,
     metric_dp,
     s_map,
     trapezoid_weights,
     truncate_measure,
 )
+from oracles import hat_basis, hat_reconstruction, metric_d0
 
 
 def grid_xy(nx=81, ny=41, y_max=4.0):
@@ -174,7 +173,8 @@ def test_discretize_point_mass_at_node():
     i = int(np.argmin(np.abs(x - target)))
     assert abs(x[i] - target) < 1e-12  # node grids align for this resolution
     v = delta_at(x, i)
-    w, recon = discretize_measure(v, n, k)
+    w = hat_weights(v, n, k)
+    recon = hat_reconstruction(v, w, n, k)
     assert abs(w[10] - v.mass) < 1e-10
     assert np.argmax(recon.values) == i
 
@@ -189,9 +189,9 @@ def test_discretize_reconstruction_d0_bound():
         m = rng.uniform(0.3, 1.0)
         vals = m * np.exp(-0.5 * ((x - c) / s) ** 2) / (s * np.sqrt(2 * np.pi))
         v = SubProb1D(x, vals)
-        hats = hat_cutoff(x, n, k)
+        hats = hat_basis(x, n, k).sum(axis=1)
         vn = SubProb1D(x, v.values * hats)
-        _, recon = discretize_measure(v, n, k)
+        recon = hat_reconstruction(v, hat_weights(v, n, k), n, k)
         assert metric_d0(recon, vn) <= 2.0 ** (-k) * v.mass + 1e-9
 
 
@@ -199,7 +199,7 @@ def test_discretize_outside_support():
     x = np.linspace(-8, 8, 401)
     vals = np.exp(-0.5 * ((x - 6) / 0.3) ** 2)
     vals *= 0.9 / (vals.sum() * (x[1] - x[0]))
-    w, _ = discretize_measure(SubProb1D(x, vals), 2, 3)
+    w = hat_weights(SubProb1D(x, vals), 2, 3)
     assert np.all(w < 1e-12)
 
 
@@ -246,14 +246,3 @@ def test_density_csv_roundtrip(tmp_path):
     data = np.loadtxt(p, delimiter=",", skiprows=1)
     assert np.array_equal(data[:, 0], x)
     assert np.array_equal(data[:, 1], v.values)
-
-
-def test_density2d_mass_below_zero():
-    x = np.linspace(-1, 1, 11)
-    y = np.concatenate([[-0.2], np.linspace(0, 1.8, 10)])
-    vals = np.ones((11, 11))
-    mu = Density2D(x, y, vals)
-    assert mu.mass_below_zero() > 0.0
-    vals2 = vals.copy()
-    vals2[:, 0] = 0.0
-    assert Density2D(x, y, vals2).mass_below_zero() < 0.03  # trapezoid edge cell
