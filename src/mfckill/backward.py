@@ -14,10 +14,16 @@ sits in steps.py beside the forward one it transposes.  When a fixed
 feedback is supplied the step reduces to the exact algebraic transpose of
 the forward step, which makes the discrete first-order conditions hold at
 the stated tolerances; the semilinear modes run the damped inner
-fixed-point iteration on (u, du/dx) instead.  That iteration starts from
-the extrapolation of the slices above; `solve_backward_1d` also takes the
-field of an earlier solve (a Picard loop's last sweep) and starts from
-that extrapolation corrected by the error it made on the earlier field.
+fixed-point iteration on (u, du/dx) instead.  Each step builds its map
+once, with what the step fixes (the source, the killing factor, the
+nonlocal Db0 pairing) computed then, and the iterations write into work
+arrays allocated once per solve.  On the half-plane the map and the
+damped update run over blocks of rows small enough to stay in cache
+(`_row_windows`), with the whole-field results bit for bit.  That
+iteration starts from the extrapolation of the slices above;
+`solve_backward_1d` also takes the field of an earlier solve (a Picard
+loop's last sweep) and starts from that extrapolation corrected by the
+error it made on the earlier field.
 Every mode (the line's, and the half-plane's linear and semilinear) runs
 in one time loop, `_march`, which builds the solve's common-noise shift
 once and hands it to each step.
@@ -40,6 +46,7 @@ from .steps import (
     StepOperators,
     central_grad,
     diffuse,
+    face_average,
     noise_offsets,
     shift_density,
     upwind_transport_adjoint,
@@ -63,6 +70,9 @@ ETA = 1.0
 MAX_FP = 50
 FP_DAMPING = 0.5
 TOL_FP = 1e-10
+# The half-plane inner map works on row blocks of about this many cells
+# (128 KiB per field) at a time; see `_row_windows`.
+WINDOW_CELLS = 16384
 
 
 @dataclass
@@ -145,21 +155,33 @@ def _warm_start(u: np.ndarray, k: int, nt: int, v: np.ndarray,
 def _run_fixed_point(apply_map, u_init, t_k, tol_fp):
     """Damped fixed-point iteration with divergence detection.
 
-    `apply_map` must return a new array: the update scales it in place.
+    Each iteration moves w by FP_DAMPING times the residual cand - w.
     Returns the field and the step's record for `FixedPointStats`: the
     iteration count, the geometric contraction estimate of the residual
     sequence, and whether it stopped at MAX_FP above tol_fp.
     """
     w = u_init.copy()
-    diff = np.empty_like(w)
+    # the residual and the update run over the blocks of rows that the
+    # half-plane map works on (see `_row_windows`), each through one
+    # block's work arrays; one block on the line
+    n = w.shape[0]
+    rows = n if w.ndim == 1 else max(1, WINDOW_CELLS // w.shape[1])
+    diff, abs_diff = (np.empty((min(rows, n), *w.shape[1:])) for _ in range(2))
+    blocks = [(slice(i, i + rows), w[i:i + rows], diff[:min(rows, n - i)],
+               abs_diff[:min(rows, n - i)]) for i in range(0, n, rows)]
     weight = float(np.exp(ETA * t_k))
     prev_res = np.inf
     grow = 0
     residuals = []
     for it in range(1, MAX_FP + 1):
         cand = apply_map(w)
-        np.subtract(cand, w, out=diff)
-        res = weight * float(np.abs(diff, out=diff).max())
+        res = 0.0
+        for block, wb, d, abs_d in blocks:
+            np.subtract(cand[block], wb, out=d)
+            res = max(res, np.abs(d, out=abs_d).max())
+            d *= FP_DAMPING
+            wb += d
+        res = weight * float(res)
         residuals.append(res)
         if res > prev_res * (1.0 + 1e-12) and res > 1e-13:
             grow += 1
@@ -169,9 +191,6 @@ def _run_fixed_point(apply_map, u_init, t_k, tol_fp):
                 )
         else:
             grow = 0
-        w *= 1.0 - FP_DAMPING
-        cand *= FP_DAMPING
-        w += cand
         if res <= tol_fp:
             break
         prev_res = res
@@ -179,6 +198,21 @@ def _run_fixed_point(apply_map, u_init, t_k, tol_fp):
     if len(residuals) >= 3 and residuals[0] > 0:
         contraction = (residuals[-1] / residuals[0]) ** (1.0 / (len(residuals) - 1))
     return w, (it, contraction, residuals[-1] > tol_fp)
+
+
+def _row_windows(nx: int, ny: int) -> list:
+    """(a, b, i0, i1) for each block of rows [i0, i1) of an (nx, ny) field:
+    blocks of about WINDOW_CELLS cells, each read through the window of
+    rows [a, b) that adds two halo rows on either side (fewer at the
+    field's ends).  The stencils of the half-plane map applied to a window
+    give the whole field's values on the block's rows: the upwind term at
+    row i reads the faces beside it and so the nodes i - 1 to i + 1, whose
+    centered gradients read rows i - 2 to i + 2, and the window's own end
+    rows, where its stencils turn one-sided, are either halo or the
+    field's ends."""
+    block = max(1, WINDOW_CELLS // ny)
+    return [(max(i0 - 2, 0), min(i0 + block + 2, nx), i0, min(i0 + block, nx))
+            for i0 in range(0, nx, block)]
 
 
 def _noise_shift(spec: ModelSpec, grid: Grid, noise: CommonNoisePath | None):
@@ -270,7 +304,7 @@ def solve_backward_1d(
     adapted solution of the paper's BSPDE, which at t_k depends only on
     the increments before t_k.
     """
-    x, dx, dt = grid.x, grid.dx, grid.dt(spec.T)
+    dx, dt = grid.dx, grid.dt(spec.T)
     if nu_traj.values.shape != (grid.nt + 1, grid.nx):
         raise GridMismatch("nu trajectory does not match the grid")
     terminal = np.asarray(terminal, dtype=float)
@@ -279,18 +313,31 @@ def solve_backward_1d(
     if previous is not None and np.shape(previous) != (grid.nt + 1, grid.nx):
         raise GridMismatch("previous value field must be a (nt+1, nx) array")
     coupled = spec.coupled
+    # the inner iterations' work arrays, shared by every step of the solve
+    p, drift, expl = (np.empty(grid.nx) for _ in range(3))
+    face = np.empty(grid.nx - 1)
 
     def step_map(k, t, v):
         ops = StepOperators(spec, grid, t, nu_traj.at(k), noise, transpose=True)
+        # the step's map is diffuse(kill (v + dt (f0 + <nu, Df0>)) + kill dt
+        # (b du/dx + f1(g) + <nu, Db0 p>)); the first term and kill dt are
+        # fixed for the step
+        f0 = ops.f0 + ops.df0_term if coupled else ops.f0
+        killed_source = ops.kill * (v + dt * f0)
+        kill_dt = ops.kill * dt
+        db0 = ops.db0_matrix if coupled else None
 
         def apply(w):
-            p = central_grad(w, dx)
-            gmin = ops.control(p)
-            expl = upwind_transport_adjoint(w, ops.face_drift(gmin), dx)
-            expl = expl + ops.f0 + np.asarray(spec.f1(t, x, gmin), dtype=float)
-            if coupled:
-                expl = expl + ops.nonlocal_term(p)
-            return diffuse(ops.kill * (v + dt * expl), ops.matrix)
+            central_grad(w, dx, out=p)
+            g = ops.control(p)
+            rhs = upwind_transport_adjoint(
+                w, face_average(ops.drift(g, out=drift), out=face), dx, out=expl)
+            rhs += ops.control_cost(g)
+            if db0 is not None:
+                rhs += p @ db0
+            rhs *= kill_dt
+            rhs += killed_source
+            return diffuse(rhs, ops.matrix)
         return apply
 
     return _march(spec, grid, terminal, noise,
@@ -386,7 +433,7 @@ def solve_backward_2d(
             ops = operators(k, t)
             gv = y_column(g.at_step(k))
             expl = upwind_transport_adjoint(v, ops.face_drift(gv), dx)
-            expl = expl + y_transport_adjoint_rate(v, ops.lam, dy, decay)
+            expl = expl + y_transport_adjoint_rate(v, ops.lam[:, None] / dy, decay)
             if coupled:
                 expl = expl + ops.nonlocal_term(central_grad(v, dx))
             out = diffuse(v + dt * expl, ops.matrix)
@@ -397,20 +444,52 @@ def solve_backward_2d(
         carry = terminal + terminal_cost_injection(spec, g, mu_traj, cost_weights[-1])
         return _march(spec, grid, terminal, noise, step, carry)
 
+    # The map runs window by window over the rows (see `_row_windows`), so
+    # that each window's fields stay in cache; the work arrays hold one
+    # window and are shared by every step of the solve.  A coupled model's
+    # nonlocal term integrates the whole gradient: its one window is the
+    # whole field.
+    windows = [(0, grid.nx, 0, grid.nx)] if coupled else _row_windows(*sh)
+    rows_max = max(b - a for a, b, _, _ in windows)
+    p, drift, expl = (np.empty((rows_max, grid.ny_total)) for _ in range(3))
+    face = np.empty((rows_max - 1, grid.ny_total))
+    scratch = np.empty((max(i1 - i0 for _, _, i0, i1 in windows), grid.ny_total))
+    rhs = np.empty(sh)
+    # per window: the rows it reads, its block within them and in the
+    # field, and its views of the work arrays
+    plan = [(slice(a, b), slice(i0 - a, i1 - a), slice(i0, i1), p[:b - a],
+             drift[:b - a], face[:b - a - 1], expl[:b - a], scratch[:i1 - i0])
+            for a, b, i0, i1 in windows]
+
     def step_map(k, t, v):
         ops = operators(k, t)
-        mu_pos = ops.mu.values > MU_FLOOR
-        g_fb = ops.control(central_grad(u_1d.u[k], dx))[:, None]
+        # the control: the 1d solve's where mu <= MU_FLOOR, each iteration's
+        # minimizer elsewhere
+        mu_off = ~(ops.mu.values > MU_FLOOR)
+        g_1d = ops.control(central_grad(u_1d.u[k], dx))[:, None]
+        # the step's map is diffuse(v + dt e^{-y} f0 + dt (b du/dx + e^{-y}
+        # f1(g) + (lam / dy) (u(y + dy) - u(y)) + nonlocal)); v + dt e^{-y} f0
+        # and lam / dy are fixed for the step
+        source = np.multiply(ops.ey, ops.f0[:, None])
+        source *= dt
+        source += v
+        lam_dy = ops.lam[:, None] / dy
 
         def apply(w):
-            p = central_grad(w, dx)
-            g_loc = np.where(mu_pos, ops.control(p), g_fb)
-            expl = upwind_transport_adjoint(w, ops.face_drift(g_loc), dx)
-            expl = expl + ops.ey * ops.cost(g_loc)
-            expl = expl + y_transport_adjoint_rate(w, ops.lam, dy, decay)
-            if coupled:
-                expl = expl + ops.nonlocal_term(p)
-            return diffuse(v + dt * expl, ops.matrix)
+            for rows, keep, block, pw, dw, fw, ew, sc in plan:
+                central_grad(w[rows], dx, out=pw)
+                g = ops.control(pw, rows)
+                np.copyto(g, g_1d[rows], where=mu_off[rows])
+                out = upwind_transport_adjoint(
+                    w[rows], face_average(ops.drift(g, out=dw, rows=rows), out=fw),
+                    dx, out=ew)[keep]
+                out += np.multiply(ops.ey, ops.control_cost(g[keep], block), out=sc)
+                out += y_transport_adjoint_rate(w[block], lam_dy[block], decay, out=sc)
+                if coupled:
+                    out += ops.nonlocal_term(pw)
+                out *= dt
+                np.add(out, source[block], out=rhs[block])
+            return diffuse(rhs, ops.matrix)
         return apply
 
     return _march(spec, grid, terminal, noise, _fixed_point_step(step_map, tol_fp))

@@ -234,7 +234,6 @@ def _run_solve(cfg: RunConfig, spec, out: Path) -> int:
         "cost_form_gap": res.cost.form_gap,
         "separability_gap": separability_gap(adj2, res.u),
         "smp_residual": smp_residual(spec, res.g_star, res.mu_traj, lift),
-        "intensity_independence": res.g_star.y_variation(),
         "energy": res.u.energy,
     })
     _dump(out / "diagnostics.json", diag)

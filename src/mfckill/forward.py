@@ -11,7 +11,7 @@ The splitting order is fixed so that the linear backward stepper is the
 exact algebraic transpose of a forward step; the step operators and
 stencils, each beside its transpose, are in steps.py.  Both marchers run
 in one time loop, `_march`.  Each step reads what does not depend on the
-density (the diffusion diagonals, lam and its kill factor, b1_factor and
+density (the diffusion matrix, lam and its kill factor, b1_factor and
 the box) from `steps.StepOperators`, which takes them from the control
 loop's `steps.step_table` when one is active; a control loop also builds
 the default initial marginal (`initial_marginal`) once and passes it as

@@ -283,7 +283,7 @@ def solve_mfc(
     tolerance each of those value solves asked for.
     For the length of the call, every step of every solve and cost the
     loop makes reads sigma, lam, its kill factor, b1_factor, the box and
-    the diffusion diagonals from one `steps.step_table`, evaluated once
+    the diffusion matrix from one `steps.step_table`, evaluated once
     per time node, and every forward solve starts from one
     `initial_marginal`; the outputs are those of evaluating them afresh,
     bit for bit.

@@ -2,7 +2,7 @@
 
 `StepOperators` evaluates the model at one time and measure.  What a step
 reads apart from the measure (sigma, lam and its kill factor, b1_factor,
-the control box and the diffusion diagonals) lives in a `NodeInputs`
+the control box and the diffusion matrix) lives in a `NodeInputs`
 for that time node.  While `step_table(spec, grid)` is active, as it is
 for the whole of a `solve_mfc` or `solve_mfc_2d` call, every
 `StepOperators` of that model and grid at one of its time nodes shares
@@ -14,7 +14,8 @@ The stencils act on (nx,) fields on the line or (nx, m) fields on the
 half-plane along axis 0, with face drifts of shape (nx-1,), (nx-1, 1) or
 (nx-1, m) that broadcast along y.  Each transport stencil sits beside its
 transpose, so a fixed-feedback backward step is the algebraic transpose of
-a forward step.
+a forward step.  The stencils that the backward inner iterations call
+write into an `out` array when given one.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs
 
 from .errors import GridMismatch, NonfiniteInput
 from .hamiltonians import minimize_control, nonlocal_kernels
@@ -37,7 +38,7 @@ if TYPE_CHECKING:
     from .forward import CommonNoisePath
 
 __all__ = [
-    "StepOperators", "NodeInputs", "step_table", "noise_offsets", "diffuse",
+    "StepOperators", "NodeInputs", "Tridiagonal", "step_table", "noise_offsets", "diffuse",
     "face_average", "y_column", "central_grad", "weighted_l2_sq", "shift_density",
     "face_flux_divergence", "upwind_flux_divergence", "upwind_transport_adjoint",
     "upwind_flux_derivative", "y_transport", "y_transport_adjoint_rate",
@@ -50,14 +51,14 @@ class NodeInputs:
 
     The diffusion coefficient is (sigma^2 + sigma0^2)/2, or sigma^2/2 when
     a common-noise path moves the density instead (`noisy`).
-    `diagonals(noisy)` holds the three diagonals of I - dt L, L the
-    conservative centered (a rho)_xx under zero-flux closure; reversed,
-    they are those of its transpose (the centered a u_xx).
+    `diffusion(noisy)` is I - dt L as a `Tridiagonal`, L the conservative
+    centered (a rho)_xx under zero-flux closure; its transpose is the
+    centered a u_xx.
     """
 
     def __init__(self, spec: ModelSpec, grid: Grid, t: float):
         self.spec, self.grid, self.t = spec, grid, t
-        self._diagonals = {}
+        self._diffusion = {}
 
     def _coeff(self, fn) -> np.ndarray:
         return np.asarray(fn(self.t, self.grid.x), dtype=float)
@@ -66,9 +67,9 @@ class NodeInputs:
     def sigma_sq(self) -> np.ndarray:
         return self._coeff(self.spec.sigma) ** 2
 
-    def diagonals(self, noisy: bool) -> tuple:
-        """(lower, main, upper) diagonals of the implicit diffusion matrix."""
-        out = self._diagonals.get(noisy)
+    def diffusion(self, noisy: bool) -> Tridiagonal:
+        """The implicit diffusion matrix."""
+        out = self._diffusion.get(noisy)
         if out is None:
             if noisy:
                 a = 0.5 * self.sigma_sq
@@ -82,7 +83,7 @@ class NodeInputs:
             diag[-1] = 1.0 + r * a[-1]
             # row i couples rho_{i+1} through a_{i+1}; the transpose swaps
             # the off-diagonals
-            out = self._diagonals[noisy] = (-r * a[:-1], diag, -r * a[1:])
+            out = self._diffusion[noisy] = Tridiagonal(-r * a[:-1], diag, -r * a[1:])
         return out
 
     @cached_property
@@ -160,9 +161,8 @@ class StepOperators:
     joint density `mu`): b0, f0, the nonlocal kernels and their Df0 term,
     on first use, and reuses them in every inner iteration.  (nx,) fields
     live on the line, (nx, m) fields on the half-plane, where f carries
-    the factor e^{-y}.  `matrix` holds the three diagonals of the implicit
-    diffusion matrix, or of its transpose when `transpose` is set, from the
-    same coefficients.
+    the factor e^{-y}.  `matrix` is the implicit diffusion matrix, or its
+    transpose when `transpose` is set, from the same coefficients.
     """
 
     def __init__(self, spec: ModelSpec, grid: Grid, t: float,
@@ -183,10 +183,10 @@ class StepOperators:
     ey = _from_node("ey")
 
     @cached_property
-    def matrix(self) -> tuple:
-        """(lower, main, upper) diagonals of the implicit diffusion matrix."""
-        diagonals = self.node.diagonals(self.noisy)
-        return diagonals[::-1] if self.transpose else diagonals
+    def matrix(self) -> Tridiagonal:
+        """The implicit diffusion matrix, or its transpose."""
+        matrix = self.node.diffusion(self.noisy)
+        return matrix.transposed() if self.transpose else matrix
 
     def _coeff(self, fn, *args) -> np.ndarray:
         return np.asarray(fn(self.t, self.x, *args), dtype=float)
@@ -212,24 +212,33 @@ class StepOperators:
         f0, x = self.f0, self.x
         return {1: (f0, x), 2: (f0[:, None], x[:, None])}
 
-    def drift(self, g: np.ndarray) -> np.ndarray:
-        """Node drift b0 + b1_factor g for a (nx,) or (nx, m) feedback."""
+    def drift(self, g: np.ndarray, out: np.ndarray | None = None,
+              rows: slice = slice(None)) -> np.ndarray:
+        """Node drift b0 + b1_factor g for a (nx,) or (nx, m) feedback, or
+        for a feedback on the nodes `rows` only, written into `out` when
+        given."""
         b0, fac = self._drift_args[g.ndim]
-        return b0 + fac * g
+        return np.add(b0[rows], np.multiply(fac[rows], g, out=out), out=out)
 
     def face_drift(self, g: np.ndarray) -> np.ndarray:
         return face_average(self.drift(g))
 
     def cost(self, g: np.ndarray) -> np.ndarray:
         """Node running cost f0 + f1(g) for a (nx,) or (nx, m) feedback."""
-        f0, x = self._cost_args[g.ndim]
-        return f0 + np.asarray(self.spec.f1(self.t, x, g), dtype=float)
+        return self._cost_args[g.ndim][0] + self.control_cost(g)
 
-    def control(self, p: np.ndarray) -> np.ndarray:
+    def control_cost(self, g: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+        """Node control cost f1(g) for a (nx,) or (nx, m) feedback, or for
+        one on the nodes `rows` only."""
+        x = self._cost_args[g.ndim][1][rows]
+        return np.asarray(self.spec.f1(self.t, x, g), dtype=float)
+
+    def control(self, p: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
         """Pointwise minimizer over the box of b1_factor h p + f1(h), with
-        f1 scaled by e^{-y} for an (nx, ny) gradient."""
+        f1 scaled by e^{-y} for an (nx, ny) gradient, or for a gradient on
+        the nodes `rows` only.  The result is a new array."""
         x, fac, scale = self.node.control_args[p.ndim]
-        return minimize_control(self.t, x, p, fac, self.box, self.spec, scale)
+        return minimize_control(self.t, x[rows], p, fac[rows], self.box, self.spec, scale)
 
     def k_tilde(self, p: np.ndarray, h: np.ndarray) -> np.ndarray:
         """Running Hamiltonian b(h) p + e^{-y} (f0 + f1(h)) on the half-plane."""
@@ -251,7 +260,9 @@ class StepOperators:
         return keep, self.mu.values[:, keep], wy, self.mu.wx
 
     @cached_property
-    def _df0_term(self):
+    def df0_term(self):
+        """<nu, Df0> on the line, or <mu, e^{-y'} Df0> over y' >= 0 with a
+        joint `mu`; 0.0 for a model without Df0."""
         cols, rows, wy, wx = self._pairing
         kf = self.kernels[1]
         if kf is None:
@@ -259,6 +270,14 @@ class StepOperators:
         if wy is None:
             return rows * wx @ kf
         return ((rows * np.exp(-self.mu.y[cols])) @ wy) * wx @ kf
+
+    @cached_property
+    def db0_matrix(self) -> np.ndarray | None:
+        """The (nx, nx) matrix M with p @ M = <nu, Db0 p> on the line; None
+        for a model without Db0."""
+        _, rows, _, wx = self._pairing
+        kb = self.kernels[0]
+        return None if kb is None else (rows * wx)[:, None] * kb
 
     def nonlocal_term(self, p: np.ndarray):
         """<nu, Db0 p> + <nu, Df0> at the step's nu for a (nx,) gradient;
@@ -270,9 +289,9 @@ class StepOperators:
         cols, rows, wy, wx = self._pairing
         kb = self.kernels[0]
         if wy is None:
-            return (0.0 if kb is None else rows * p * wx @ kb) + self._df0_term
+            return (0.0 if kb is None else rows * p * wx @ kb) + self.df0_term
         vals = 0.0 if kb is None else ((rows * p[:, cols]) @ wy) * wx @ kb
-        return self.ey * (vals + self._df0_term)[:, None]
+        return self.ey * (vals + self.df0_term)[:, None]
 
 
 def noise_offsets(spec: ModelSpec, grid: Grid,
@@ -298,19 +317,52 @@ def noise_offsets(spec: ModelSpec, grid: Grid,
     return offsets
 
 
-def diffuse(values: np.ndarray, matrix: tuple) -> np.ndarray:
+class Tridiagonal:
+    """A tridiagonal matrix by its `lower`, `main` and `upper` diagonals.
+
+    `ldl` holds the L D L^T factors (d, e) from `dpttrf` when the matrix
+    is symmetric positive definite, as the implicit diffusion matrix is
+    when the diffusion coefficient is constant in x (it is diagonally
+    dominant with a positive diagonal), and None otherwise.  `diffuse`
+    then solves with `dpttrs`, whose back substitution keeps the division
+    out of the recurrence, at about 60% of the time of `dgtsv`'s
+    elimination for the (nx, ny) right-hand sides of the half-plane.
+    """
+
+    __slots__ = ("lower", "main", "upper", "ldl")
+
+    def __init__(self, lower: np.ndarray, main: np.ndarray, upper: np.ndarray):
+        self.lower, self.main, self.upper = lower, main, upper
+        self.ldl = None
+        if np.array_equal(lower, upper):
+            d, e, info = dpttrf(main, lower)
+            if info == 0:
+                self.ldl = (d, e)
+
+    def transposed(self) -> Tridiagonal:
+        """The transpose; a symmetric matrix is its own."""
+        if self.ldl is not None:
+            return self
+        return Tridiagonal(self.upper, self.main, self.lower)
+
+
+def diffuse(values: np.ndarray, matrix: Tridiagonal) -> np.ndarray:
     """Solve one implicit diffusion step with a `StepOperators.matrix`."""
     if not np.isfinite(values).all():
         raise NonfiniteInput("diffusion step received non-finite values")
-    *_, out, info = dgtsv(*matrix, values)
+    if matrix.ldl is not None:
+        out, info = dpttrs(*matrix.ldl, values)
+    else:
+        *_, out, info = dgtsv(matrix.lower, matrix.main, matrix.upper, values)
     if info != 0:
-        raise LinAlgError(f"singular diffusion matrix (gtsv info {info})")
+        raise LinAlgError(f"singular diffusion matrix (info {info})")
     return out
 
 
-def face_average(b_nodes: np.ndarray) -> np.ndarray:
-    """Node values averaged onto the nx - 1 cell faces (axis 0)."""
-    return 0.5 * (b_nodes[1:] + b_nodes[:-1])
+def face_average(b_nodes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Node values averaged onto the nx - 1 cell faces (axis 0), written
+    into `out` when given."""
+    return np.multiply(0.5, np.add(b_nodes[1:], b_nodes[:-1], out=out), out=out)
 
 
 def y_column(values: np.ndarray) -> np.ndarray:
@@ -318,10 +370,13 @@ def y_column(values: np.ndarray) -> np.ndarray:
     return values[:, None] if values.ndim == 1 else values
 
 
-def central_grad(u: np.ndarray, dx: float) -> np.ndarray:
-    """Centered interior differences, one-sided at the ends (axis 0)."""
-    out = np.empty_like(u)
-    out[1:-1] = (u[2:] - u[:-2]) / (2.0 * dx)
+def central_grad(u: np.ndarray, dx: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Centered interior differences, one-sided at the ends (axis 0),
+    written into `out` when given."""
+    if out is None:
+        out = np.empty_like(u)
+    inner = np.subtract(u[2:], u[:-2], out=out[1:-1])
+    inner /= 2.0 * dx
     out[0] = (u[1] - u[0]) / dx
     out[-1] = (u[-1] - u[-2]) / dx
     return out
@@ -376,15 +431,19 @@ def upwind_flux_divergence(values: np.ndarray, b_face: np.ndarray,
     return face_flux_divergence(flux, dx)
 
 
-def upwind_transport_adjoint(u: np.ndarray, b_face: np.ndarray,
-                             dx: float) -> np.ndarray:
-    """Exact transpose of `upwind_flux_divergence`: an upwind b du/dx."""
+def upwind_transport_adjoint(u: np.ndarray, b_face: np.ndarray, dx: float,
+                             out: np.ndarray | None = None) -> np.ndarray:
+    """Exact transpose of `upwind_flux_divergence`: an upwind b du/dx,
+    written into `out` when given."""
     du = u[1:] - u[:-1]
     du /= dx
-    out = np.empty_like(u)
-    np.multiply(np.maximum(b_face, 0.0), du, out=out[:-1])
+    if out is None:
+        out = np.empty_like(u)
+    outflow = np.maximum(b_face, 0.0, out=out[:-1])
+    outflow *= du
     out[-1] = 0.0
-    out[1:] += np.minimum(b_face, 0.0) * du
+    du *= np.minimum(b_face, 0.0)
+    out[1:] += du
     return out
 
 
@@ -410,12 +469,15 @@ def y_transport(values: np.ndarray, lam_nodes: np.ndarray, dt: float,
     return out
 
 
-def y_transport_adjoint_rate(w: np.ndarray, lam_nodes: np.ndarray, dy: float,
-                             ghost_decay: float) -> np.ndarray:
-    """lam(x) * (w(y+dy) - w(y)) / dy with the ghost above the top row
-    taken as ghost_decay * w(top).  dt times it, plus w, is the transpose
-    of `y_transport` applied to w when ghost_decay is 1."""
-    upper = np.empty_like(w)
-    upper[:, :-1] = w[:, 1:]
-    upper[:, -1] = ghost_decay * w[:, -1]
-    return lam_nodes[:, None] * (upper - w) / dy
+def y_transport_adjoint_rate(w: np.ndarray, lam_dy: np.ndarray, ghost_decay: float,
+                             out: np.ndarray | None = None) -> np.ndarray:
+    """(lam(x) / dy) * (w(y+dy) - w(y)), `lam_dy` the (nx, 1) column
+    lam / dy, with the ghost above the top row taken as ghost_decay *
+    w(top); written into `out` when given.  dt times it, plus w, is the
+    transpose of `y_transport` applied to w when ghost_decay is 1."""
+    upper = np.empty_like(w) if out is None else out
+    np.subtract(w[:, 1:], w[:, :-1], out=upper[:, :-1])
+    top = np.multiply(ghost_decay, w[:, -1], out=upper[:, -1])
+    top -= w[:, -1]
+    upper *= lam_dy
+    return upper

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +10,17 @@ from mfckill.backward import energy_report, solve_backward_1d, solve_backward_2d
 from mfckill.controls import FeedbackControl
 from mfckill.errors import ArgumentConflict, FixedPointDiverged, GridMismatch, NonfiniteInput
 from mfckill.forward import CommonNoisePath, ForwardTrajectory2D
-from mfckill.hamiltonians import f_nu, minimize_hamiltonian, minimize_k_tilde
+from mfckill.hamiltonians import MU_FLOOR, f_nu, minimize_hamiltonian, minimize_k_tilde
 from mfckill.mfc import separable_lift
-from mfckill.steps import StepOperators, noise_offsets
+from mfckill.steps import (
+    StepOperators,
+    central_grad,
+    diffuse,
+    noise_offsets,
+    shift_density,
+    upwind_transport_adjoint,
+    y_transport_adjoint_rate,
+)
 from oracles import solve_backward_1d_galerkin
 
 
@@ -443,3 +452,155 @@ def test_inner_cap_counted():
     sol = solve_backward_1d(spec, grid, tr, np.asarray(spec.dpsi(None, grid.x)))
     assert max(sol.fixed_point.iterations) < backward_mod.MAX_FP
     assert sol.fixed_point.capped == 0
+
+
+class _StepMap(Exception):
+    """Carries one step's inner map out of a solve."""
+
+
+def step_map_of(monkeypatch, steps_before, solver, *args, **kwargs):
+    """(map, start, slice above) of the inner fixed point that
+    `solver(*args, **kwargs)` runs after `steps_before` steps, where the
+    solve stops.  The slice above is what the step before returned (None
+    for the first step)."""
+    run = backward_mod._run_fixed_point
+    fields = [None]
+
+    def capture(apply_map, u_init, t_k, tol_fp):
+        if len(fields) > steps_before:
+            raise _StepMap(apply_map, u_init, fields[-1])
+        w, record = run(apply_map, u_init, t_k, tol_fp)
+        fields.append(w.copy())
+        return w, record
+
+    with monkeypatch.context() as m:
+        m.setattr(backward_mod, "_run_fixed_point", capture)
+        with pytest.raises(_StepMap) as caught:
+            solver(*args, **kwargs)
+    return caught.value.args
+
+
+def line_case(nx, nt):
+    """lq_mean_field under common noise on the line: spec, grid, noise,
+    nu trajectory and terminal data."""
+    spec = mk.make_model("lq_mean_field").with_params(sigma0=lambda t: 0.3)
+    grid = mk.build_grid(-4, 4, nx, 2.4, 8, nt)
+    noise = CommonNoisePath.from_seed(5, grid.nt, grid.dt(spec.T))
+    tr = mk.solve_forward_1d(spec, grid, FeedbackControl.constant(0.1, grid, spec), noise)
+    term = np.asarray(spec.dpsi(mk.NuHandle(grid.x, tr.values[-1]), grid.x), dtype=float)
+    return spec, grid, noise, tr, term
+
+
+def halfplane_case(nx, ny, nt):
+    """lq_killing on the half-plane: spec, grid, joint trajectory, 1d
+    solve and terminal data."""
+    spec = mk.make_model("lq_killing")
+    grid = mk.build_grid(-4, 4, nx, 2.4, ny, nt)
+    mu = mk.solve_forward_2d(spec, grid, FeedbackControl.constant(0.1, grid, spec))
+    term = np.asarray(spec.dpsi(None, grid.x), dtype=float)
+    u1 = solve_backward_1d(spec, grid, mu.marginal(), term)
+    return spec, grid, mu, u1, np.exp(-grid.y)[None, :] * term[:, None]
+
+
+def test_line_map_matches_pointwise_composition(monkeypatch):
+    # one application of the line's inner map, with its step constants and
+    # work arrays, is the composition of the pointwise stencils and
+    # StepOperators members; a second application repeats it
+    spec, grid, noise, tr, term = line_case(81, 40)
+    apply_map, w, above = step_map_of(monkeypatch, 3, solve_backward_1d,
+                                      spec, grid, tr, term, noise)
+    k = grid.nt - 4
+    dx, dt = grid.dx, grid.dt(spec.T)
+    v = shift_density(above, -noise_offsets(spec, grid, noise)[k], dx)
+    ops = StepOperators(spec, grid, grid.times(spec.T)[k], tr.at(k), noise, transpose=True)
+    p = central_grad(w, dx)
+    g = ops.control(p)
+    expl = upwind_transport_adjoint(w, ops.face_drift(g), dx) + ops.cost(g) + ops.nonlocal_term(p)
+    expected = diffuse(ops.kill * (v + dt * expl), ops.matrix)
+    for _ in range(2):
+        assert np.abs(apply_map(w) - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+def test_halfplane_map_matches_pointwise_composition(monkeypatch):
+    # as on the line, for the semilinear half-plane map: the minimizer where
+    # mu > MU_FLOOR, the 1d solve's control elsewhere
+    spec, grid, mu, u1, term = halfplane_case(81, 16, 40)
+    apply_map, w, above = step_map_of(monkeypatch, 3, solve_backward_2d,
+                                      spec, grid, mu, u_1d=u1, terminal=term)
+    k = grid.nt - 4
+    dx, dy, dt = grid.dx, grid.dy, grid.dt(spec.T)
+    ops = StepOperators(spec, grid, grid.times(spec.T)[k], transpose=True, mu=mu.at(k))
+    p = central_grad(w, dx)
+    mu_pos = ops.mu.values > MU_FLOOR
+    assert mu_pos.any() and not mu_pos.all()
+    g = np.where(mu_pos, ops.control(p), ops.control(central_grad(u1.u[k], dx))[:, None])
+    expl = (upwind_transport_adjoint(w, ops.face_drift(g), dx) + ops.ey * ops.cost(g)
+            + y_transport_adjoint_rate(w, ops.lam[:, None] / dy, math.exp(-dy)))
+    expected = diffuse(above + dt * expl, ops.matrix)
+    for _ in range(2):
+        assert np.abs(apply_map(w) - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+def test_row_windows_cover_the_field():
+    # each block's window adds at most two halo rows on either side, and
+    # the blocks tile the rows in order
+    for nx, ny in ((81, 16), (797, 157), (399, 79), (10, 5000)):
+        windows = backward_mod._row_windows(nx, ny)
+        assert [w[2] for w in windows] == [0] + [w[3] for w in windows[:-1]]
+        assert windows[-1][3] == nx
+        for a, b, i0, i1 in windows:
+            assert a == max(i0 - 2, 0) and b == min(i1 + 2, nx) and i0 < i1
+            assert (i1 - i0) * ny <= max(backward_mod.WINDOW_CELLS, ny)
+
+
+@pytest.mark.parametrize("model", ["lq_killing", "lq_mean_field"])
+def test_halfplane_windows_change_no_bit(monkeypatch, model):
+    # the semilinear half-plane march run window by window (and its fixed
+    # point block by block) gives the one-window solve bit for bit, with
+    # windows of 3 to 5 rows, blocks that do not divide nx, and the 1d
+    # control below MU_FLOOR in some of them; a coupled model keeps one window
+    spec = mk.make_model(model)
+    grid = mk.build_grid(-4, 4, 81, 2.4, 16, 40)
+    mu = mk.solve_forward_2d(spec, grid, FeedbackControl.constant(0.1, grid, spec))
+    assert (mu.values <= MU_FLOOR).any()
+    term1 = np.asarray(spec.dpsi(mk.NuHandle(grid.x, mu.marginal().values[-1]), grid.x))
+    u1 = solve_backward_1d(spec, grid, mu.marginal(), term1)
+    term2 = np.exp(-grid.y)[None, :] * term1[:, None]
+    solves = []
+    for cells in (10**6, 3 * grid.ny_total, 5 * grid.ny_total):
+        monkeypatch.setattr(backward_mod, "WINDOW_CELLS", cells)
+        solves.append(solve_backward_2d(spec, grid, mu, u_1d=u1, terminal=term2))
+    for sol in solves[1:]:
+        assert np.array_equal(sol.u, solves[0].u)
+        assert sol.fixed_point.iterations == solves[0].fixed_point.iterations
+
+
+@pytest.mark.parametrize("plane", [False, True])
+def test_inner_map_allocates_few_fields(monkeypatch, plane):
+    # after warm-up, one application of a semilinear inner map holds at
+    # most a few field-size arrays at once (the stencils write into the
+    # solve's work arrays): measured 3.1 fields on the line and 1.8 on the
+    # half-plane, against 8.1 and 7.0 when every stencil allocated its
+    # result.  The half-plane is 399x79 because numpy's ufunc buffers (up
+    # to 64 KiB per operand on a strided or broadcast operand) are about a
+    # field each at 199x39 and a quarter of one here
+    if plane:
+        spec, grid, mu, u1, term = halfplane_case(399, 79, 40)
+        apply_map, w, _ = step_map_of(monkeypatch, 0, solve_backward_2d,
+                                      spec, grid, mu, u_1d=u1, terminal=term)
+        bound = 3.0
+    else:
+        spec, grid, noise, tr, term = line_case(801, 120)
+        apply_map, w, _ = step_map_of(monkeypatch, 0, solve_backward_1d,
+                                      spec, grid, tr, term, noise)
+        bound = 4.5
+    for _ in range(2):
+        apply_map(w)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        apply_map(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - before) / w.nbytes <= bound

@@ -216,3 +216,13 @@ def test_runners_pass_every_solver_key(tmp_path, monkeypatch, experiment):
     assert calls
     for kwargs in calls:
         assert {k: kwargs.get(k) for k in solver} == solver
+
+
+def test_solve_diagnostics_leave_out_intensity_independence(tmp_path):
+    # the (t, x) feedback of solve_mfc does not vary with intensity by
+    # construction; the spread of the joint feedback is solve_mfc_2d's
+    out = tmp_path / "run"
+    assert main(["--config", str(small_config(tmp_path)), "--out", str(out)]) == 0
+    diag = json.loads((out / "diagnostics.json").read_text())
+    assert "separability_gap" in diag
+    assert "intensity_independence" not in diag

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgtsv
 
 import mfckill as mk
 from mfckill.controls import FeedbackControl
@@ -10,6 +11,7 @@ from mfckill.forward import CommonNoisePath, initial_marginal
 from mfckill.measures import metric_dp, trapezoid_weights
 from mfckill.steps import (
     StepOperators,
+    Tridiagonal,
     diffuse,
     shift_density,
     upwind_flux_divergence,
@@ -343,6 +345,28 @@ def test_nonfinite_initial_density_raises():
     with pytest.raises(NonfiniteInput):
         mk.solve_forward_1d(spec, grid, FeedbackControl.constant(0.0, grid, spec),
                             initial=rho0)
+
+
+@pytest.mark.parametrize("varying", [False, True])
+def test_diffusion_solve_matches_gtsv(varying):
+    # a constant sigma gives a symmetric matrix, solved through its L D L^T
+    # factors; a varying one keeps gtsv; both agree with gtsv on an (nx,)
+    # and an (nx, m) right-hand side, and the symmetric matrix is its own
+    # transpose
+    sigma = (lambda t, x: 1.0 + 0.5 * np.sin(np.asarray(x, dtype=float))) if varying \
+        else (lambda t, x: np.full(np.shape(x), 1.3))
+    spec = mk.make_model("lq_killing").with_params(sigma=sigma)
+    grid = mk.build_grid(-4.0, 4.0, 161, 2.4, 8, 40)
+    for transpose in (False, True):
+        m = StepOperators(spec, grid, 0.1, transpose=transpose).matrix
+        assert (m.ldl is None) == varying
+        rhs = np.random.default_rng(4).normal(size=(grid.nx, 7))
+        for b in (rhs, rhs[:, 0]):
+            ref = dgtsv(m.lower, m.main, m.upper, b)[3]
+            assert np.abs(diffuse(b, m) - ref).max() <= 1e-14 * np.abs(ref).max()
+    m = StepOperators(spec, grid, 0.1).matrix
+    assert (m.transposed() is m) != varying
+    assert Tridiagonal(m.lower, m.main, 1.5 * m.upper).ldl is None
 
 
 def test_step_matrix_transpose_pairing():
