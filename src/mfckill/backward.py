@@ -36,11 +36,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .controls import FeedbackControl, check_on_grid
-from .errors import ArgumentConflict, FixedPointDiverged, GridMismatch
+from .controls import FeedbackControl
+from .errors import ArgumentConflict, FixedPointDiverged
 from .forward import CommonNoisePath, ForwardTrajectory1D, ForwardTrajectory2D
 from .hamiltonians import MU_FLOOR
-from .measures import trapezoid_weights
 from .model import Grid, ModelSpec
 from .steps import (
     StepOperators,
@@ -113,8 +112,7 @@ def energy_report(solution: BSPDESolution) -> dict:
     data."""
     grid = solution.grid
     dt = float(solution.times[1] - solution.times[0])
-    wx = trapezoid_weights(grid.nx, grid.dx)
-    wy = trapezoid_weights(grid.ny_total, grid.dy) if solution.is_2d else None
+    wx, wy = grid.wx, grid.wy if solution.is_2d else None
     sup_u = 0.0
     grad_sum = 0.0
     q_sum = 0.0
@@ -305,13 +303,11 @@ def solve_backward_1d(
     the increments before t_k.
     """
     dx, dt = grid.dx, grid.dt(spec.T)
-    if nu_traj.values.shape != (grid.nt + 1, grid.nx):
-        raise GridMismatch("nu trajectory does not match the grid")
+    grid.check_field(nu_traj, "nu trajectory", joint=False)
     terminal = np.asarray(terminal, dtype=float)
-    if terminal.shape != (grid.nx,):
-        raise GridMismatch("terminal data must be a (nx,) array")
-    if previous is not None and np.shape(previous) != (grid.nt + 1, grid.nx):
-        raise GridMismatch("previous value field must be a (nt+1, nx) array")
+    grid.check_field(terminal, "terminal data", joint=False, series=False)
+    if previous is not None:
+        grid.check_field(previous, "previous value field", joint=False)
     coupled = spec.coupled
     # the inner iterations' work arrays, shared by every step of the solve
     p, drift, expl = (np.empty(grid.nx) for _ in range(3))
@@ -374,9 +370,9 @@ def terminal_cost_injection(spec: ModelSpec, g: FeedbackControl,
     weight dt e^{-y} (f0 + f1) at t_N, with f0 taken at the survival
     marginal of mu at step N, matching the last term of the cost sum.
     """
-    nt = mu_traj.grid.nt
-    ops = StepOperators(spec, mu_traj.grid, mu_traj.times[nt], mu=mu_traj.at(nt))
-    return weight * ops.dt * ops.ey * ops.cost(y_column(g.at_step(nt)))
+    grid = mu_traj.grid
+    ops = StepOperators(spec, grid, mu_traj.times[grid.nt], mu=mu_traj.at(grid.nt))
+    return weight * ops.dt * grid.ey * ops.cost(y_column(g.at_step(grid.nt)))
 
 
 def solve_backward_2d(
@@ -412,14 +408,14 @@ def solve_backward_2d(
     if (g is None) == (u_1d is None):
         raise ArgumentConflict("supply exactly one of g and u_1d")
     if g is not None:
-        check_on_grid(g.values, grid)
-    dx, dy, dt = grid.dx, grid.dy, grid.dt(spec.T)
-    sh = (grid.nx, grid.ny_total)
-    if mu_traj.values.shape != (grid.nt + 1, *sh):
-        raise GridMismatch("mu trajectory does not match the grid")
+        grid.check_field(g, "feedback")
+    else:
+        grid.check_field(u_1d, "u_1d", joint=False)
+    grid.check_field(mu_traj, "mu trajectory", joint=True)
     terminal = np.asarray(terminal, dtype=float)
-    if terminal.shape != sh:
-        raise GridMismatch("terminal data must be a (nx, ny) array")
+    grid.check_field(terminal, "terminal data", joint=True, series=False)
+    dx, dy, dt, ey = grid.dx, grid.dy, grid.dt(spec.T), grid.ey
+    sh = terminal.shape
     decay = float(np.exp(-dy))
     coupled = spec.coupled
 
@@ -427,7 +423,7 @@ def solve_backward_2d(
         return StepOperators(spec, grid, t, noise=noise, transpose=True, mu=mu_traj.at(k))
 
     if g is not None:
-        cost_weights = trapezoid_weights(grid.nt + 1, 1.0)
+        cost_weights = grid.time_weights
 
         def step(k, t, v, u, shift):
             ops = operators(k, t)
@@ -437,7 +433,7 @@ def solve_backward_2d(
             if coupled:
                 expl = expl + ops.nonlocal_term(central_grad(v, dx))
             out = diffuse(v + dt * expl, ops.matrix)
-            return out + cost_weights[k] * dt * ops.ey * ops.cost(gv), (1, 0.0, False)
+            return out + cost_weights[k] * dt * ey * ops.cost(gv), (1, 0.0, False)
 
         # the march carries the dual state with the terminal half-weight cost
         # injection; the stored terminal slice stays the psi data
@@ -470,7 +466,7 @@ def solve_backward_2d(
         # the step's map is diffuse(v + dt e^{-y} f0 + dt (b du/dx + e^{-y}
         # f1(g) + (lam / dy) (u(y + dy) - u(y)) + nonlocal)); v + dt e^{-y} f0
         # and lam / dy are fixed for the step
-        source = np.multiply(ops.ey, ops.f0[:, None])
+        source = np.multiply(ey, ops.f0[:, None])
         source *= dt
         source += v
         lam_dy = ops.lam[:, None] / dy
@@ -483,7 +479,7 @@ def solve_backward_2d(
                 out = upwind_transport_adjoint(
                     w[rows], face_average(ops.drift(g, out=dw, rows=rows), out=fw),
                     dx, out=ew)[keep]
-                out += np.multiply(ops.ey, ops.control_cost(g[keep], block), out=sc)
+                out += np.multiply(ey, ops.control_cost(g[keep], block), out=sc)
                 out += y_transport_adjoint_rate(w[block], lam_dy[block], decay, out=sc)
                 if coupled:
                     out += ops.nonlocal_term(pw)

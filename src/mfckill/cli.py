@@ -62,16 +62,6 @@ from .model import _BUILTINS, Grid, build_grid, make_model, validate_model
 from .particles import empirical_subprob, estimate_cost_mc, simulate_particles
 from .regularize import build_approx_family
 
-EXPERIMENTS = (
-    "solve",
-    "forward",
-    "backward",
-    "particles",
-    "separability-check",
-    "smp-check",
-    "regularize-sweep",
-)
-
 _DEF_SOLVER = {
     "tol_pi": 1e-6,
     "tol_fp": TOL_FP,
@@ -119,6 +109,10 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         exp = raw.get("experiment", "solve")
         if exp not in EXPERIMENTS:
             raise UnknownExperiment(f"unknown experiment {exp!r}; choose from {EXPERIMENTS}")
+        # the keys left out of the config take RunConfig's defaults
+        optional = {key: kind(raw[key]) for key, kind in (
+            ("control", float), ("particles", int), ("refine_levels", int),
+            ("approx_indices", list)) if key in raw}
         return RunConfig(
             model_name=mdl["name"],
             model_params=dict(mdl.get("params", {})),
@@ -127,12 +121,9 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
             experiment=exp,
             seed=int(raw.get("seed", 0)),
             out_dir=Path(raw.get("out_dir", "out")),
-            control=float(raw.get("control", 0.0)),
-            particles=int(raw.get("particles", 100_000)),
-            refine_levels=int(raw.get("refine_levels", 3)),
-            approx_indices=list(raw.get("approx_indices", [1, 2, 4, 8, 16])),
             sigma0=None if raw.get("sigma0") is None else float(raw["sigma0"]),
             raw=raw,
+            **optional,
         )
     except KeyError as exc:
         raise ConfigError(f"missing config key: {exc}") from exc
@@ -206,6 +197,13 @@ def _is_real(val) -> bool:
     return isinstance(val, numbers.Real) and not isinstance(val, bool)
 
 
+def _noise_path(cfg: RunConfig, spec) -> CommonNoisePath | None:
+    """The seeded common-noise path, or None for a model without common noise."""
+    if spec.sigma0(0.0) == 0.0:
+        return None
+    return CommonNoisePath.from_seed(cfg.seed, cfg.grid.nt, cfg.grid.dt(spec.T))
+
+
 def _terminal_1d(spec, grid, nu_vals):
     return np.asarray(spec.dpsi(NuHandle(grid.x, nu_vals), grid.x), dtype=float)
 
@@ -246,9 +244,7 @@ def _run_solve(cfg: RunConfig, spec, out: Path) -> int:
 def _run_forward(cfg: RunConfig, spec, out: Path) -> int:
     grid = cfg.grid
     g = FeedbackControl.constant(cfg.control, grid, spec)
-    noise = None
-    if spec.sigma0(0.0) != 0.0:
-        noise = CommonNoisePath.from_seed(cfg.seed, grid.nt, grid.dt(spec.T))
+    noise = _noise_path(cfg, spec)
     tr1 = solve_forward_1d(spec, grid, g, noise)
     tr2 = solve_forward_2d(spec, grid, g, noise)
     _field_csv(out / "nu_series.csv", tr1.times, grid.x, tr1.values)
@@ -282,9 +278,7 @@ def _run_backward(cfg: RunConfig, spec, out: Path) -> int:
 def _run_particles(cfg: RunConfig, spec, out: Path) -> int:
     grid = cfg.grid
     g = FeedbackControl.constant(cfg.control, grid, spec)
-    noise = None
-    if spec.sigma0(0.0) != 0.0:
-        noise = CommonNoisePath.from_seed(cfg.seed, grid.nt, grid.dt(spec.T))
+    noise = _noise_path(cfg, spec)
     try:
         ens = simulate_particles(spec, g, cfg.particles, cfg.seed, grid, noise)
     except ValueError as exc:
@@ -323,7 +317,7 @@ def _run_separability(cfg: RunConfig, spec, out: Path) -> int:
         term1 = _terminal_1d(spec, grid, nu_traj.values[-1])
         u1 = solve_backward_1d(spec, grid, nu_traj, term1,
                                tol_fp=cfg.solver["tol_fp"])
-        term2 = np.exp(-grid.y)[None, :] * term1[:, None]
+        term2 = grid.ey * term1[:, None]
         u2 = solve_backward_2d(spec, grid, mu, u_1d=u1, terminal=term2,
                                tol_fp=cfg.solver["tol_fp"])
         gaps.append(separability_gap(u2, u1))
@@ -388,6 +382,7 @@ _RUNNERS = {
     "smp-check": _run_smp,
     "regularize-sweep": _run_regularize,
 }
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 def run(config_path: str | Path, experiment: str | None = None,

@@ -1,4 +1,5 @@
-"""Feedback-control containers shared by the solvers."""
+"""The feedback-control container shared by the solvers.  Whether a
+feedback lies on a solver's grid is `model.Grid.check_field`'s to say."""
 
 from __future__ import annotations
 
@@ -6,19 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ControlOutOfBox, GridMismatch
+from .errors import ControlOutOfBox
 from .model import Grid, ModelSpec
 
 __all__ = ["FeedbackControl"]
-
-
-def check_on_grid(values: np.ndarray, grid: Grid, what: str = "feedback") -> None:
-    """Raise `GridMismatch` unless `values` has one (nx,) or (nx, ny_total)
-    slice per time node of `grid`; `what` names the array in the message."""
-    rows = (grid.nt + 1, grid.nx)
-    if values.shape not in (rows, (*rows, grid.ny_total)):
-        raise GridMismatch(f"{what} of shape {values.shape} is not on the grid's "
-                           f"(nt+1, nx) = {rows} nodes")
 
 
 @dataclass

@@ -13,9 +13,11 @@ stencils, each beside its transpose, are in steps.py.  Both marchers run
 in one time loop, `_march`.  Each step reads what does not depend on the
 density (the diffusion matrix, lam and its kill factor, b1_factor and
 the box) from `steps.StepOperators`, which takes them from the control
-loop's `steps.step_table` when one is active; a control loop also builds
-the default initial marginal (`initial_marginal`) once and passes it as
-`initial`.
+loop's `steps.step_table` when one is active, and its quadrature weights
+and survival kernel from the `Grid`; a control loop also builds the
+default initial marginal (`initial_marginal`) once and passes it as
+`initial`.  `Grid.check_field` refuses a feedback or initial density off
+the grid at entry, and a joint feedback on the line.
 """
 
 from __future__ import annotations
@@ -24,16 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controls import FeedbackControl, check_on_grid
-from .errors import CFLViolation, ControlOutOfBox, GridMismatch
-from .measures import (
-    Density2D,
-    NuHandle,
-    SubProb1D,
-    s_map,
-    survival_quadrature,
-    trapezoid_weights,
-)
+from .controls import FeedbackControl
+from .errors import CFLViolation, ControlOutOfBox
+from .measures import Density2D, NuHandle, SubProb1D, initial_marginal, s_map
 from .model import Grid, ModelSpec
 from .steps import (
     StepOperators,
@@ -127,14 +122,12 @@ class ForwardTrajectory2D(_ForwardTrajectory):
 def _drift(ops: StepOperators, g: FeedbackControl, k: int,
            dy: float | None = None) -> np.ndarray:
     """Node drift of the feedback at step k, after checking that it stays
-    in the box (and is y-independent on the line) and that the step meets
-    the advective CFL condition, with the y transport when `dy` is given."""
+    in the box and that the step meets the advective CFL condition, with
+    the y transport when `dy` is given."""
     gv = g.at_step(k)
     lo, hi = ops.box
     if not (lo - 1e-12 <= gv.min() and gv.max() <= hi + 1e-12):
         raise ControlOutOfBox("control leaves the box at step %d" % k)
-    if dy is None and gv.ndim == 2:
-        raise GridMismatch("1d solver requires a y-independent feedback")
     b = ops.drift(gv if dy is None else y_column(gv))
     bmax = float(np.max(np.abs(b)))
     lmax = 0.0 if dy is None else float(ops.lam.max())
@@ -148,25 +141,22 @@ def _drift(ops: StepOperators, g: FeedbackControl, k: int,
 
 
 def _march(spec: ModelSpec, grid: Grid, vals0: np.ndarray,
-           noise: CommonNoisePath | None, step, wy: np.ndarray | None = None,
-           dy: float = 1.0) -> tuple:
+           noise: CommonNoisePath | None, step, joint: bool = False) -> tuple:
     """The time loop of both forward solvers.
 
     `step(k, t, rho)` advances the density over [t_k, t_{k+1}]; the loop
     then applies the common-noise shift, if any, and records the values,
     the cell-sum mass, the energy and the mass that left through the shift.
-    A (nx,) density takes `wy` None; an (nx, ny) one takes the y weights
-    and cell height.  Returns (times, values, mass, energy, leakage).
+    The density is (nx,) on the line, (nx, ny) when `joint`.  Returns
+    (times, values, mass, energy, leakage).
     """
-    dx, dt, nt = grid.dx, grid.dt(spec.T), grid.nt
-    wx = trapezoid_weights(grid.nx, dx)
+    dx, dt, nt, wx = grid.dx, grid.dt(spec.T), grid.nt, grid.wx
+    wy, dy = (grid.wy, grid.dy) if joint else (None, 1.0)
     rho = np.ascontiguousarray(vals0, dtype=float)
-    shape = (grid.nx,) if wy is None else (grid.nx, grid.ny_total)
-    if rho.shape != shape:
-        raise GridMismatch(f"initial density has shape {rho.shape}, not {shape}")
+    grid.check_field(rho, "initial density", joint, series=False)
     offsets = noise_offsets(spec, grid, noise)
 
-    out = np.empty((nt + 1, *shape))
+    out = np.empty((nt + 1, *rho.shape))
     out[0] = rho
     mass = np.empty(nt + 1)
     mass[0] = rho.sum() * dx * dy
@@ -194,14 +184,6 @@ def _march(spec: ModelSpec, grid: Grid, vals0: np.ndarray,
     return times, out, mass, energy, leakage
 
 
-def initial_marginal(spec: ModelSpec, grid: Grid) -> np.ndarray:
-    """The survival-weighted x marginal of the initial joint density on the
-    grid's x nodes: a 2001-node trapezoid rule in y over [0, max(y_max, 6)]."""
-    yq = np.linspace(0.0, max(grid.y_max, 6.0), 2001)
-    rho2 = spec.initial_density_2d(grid.x[:, None], yq[None, :])
-    return rho2 @ survival_quadrature(yq, yq[1] - yq[0])[2]
-
-
 def solve_forward_1d(
     spec: ModelSpec,
     grid: Grid,
@@ -217,7 +199,7 @@ def solve_forward_1d(
     The march starts from `initial`, by default `initial_marginal(spec,
     grid)`.
     """
-    check_on_grid(g.values, grid)
+    grid.check_field(g, "feedback", joint=False)
     x, dx, dt = grid.x, grid.dx, grid.dt(spec.T)
     if initial is None:
         initial = initial_marginal(spec, grid)
@@ -245,14 +227,13 @@ def solve_forward_2d(
     upward at rate lam(x) instead, with zero inflow at y = 0, so total
     mass is conserved exactly by the scheme.
     """
-    check_on_grid(g.values, grid)
+    grid.check_field(g, "feedback")
     x, y = grid.x, grid.y
     dx, dy, dt = grid.dx, grid.dy, grid.dt(spec.T)
-    wy = trapezoid_weights(grid.ny_total, dy)
-    keep, _, survival = survival_quadrature(y, dy)
+    keep, _, survival = grid.survival
     if initial is None:
         initial = np.asarray(spec.initial_density_2d(x[:, None], y[None, :]), dtype=float)
-        initial = initial / (trapezoid_weights(grid.nx, dx) @ initial @ wy)
+        initial = initial / (grid.wx @ initial @ grid.wy)
 
     def step(k, t, mu):
         ops = StepOperators(spec, grid, t, NuHandle(x, mu[:, keep] @ survival), noise)
@@ -261,5 +242,5 @@ def solve_forward_2d(
         expl = upwind_flux_divergence(mu, face_average(b), dx)
         return y_transport(mu, ops.lam, dt, dy) + dt * expl
 
-    times, out, mass, energy, leakage = _march(spec, grid, initial, noise, step, wy, dy)
+    times, out, mass, energy, leakage = _march(spec, grid, initial, noise, step, joint=True)
     return ForwardTrajectory2D(grid, times, out, g, noise, mass, energy, leakage)

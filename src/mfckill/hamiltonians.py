@@ -57,7 +57,7 @@ def _golden_min(obj, lo: np.ndarray, hi: np.ndarray, tol: float = 1e-9,
     return 0.5 * (a + b)
 
 
-def minimize_control(t, x, p, fac, box, spec: ModelSpec, scale=1.0, tol: float = 1e-9):
+def minimize_control(t, x, p, fac, box, spec: ModelSpec, scale=1.0):
     """Pointwise minimizer over the box (lo, hi) of h -> fac h p + scale f1(t,x,h).
 
     `fac` is b1_factor at `x`; `scale` is 1 for the marginal Hamiltonian
@@ -75,14 +75,14 @@ def minimize_control(t, x, p, fac, box, spec: ModelSpec, scale=1.0, tol: float =
     def obj(g):
         return fac * g * p + scale * np.asarray(spec.f1(t, x, g), dtype=float)
 
-    return _golden_min(obj, np.full(shape, lo), np.full(shape, hi), tol=tol)
+    return _golden_min(obj, np.full(shape, lo), np.full(shape, hi))
 
 
-def minimize_hamiltonian(t, x, p, spec: ModelSpec, tol: float = 1e-9):
+def minimize_hamiltonian(t, x, p, spec: ModelSpec):
     """Minimizer over the control box of h -> b1(t,x,h) p + f1(t,x,h)."""
     if not np.all(np.isfinite(x)):
         raise NonfiniteInput("minimize_hamiltonian received a non-finite state")
-    return minimize_k_tilde(t, x, 0.0, p, None, spec, tol)  # e^{-0} = 1
+    return minimize_k_tilde(t, x, 0.0, p, None, spec)  # e^{-0} = 1
 
 
 def nonlocal_kernels(t, x, nu: NuHandle, z, spec: ModelSpec) -> tuple:
@@ -117,9 +117,9 @@ def f_nu(t, x_eval, nu: SubProb1D, dxu_field: np.ndarray, spec: ModelSpec):
             + integrate_kernel(kf, nu.values * w))
 
 
-def minimize_k_tilde(t, x, y, p, nu: NuHandle, spec: ModelSpec, tol: float = 1e-9):
+def minimize_k_tilde(t, x, y, p, nu: NuHandle, spec: ModelSpec):
     """Minimizer over the box of h -> b1(h) p + e^{-y} f1(h), vectorized."""
     x = np.asarray(x, dtype=float)
     fac = np.asarray(spec.b1_factor(t, x), dtype=float)
     return minimize_control(t, x, np.asarray(p, dtype=float), fac, spec.box_array[0],
-                            spec, np.exp(-np.asarray(y, dtype=float)), tol)
+                            spec, np.exp(-np.asarray(y, dtype=float)))

@@ -6,11 +6,14 @@ a model read (mass, moments, density values, trapezoid weights and the
 L2 pairing).  `SubProb1D` is the `NuHandle` whose density is checked: it
 has the shape of x, no value below the clip floor and mass at most 1.
 `s_map`, `ForwardTrajectory1D.at` and `empirical_subprob` return one, and
-the solvers hand it to the model as it is.  A plain `NuHandle` is built
+the solvers hand it to the model as it is; `initial_marginal` is the
+survival-weighted marginal of a model's initial law.  A plain `NuHandle` is built
 only where a solver holds raw density values, such as mid-march.
 
 Conventions: densities live on uniform node grids and all pairings use the
-trapezoid rule (tensor-product trapezoid in 2d).  Negative values produced
+trapezoid rule (tensor-product trapezoid in 2d).  These types take their
+spacing from their nodes, since they also serve nodes that belong to no
+`model.Grid`; a solver takes its weights from its grid.  Negative values produced
 by numerics are tolerated down to -1e-12 and clipped only in diagnostics,
 never inside solvers.
 """
@@ -121,24 +124,13 @@ class Density2D:
             raise GridMismatch("values must have shape (nx, ny)")
 
     @property
-    def dx(self) -> float:
-        return float(self.x[1] - self.x[0])
-
-    @property
     def dy(self) -> float:
         return float(self.y[1] - self.y[0])
 
     @property
-    def wx(self) -> np.ndarray:
-        return trapezoid_weights(self.x.size, self.dx)
-
-    @property
-    def wy(self) -> np.ndarray:
-        return trapezoid_weights(self.y.size, self.dy)
-
-    @property
     def mass(self) -> float:
-        return float(self.wx @ self.values @ self.wy)
+        wx, wy = (trapezoid_weights(v.size, float(v[1] - v[0])) for v in (self.x, self.y))
+        return float(wx @ self.values @ wy)
 
     def to_csv(self, path) -> None:
         xs, ys = np.meshgrid(self.x, self.y, indexing="ij")
@@ -164,6 +156,15 @@ def s_map(mu: Density2D) -> SubProb1D:
     """
     keep, _, kernel = survival_quadrature(mu.y, mu.dy)
     return SubProb1D(mu.x, mu.values[:, keep] @ kernel)
+
+
+def initial_marginal(spec, grid) -> np.ndarray:
+    """The survival-weighted x marginal of `spec`'s initial joint density on
+    `grid`'s x nodes: a 2001-node trapezoid rule in y over [0, max(y_max,
+    6)], finer than the grid's own y nodes."""
+    yq = np.linspace(0.0, max(grid.y_max, 6.0), 2001)
+    rho2 = spec.initial_density_2d(grid.x[:, None], yq[None, :])
+    return rho2 @ survival_quadrature(yq, yq[1] - yq[0])[2]
 
 
 # ---------------------------------------------------------------------------

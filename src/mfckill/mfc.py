@@ -16,18 +16,17 @@ from .backward import (
     solve_backward_2d,
     terminal_cost_injection,
 )
-from .controls import FeedbackControl, check_on_grid
+from .controls import FeedbackControl
 from .errors import DirectionLeavesBox, FixedPointCapped, GridMismatch, PicardStalled
 from .forward import (
     CommonNoisePath,
     ForwardTrajectory1D,
     ForwardTrajectory2D,
-    initial_marginal,
     solve_forward_1d,
     solve_forward_2d,
 )
 from .hamiltonians import MU_FLOOR
-from .measures import NuHandle, s_map, survival_quadrature, trapezoid_weights
+from .measures import NuHandle, initial_marginal, s_map
 from .model import Grid, ModelSpec
 from .steps import (
     StepOperators,
@@ -94,12 +93,9 @@ def evaluate_cost(
         if traj is None:
             continue
         grid = traj.grid
-        check_on_grid(g.values, grid)
-        x = grid.x
-        dt = grid.dt(spec.T)
-        cw = trapezoid_weights(grid.nt + 1, 1.0)
-        wx = trapezoid_weights(grid.nx, grid.dx)
-        keep, _, survival = survival_quadrature(grid.y, grid.dy)
+        grid.check_field(g, "feedback", joint=False if name == "nu" else None)
+        x, dt, cw, wx = grid.x, grid.dt(spec.T), grid.time_weights, grid.wx
+        keep, _, survival = grid.survival
         running = 0.0
         for k in range(grid.nt + 1):
             t = traj.times[k]
@@ -346,21 +342,11 @@ def solve_mfc(
     return MFCResult(g, u, nu_traj, mu_traj, cost, diagnostics)
 
 
-def _check_field(sol: BSPDESolution, grid: Grid, joint: bool, what: str) -> None:
-    """Raise `GridMismatch` unless `sol` is a field on `grid`: (nt+1, nx),
-    or (nt+1, nx, ny) when `joint`."""
-    shape = (grid.nt + 1, grid.nx) + ((grid.ny_total,) if joint else ())
-    if sol.grid != grid or sol.u.shape != shape:
-        raise GridMismatch(f"{what} is not on the grid: shape {sol.u.shape} on "
-                           f"{sol.grid}, not {shape} on {grid}")
-
-
 def separable_lift(u_1d: BSPDESolution, grid: Grid) -> BSPDESolution:
     """Lift a 1d value field on `grid` to the half-plane via the e^{-y} profile."""
-    _check_field(u_1d, grid, False, "u_1d")
-    ey = np.exp(-grid.y)
-    u2 = u_1d.u[:, :, None] * ey[None, None, :]
-    q2 = u_1d.q[:, :, None] * ey[None, None, :]
+    grid.check_field(u_1d, "u_1d", joint=False)
+    u2 = u_1d.u[:, :, None] * grid.ey
+    q2 = u_1d.q[:, :, None] * grid.ey
     return BSPDESolution(grid, u_1d.times, u2, q2, u2[-1])
 
 
@@ -368,9 +354,9 @@ def separability_gap(u2: BSPDESolution, u1: BSPDESolution) -> float:
     """max_k max|u2[k] - e^{-y} u1[k]| / max|u1|, computed one time slice
     at a time so that no lifted field is held.  Both fields must be on
     u2's grid."""
-    _check_field(u2, u2.grid, True, "u2")
-    _check_field(u1, u2.grid, False, "u1")
-    ey = np.exp(-u2.grid.y)[None, :]
+    u2.grid.check_field(u2, "u2", joint=True)
+    u2.grid.check_field(u1, "u1", joint=False)
+    ey = u2.grid.ey
     worst = max(float(np.abs(u2.u[k] - ey * u1.u[k][:, None]).max())
                 for k in range(u2.u.shape[0]))
     return worst / max(float(np.abs(u1.u).max()), 1e-300)
@@ -390,8 +376,8 @@ def smp_residual(
     `adjoint_2d` is a joint field on mu_traj's grid.
     """
     grid = mu_traj.grid
-    check_on_grid(g.values, grid)
-    _check_field(adjoint_2d, grid, True, "adjoint_2d")
+    grid.check_field(g, "feedback")
+    grid.check_field(adjoint_2d, "adjoint_2d", joint=True)
     worst = 0.0
     for k in range(grid.nt + 1):
         support = mu_traj.values[k] > MU_FLOOR
@@ -429,24 +415,19 @@ def gateaux_derivative(
     non-finite step of mu_traj's noise path.
     """
     grid = mu_traj.grid
-    x, y = grid.x, grid.y
-    dx, dy = grid.dx, grid.dy
-    dt = grid.dt(spec.T)
-    nt = grid.nt
+    x, dx, dt, nt = grid.x, grid.dx, grid.dt(spec.T), grid.nt
     h_vals = h.values if isinstance(h, FeedbackControl) else np.asarray(h, dtype=float)
-    check_on_grid(g.values, grid)
-    check_on_grid(h_vals, grid, "direction")
-    _check_field(adjoint_2d, grid, True, "adjoint_2d")
+    grid.check_field(g, "feedback")
+    grid.check_field(h_vals, "direction")
+    grid.check_field(adjoint_2d, "adjoint_2d", joint=True)
     lo, hi = spec.box_array[0]
     eps = 1e-9
     probe = g.values + eps * (h_vals if h_vals.ndim == g.values.ndim else h_vals[..., None])
     if not (lo - 1e-15 <= probe.min() and probe.max() <= hi + 1e-15):
         raise DirectionLeavesBox("g + eps h leaves the control box")
 
-    cw = trapezoid_weights(nt + 1, 1.0)
-    wx = trapezoid_weights(grid.nx, dx)
-    wy = trapezoid_weights(grid.ny_total, dy)
-    keep, wy_pos, survival = survival_quadrature(y, dy)
+    cw, wx, wy = grid.time_weights, grid.wx, grid.wy
+    keep, wy_pos, survival = grid.survival
 
     def step_dir(k):
         return y_column(h_vals[k])
@@ -456,13 +437,12 @@ def gateaux_derivative(
     total = 0.0
     times = mu_traj.times
     if quadrature == "node":
-        ey_full = np.exp(-y)
         for k in range(nt + 1):
             t = times[k]
             fac = StepOperators(spec, grid, t).fac
             p = central_grad(adjoint_2d.u[k], dx)
             df1 = _df1_values(spec, t, x[:, None], y_column(g.at_step(k)))
-            integ = (fac[:, None] * p + ey_full[None, :] * df1) * step_dir(k)
+            integ = (fac[:, None] * p + grid.ey * df1) * step_dir(k)
             contrib = mu_traj.values[k][:, keep] \
                 * np.broadcast_to(integ, mu_traj.values[k].shape)[:, keep]
             total += cw[k] * dt * float(wx @ (contrib @ wy_pos))
@@ -518,7 +498,6 @@ def solve_mfc_2d(
     does not depend on the measure from one `steps.step_table`, as in
     `solve_mfc`.
     """
-    ey = np.exp(-grid.y)[None, :]
     value = _ValueSolves(spec, grid, noise, TOL_FP, tol_pi)
     last = (None, None, None)
 
@@ -527,7 +506,7 @@ def solve_mfc_2d(
         mu_traj = solve_forward_2d(spec, grid, g2, noise)
         u1, g_fb = value(mu_traj.marginal(), residual)
         adj = solve_backward_2d(spec, grid, mu_traj, g=g2,
-                                terminal=ey * u1.terminal[:, None], noise=noise)
+                                terminal=grid.ey * u1.terminal[:, None], noise=noise)
         last = adj, mu_traj, u1
         return np.where(mu_traj.values > MU_FLOOR,
                         _feedback_from_value(spec, grid, adj), g_fb[:, :, None])

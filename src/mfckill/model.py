@@ -25,13 +25,14 @@ import numpy as np
 
 from .errors import (
     DegenerateRange,
+    GridMismatch,
     ModelValidationError,
     NegativeIntensity,
     NonconvexControlCost,
     NondegeneracyViolation,
     NonlinearDrift,
 )
-from .measures import NuHandle
+from .measures import NuHandle, survival_quadrature, trapezoid_weights
 
 __all__ = [
     "ModelSpec",
@@ -108,7 +109,11 @@ class Grid:
 
     The y axis nominally covers [0, y_max]; requesting a negative
     extension adds whole cells below zero so that 0 stays a node.  The
-    node arrays `x` and `y` are built once per grid and are read-only.
+    grid owns its quadrature: the node arrays `x` and `y`, the trapezoid
+    weights `wx` and `wy` with spacings dx and dy, the survival quadrature
+    over y >= 0, e^{-y} as a row and the trapezoid time weights are built
+    once per grid and are read-only.  `check_field` is the one test that
+    an array or solver record is a field on the grid.
     """
 
     x_min: float
@@ -145,6 +150,49 @@ class Grid:
     @property
     def ny_total(self) -> int:
         return self.ny + self.n_ext
+
+    @cached_property
+    def wx(self) -> np.ndarray:
+        return _frozen(trapezoid_weights(self.nx, self.dx))
+
+    @cached_property
+    def wy(self) -> np.ndarray:
+        """Trapezoid weights over all ny_total y nodes."""
+        return _frozen(trapezoid_weights(self.ny_total, self.dy))
+
+    @cached_property
+    def survival(self) -> tuple:
+        """(mask of the y >= 0 nodes, their trapezoid weights, the survival
+        kernel e^{-y} times those weights)."""
+        return tuple(map(_frozen, survival_quadrature(self.y, self.dy)))
+
+    @cached_property
+    def ey(self) -> np.ndarray:
+        """The survival factor e^{-y} as a (1, ny_total) row."""
+        return _frozen(np.exp(-self.y)[None, :])
+
+    @cached_property
+    def time_weights(self) -> np.ndarray:
+        """Trapezoid weights of the nt + 1 time nodes, in units of dt."""
+        return _frozen(trapezoid_weights(self.nt + 1, 1.0))
+
+    def check_field(self, field, what: str, joint: bool | None = None,
+                    series: bool = True) -> None:
+        """Raise `GridMismatch`, naming `field` `what`, unless it is an (nx,)
+        or (nx, ny_total) slice per time node, or one slice if not `series`;
+        `joint` True or False asks for the second or the first.  `field` is
+        an array or holds one in `u` (a value field) or `values`; if it
+        carries a `grid`, that must be this grid."""
+        values = field.u if hasattr(field, "u") else getattr(field, "values", field)
+        shape, on = np.shape(values), getattr(field, "grid", self)
+        lead = (self.nt + 1, self.nx) if series else (self.nx,)
+        shapes = [lead, (*lead, self.ny_total)]
+        if joint is not None:
+            shapes = [shapes[joint]]
+        if on != self or shape not in shapes:
+            where = "" if on == self else f" on {on}"
+            raise GridMismatch(f"{what} is not on the grid: shape {shape}{where}, "
+                               f"not {' or '.join(map(str, shapes))} on {self}")
 
     def times(self, T: float) -> np.ndarray:
         return np.linspace(0.0, T, self.nt + 1)

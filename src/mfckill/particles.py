@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controls import FeedbackControl, check_on_grid
-from .errors import GridMismatch, SeedRequired
+from .controls import FeedbackControl
+from .errors import SeedRequired
 from .forward import CommonNoisePath, ForwardTrajectory1D
-from .measures import NuHandle, SubProb1D, trapezoid_weights
+from .measures import NuHandle, SubProb1D
 from .model import Grid, ModelSpec
 from .steps import noise_offsets
 
@@ -190,15 +190,19 @@ class _EnsembleNu(NuHandle):
     __slots__ = ("_build", "_values")
 
     def __init__(self, x: np.ndarray, build):
-        self.x = x
-        self.weights = trapezoid_weights(x.size, x[1] - x[0])
-        self._build, self._values = build, None
+        self._build = build
+        super().__init__(x, None)
 
     @property
     def values(self) -> np.ndarray:
         if self._values is None:
             self._values = self._build()
         return self._values
+
+    @values.setter
+    def values(self, values) -> None:
+        """`NuHandle.__init__` sets None here: the histogram waits for a read."""
+        self._values = values
 
 
 def simulate_particles(
@@ -230,9 +234,9 @@ def simulate_particles(
         raise SeedRequired("model provides no initial sampler")
     if n < _N_BATCH:
         raise ValueError(f"n = {n} particles cannot fill {_N_BATCH} batches")
-    check_on_grid(g.values, grid)
-    if nu_traj is not None and nu_traj.values.shape != (grid.nt + 1, grid.nx):
-        raise GridMismatch("nu trajectory does not match the grid")
+    grid.check_field(g, "feedback", joint=False)
+    if nu_traj is not None:
+        grid.check_field(nu_traj, "nu trajectory", joint=False)
     offsets = noise_offsets(spec, grid, noise)
     nt = grid.nt
     dt = grid.dt(spec.T)
@@ -254,7 +258,7 @@ def simulate_particles(
     weights = np.empty(n)
     alive = np.empty(n, dtype=bool)
 
-    cw = trapezoid_weights(nt + 1, 1.0)
+    cw = grid.time_weights
     alive_fraction = np.empty(nt + 1)
     mean_weight = np.empty(nt + 1)
     rc = np.zeros(2 * _N_BATCH)

@@ -28,6 +28,8 @@ __all__ = ["inf_convolution", "mollify", "ApproxFamily", "build_approx_family"]
 
 G_GRID_SIZE = 513   # control-grid samples of the regularized control cost
 K_CAP = 9           # the largest dyadic resolution k_n of the measure discretization
+MODULUS_SAMPLES = 40  # random measure pairs of the sampled cost modulus
+MODULUS_SEED = 0      # their generator's seed
 
 
 def inf_convolution(phi: np.ndarray, g_grid: np.ndarray, n: float) -> np.ndarray:
@@ -81,8 +83,7 @@ class ApproxFamily:
     certified: dict
 
 
-def _estimate_cost_modulus(spec: ModelSpec, n: int, x_probe: np.ndarray,
-                           samples: int = 40, seed: int = 0) -> float:
+def _estimate_cost_modulus(spec: ModelSpec, n: int, x_probe: np.ndarray) -> float:
     """Sampled Lipschitz-type modulus of f0/psi w.r.t. the d2 metric.
 
     The construction only needs an upper envelope of the modulus to pick
@@ -91,10 +92,10 @@ def _estimate_cost_modulus(spec: ModelSpec, n: int, x_probe: np.ndarray,
     """
     if spec.df0 is None and spec.dpsi is None:
         return 0.0
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(MODULUS_SEED)
     slope = 0.0
     xg = np.linspace(-min(n, 4.0), min(n, 4.0), 161)
-    for _ in range(samples):
+    for _ in range(MODULUS_SAMPLES):
         c1, s1 = rng.uniform(-1, 1), rng.uniform(0.2, 0.8)
         c2, s2 = c1 + rng.uniform(-0.3, 0.3), s1 * rng.uniform(0.8, 1.25)
         m1 = rng.uniform(0.5, 1.0)

@@ -1,14 +1,16 @@
 """The step layer: what one time step of every marcher reads and applies.
 
 `StepOperators` evaluates the model at one time and measure.  What a step
-reads apart from the measure (sigma, lam and its kill factor, b1_factor,
-the control box and the diffusion matrix) lives in a `NodeInputs`
-for that time node.  While `step_table(spec, grid)` is active, as it is
-for the whole of a `solve_mfc` or `solve_mfc_2d` call, every
-`StepOperators` of that model and grid at one of its time nodes shares
-the table's `NodeInputs`, so each member is evaluated once per node for
-the call, not once per sweep and marcher; the table goes when the call
-returns.  Elsewhere each `StepOperators` makes its own.
+reads of the model apart from the measure (sigma, lam and its kill factor,
+b1_factor, the control box and the diffusion matrix) lives in a
+`NodeInputs` for that time node; the quadrature weights and e^{-y} it
+reads from the `Grid`, which builds them once.  While `step_table(spec,
+grid)` is active, as it is for the whole of a `solve_mfc` or
+`solve_mfc_2d` call, every `StepOperators` of that model and grid at one
+of its time nodes shares the table's `NodeInputs`, so each member is
+evaluated once per node for the call, not once per sweep and marcher; the
+table goes when the call returns.  Elsewhere each `StepOperators` makes
+its own.
 
 The stencils act on (nx,) fields on the line or (nx, m) fields on the
 half-plane along axis 0, with face drifts of shape (nx-1,), (nx-1, 1) or
@@ -31,7 +33,7 @@ from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs
 
 from .errors import GridMismatch, NonfiniteInput
 from .hamiltonians import minimize_control, nonlocal_kernels
-from .measures import Density2D, NuHandle, s_map, survival_quadrature
+from .measures import Density2D, NuHandle, s_map
 from .model import Grid, ModelSpec
 
 if TYPE_CHECKING:
@@ -106,17 +108,12 @@ class NodeInputs:
         return lo, hi
 
     @cached_property
-    def ey(self) -> np.ndarray:
-        """The survival factor e^{-y} as a (1, ny) row."""
-        return np.exp(-self.grid.y)[None, :]
-
-    @cached_property
     def control_args(self) -> dict:
         """x, b1_factor and the scale of f1 that the minimizer reads, keyed by
         the gradient's ndim: the line's nodes, or columns and e^{-y} on the
         half-plane."""
         x, fac = self.grid.x, self.fac
-        return {1: (x, fac, 1.0), 2: (x[:, None], fac[:, None], self.ey)}
+        return {1: (x, fac, 1.0), 2: (x[:, None], fac[:, None], self.grid.ey)}
 
 
 # (spec, grid, {t: NodeInputs}) of the active `step_table`, or None
@@ -155,14 +152,15 @@ def _from_node(name: str) -> cached_property:
 class StepOperators:
     """What one time step of a solver reads from the model.
 
-    The measure-free members (`lam`, `kill`, `fac`, `box`, `ey` and
-    `matrix`) come from the step's `NodeInputs`.  The step itself
-    evaluates what reads its measure (`nu`, or the survival marginal of a
-    joint density `mu`): b0, f0, the nonlocal kernels and their Df0 term,
-    on first use, and reuses them in every inner iteration.  (nx,) fields
-    live on the line, (nx, m) fields on the half-plane, where f carries
-    the factor e^{-y}.  `matrix` is the implicit diffusion matrix, or its
-    transpose when `transpose` is set, from the same coefficients.
+    The measure-free members (`lam`, `kill`, `fac`, `box` and `matrix`)
+    come from the step's `NodeInputs`, e^{-y} and the survival quadrature
+    from the grid.  The step itself evaluates what reads its measure (`nu`,
+    or the survival marginal of a joint density `mu`): b0, f0, the
+    nonlocal kernels and their Df0 term, on first use, and reuses them in
+    every inner iteration.  (nx,) fields live on the line, (nx, m) fields
+    on the half-plane, where f carries the factor e^{-y}.  `matrix` is the
+    implicit diffusion matrix, or its transpose when `transpose` is set,
+    from the same coefficients.
     """
 
     def __init__(self, spec: ModelSpec, grid: Grid, t: float,
@@ -180,7 +178,6 @@ class StepOperators:
     kill = _from_node("kill")
     fac = _from_node("fac")
     box = _from_node("box")
-    ey = _from_node("ey")
 
     @cached_property
     def matrix(self) -> Tridiagonal:
@@ -242,7 +239,7 @@ class StepOperators:
 
     def k_tilde(self, p: np.ndarray, h: np.ndarray) -> np.ndarray:
         """Running Hamiltonian b(h) p + e^{-y} (f0 + f1(h)) on the half-plane."""
-        return self.drift(h) * p + self.ey * self.cost(h)
+        return self.drift(h) * p + self.grid.ey * self.cost(h)
 
     @cached_property
     def kernels(self) -> tuple:
@@ -256,8 +253,8 @@ class StepOperators:
         ((rows f[:, columns]) @ wy) wx against the joint one over y >= 0."""
         if self.mu is None:
             return None, self.nu.values, None, self.nu.weights
-        keep, wy, _ = survival_quadrature(self.mu.y, self.mu.dy)
-        return keep, self.mu.values[:, keep], wy, self.mu.wx
+        keep, wy, _ = self.grid.survival
+        return keep, self.mu.values[:, keep], wy, self.nu.weights
 
     @cached_property
     def df0_term(self):
@@ -269,7 +266,7 @@ class StepOperators:
             return 0.0
         if wy is None:
             return rows * wx @ kf
-        return ((rows * np.exp(-self.mu.y[cols])) @ wy) * wx @ kf
+        return ((rows * self.grid.ey[:, cols]) @ wy) * wx @ kf
 
     @cached_property
     def db0_matrix(self) -> np.ndarray | None:
@@ -291,7 +288,7 @@ class StepOperators:
         if wy is None:
             return (0.0 if kb is None else rows * p * wx @ kb) + self.df0_term
         vals = 0.0 if kb is None else ((rows * p[:, cols]) @ wy) * wx @ kb
-        return self.ey * (vals + self.df0_term)[:, None]
+        return self.grid.ey * (vals + self.df0_term)[:, None]
 
 
 def noise_offsets(spec: ModelSpec, grid: Grid,

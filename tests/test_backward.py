@@ -534,7 +534,7 @@ def test_halfplane_map_matches_pointwise_composition(monkeypatch):
     mu_pos = ops.mu.values > MU_FLOOR
     assert mu_pos.any() and not mu_pos.all()
     g = np.where(mu_pos, ops.control(p), ops.control(central_grad(u1.u[k], dx))[:, None])
-    expl = (upwind_transport_adjoint(w, ops.face_drift(g), dx) + ops.ey * ops.cost(g)
+    expl = (upwind_transport_adjoint(w, ops.face_drift(g), dx) + grid.ey * ops.cost(g)
             + y_transport_adjoint_rate(w, ops.lam[:, None] / dy, math.exp(-dy)))
     expected = diffuse(above + dt * expl, ops.matrix)
     for _ in range(2):

@@ -58,3 +58,20 @@ def test_every_public_name_is_reached():
             if not reached:
                 unreached.append(f"{name}.{public}")
     assert unreached == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_import_is_used(name):
+    # the repository runs no linter: a name a module imports and never reads
+    # is left over from a change; `__init__.py` only re-exports, so it is
+    # not scanned, and a name in a module's `__all__` counts as read
+    tree = ast.parse((SRC / f"{name}.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    read.update(getattr(importlib.import_module(f"mfckill.{name}"), "__all__", ()))
+    assert sorted(imported - read) == []

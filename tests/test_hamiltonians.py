@@ -34,7 +34,7 @@ def test_minimize_quartic_against_grid_search():
     spec.control_minimizer = None
     spec.df1 = None
     p = 1.0
-    g = float(minimize_hamiltonian(0.0, 0.0, p, spec, tol=1e-12))
+    g = float(minimize_hamiltonian(0.0, 0.0, p, spec))
     gg = np.linspace(-2, 2, 1_000_001)
     oracle = gg[np.argmin(gg * p + gg**4 / 4 + gg)]
     assert abs(g - oracle) < 1e-5

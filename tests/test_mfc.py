@@ -216,6 +216,41 @@ def test_smp_residual_refuses_adjoint_off_the_grid(off):
         smp_residual(spec, g, mu, adj)
 
 
+# a trajectory solved on x in [-3, 3] has the shape of one on [-4, 4]: only
+# the grid it carries tells them apart
+TRAJECTORY_READERS = {
+    "solve_backward_1d": lambda spec, grid, g, u1, nu, mu: mk.solve_backward_1d(
+        spec, grid, nu, u1.terminal),
+    "solve_backward_2d-g": lambda spec, grid, g, u1, nu, mu: solve_backward_2d(
+        spec, grid, mu, g=g, terminal=u1.u[-1, :, None] * np.exp(-grid.y)),
+    "solve_backward_2d-u_1d": lambda spec, grid, g, u1, nu, mu: solve_backward_2d(
+        spec, grid, mu, u_1d=u1, terminal=u1.u[-1, :, None] * np.exp(-grid.y)),
+    "simulate_particles": lambda spec, grid, g, u1, nu, mu: mk.simulate_particles(
+        spec, g, 100, 1, grid, nu_traj=nu),
+}
+
+
+@pytest.mark.parametrize("reader", TRAJECTORY_READERS)
+def test_trajectory_from_another_grid_of_the_same_shape_is_refused(reader):
+    spec = mk.make_model("lq_killing")
+    grid, other = mk.build_grid(-4, 4, 41, 2.4, 8, 20), mk.build_grid(-3, 3, 41, 2.4, 8, 20)
+    g = FeedbackControl.constant(0.1, grid, spec)
+    g_other = FeedbackControl.constant(0.1, other, spec)
+    nu, mu = mk.solve_forward_1d(spec, other, g_other), mk.solve_forward_2d(spec, other, g_other)
+    with pytest.raises(GridMismatch, match="trajectory is not on the grid"):
+        TRAJECTORY_READERS[reader](spec, grid, g, value_field_1d(spec, grid), nu, mu)
+
+
+@pytest.mark.parametrize("nx, ny", [(41, 8), (9, 9)])
+def test_evaluate_cost_on_the_line_refuses_a_joint_feedback(nx, ny):
+    spec = mk.make_model("lq_killing")
+    grid = mk.build_grid(-4, 4, nx, 2.4, ny, 20)
+    nu = mk.solve_forward_1d(spec, grid, FeedbackControl.constant(0.1, grid, spec))
+    joint = FeedbackControl.constant(0.1, grid, spec, two_d=True)
+    with pytest.raises(GridMismatch, match="feedback is not on the grid"):
+        evaluate_cost(spec, joint, nu_traj=nu)
+
+
 @pytest.mark.parametrize("off", OFF_GRIDS)
 def test_gateaux_derivative_refuses_adjoint_off_the_grid(off):
     # the slices of a 12-step adjoint are not the trajectory's time steps
