@@ -137,9 +137,9 @@ def _warm_start(u: np.ndarray, k: int, nt: int, v: np.ndarray,
                 shifted: bool) -> np.ndarray:
     """Seed the inner iteration by extrapolating the marched slices.
 
-    Quadratic extrapolation in time once three slices are available;
-    falls back to the unshifted next slice early on or when a noise path
-    makes successive slices live in different frames.
+    Cubic extrapolation in time once four slices are available, of lower
+    degree before; the unshifted next slice at the first step or when a
+    noise path makes successive slices live in different frames.
     """
     if shifted or k >= nt - 1:
         return v

@@ -11,13 +11,16 @@ Configuration is a UTF-8 JSON document::
       "solver": {"tol_pi": 1e-6, "tol_fp": 1e-10,  # default backward.TOL_FP
                   "max_iter": 200},
       "experiment": "solve",
-      "seed": 0,
+      "seed": 0,                 # >= 0
       "control": 0.0,            # constant feedback for forward/backward runs
       "particles": 100000,       # ensemble size for the particles experiment (>= 10)
-      "refine_levels": 3,        # levels for separability-check
-      "approx_indices": [1, 2, 4, 8, 16],
+      "refine_levels": 3,        # levels for separability-check (>= 2)
+      "approx_indices": [1, 2, 4, 8, 16],  # each >= 1
       "sigma0": null             # override common-noise volatility
     }
+
+Counts (grid node and step counts, max_iter, seed, particles, refine_levels,
+approx indices) are whole numbers, other values real numbers, never bools.
 
 Experiments: solve, forward, backward, particles, separability-check,
 smp-check, regularize-sweep.  Exit codes: 0 success, 2 configuration or
@@ -95,33 +98,41 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     raw.update({k: v for k, v in overrides.items() if v is not None})
     try:
         mdl = raw["model"]
-        gb = raw["grid"]
-        grid = build_grid(
-            gb["x_min"], gb["x_max"], gb["nx"], gb["y_max"], gb["ny"], gb["nt"],
-            gb.get("extension_ell", 0.0),
-        )
+        gb = dict({"extension_ell": 0.0}, **raw["grid"])
+        grid = build_grid(*(_number(f"grid {k}", gb[k], k in ("nx", "ny", "nt"))
+                            for k in ("x_min", "x_max", "nx", "y_max", "ny", "nt",
+                                      "extension_ell")))
         solver = dict(_DEF_SOLVER, **raw.get("solver", {}))
         for key, val in solver.items():
             if key not in _DEF_SOLVER:
                 raise ConfigError(f"unknown solver key {key!r}; known: {sorted(_DEF_SOLVER)}")
+            solver[key] = val = _number(f"solver {key}", val, key == "max_iter")
             if not val > 0:
-                raise ConfigError(f"solver tolerance {key} must be positive")
+                raise ConfigError(f"solver {key} must be positive")
         exp = raw.get("experiment", "solve")
         if exp not in EXPERIMENTS:
             raise UnknownExperiment(f"unknown experiment {exp!r}; choose from {EXPERIMENTS}")
+        seed = _number("seed", raw.get("seed", 0), True)
+        if seed < 0:
+            raise ConfigError(f"seed must be >= 0, not {seed}")
         # the keys left out of the config take RunConfig's defaults
-        optional = {key: kind(raw[key]) for key, kind in (
-            ("control", float), ("particles", int), ("refine_levels", int),
-            ("approx_indices", list)) if key in raw}
+        optional = {key: _number(key, raw[key], whole)
+                    for key, whole in (("control", False), ("particles", True),
+                                       ("refine_levels", True)) if key in raw}
+        if "approx_indices" in raw:
+            if not isinstance(raw["approx_indices"], list):
+                raise ConfigError(f"approx_indices must be a list, not {raw['approx_indices']!r}")
+            optional["approx_indices"] = [_number("approx index", n, True)
+                                          for n in raw["approx_indices"]]
         return RunConfig(
             model_name=mdl["name"],
             model_params=dict(mdl.get("params", {})),
             grid=grid,
             solver=solver,
             experiment=exp,
-            seed=int(raw.get("seed", 0)),
+            seed=seed,
             out_dir=Path(raw.get("out_dir", "out")),
-            sigma0=None if raw.get("sigma0") is None else float(raw["sigma0"]),
+            sigma0=None if raw.get("sigma0") is None else _number("sigma0", raw["sigma0"]),
             raw=raw,
             **optional,
         )
@@ -129,6 +140,14 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(f"missing config key: {exc}") from exc
     except (TypeError, ValueError, DegenerateRange) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
+
+
+def _number(what: str, val, whole: bool = False) -> float | int:
+    """`val` as an int if `whole`, else as a float; `ConfigError` naming
+    `what` unless it is a real number, and whole if `whole`."""
+    if not _is_real(val) or (whole and val % 1):
+        raise ConfigError(f"{what} must be a {'whole' if whole else 'real'} number, not {val!r}")
+    return int(val) if whole else float(val)
 
 
 def _refined(grid: Grid, k: int) -> Grid:
@@ -212,7 +231,7 @@ def _solve_mfc(cfg: RunConfig, spec, **kwargs):
     """`solve_mfc` on the configured grid with every configured solver key."""
     s = cfg.solver
     return solve_mfc(spec, cfg.grid, tol_pi=s["tol_pi"], tol_fp=s["tol_fp"],
-                     max_iter=int(s["max_iter"]), **kwargs)
+                     max_iter=s["max_iter"], **kwargs)
 
 
 def _run_solve(cfg: RunConfig, spec, out: Path) -> int:
@@ -308,6 +327,9 @@ def _run_particles(cfg: RunConfig, spec, out: Path) -> int:
 
 
 def _run_separability(cfg: RunConfig, spec, out: Path) -> int:
+    if cfg.refine_levels < 2:
+        # the verdict compares successive gaps, so it needs two
+        raise ConfigError(f"refine_levels must be >= 2, not {cfg.refine_levels}")
     gaps = []
     for level in range(cfg.refine_levels):
         grid = _refined(cfg.grid, level)
@@ -355,14 +377,17 @@ def _run_smp(cfg: RunConfig, spec, out: Path) -> int:
 
 
 def _run_regularize(cfg: RunConfig, spec, out: Path) -> int:
+    try:
+        families = [build_approx_family(spec, n) for n in cfg.approx_indices]
+    except ValueError as exc:
+        raise ConfigError(f"approx_indices: {exc}") from exc
     base = _solve_mfc(cfg, spec)
     v = base.cost.total
     rows = []
-    for n in cfg.approx_indices:
-        fam = build_approx_family(spec, int(n))
+    for n, fam in zip(cfg.approx_indices, families):
         rn = _solve_mfc(cfg, fam.spec_n)
         rows.append({
-            "n": int(n),
+            "n": n,
             "value": rn.cost.total,
             "gap": abs(rn.cost.total - v),
             "k_n": fam.k_n,

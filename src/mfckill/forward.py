@@ -230,13 +230,12 @@ def solve_forward_2d(
     grid.check_field(g, "feedback")
     x, y = grid.x, grid.y
     dx, dy, dt = grid.dx, grid.dy, grid.dt(spec.T)
-    keep, _, survival = grid.survival
     if initial is None:
         initial = np.asarray(spec.initial_density_2d(x[:, None], y[None, :]), dtype=float)
         initial = initial / (grid.wx @ initial @ grid.wy)
 
     def step(k, t, mu):
-        ops = StepOperators(spec, grid, t, NuHandle(x, mu[:, keep] @ survival), noise)
+        ops = StepOperators(spec, grid, t, NuHandle(x, mu @ grid.survival), noise)
         b = _drift(ops, g, k, dy)
         mu = diffuse(mu, ops.matrix)
         expl = upwind_flux_divergence(mu, face_average(b), dx)

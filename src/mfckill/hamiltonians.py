@@ -2,11 +2,12 @@
 
 `minimize_control` is the one box-constrained control minimizer and
 `nonlocal_kernels` the one evaluation of the Db0/Df0 kernels.  The
-solvers call both once per time step through `steps.StepOperators`,
-which also evaluates the Hamiltonians themselves.  `minimize_hamiltonian`,
-`minimize_k_tilde` and `f_nu` evaluate the same minimizer and kernels at
-arbitrary points; they stay only for the benchmark tracer
-(`perfbench/tracer.py`) and as oracles in the tests.
+solvers call both through `steps.StepOperators`, which also evaluates
+the Hamiltonians themselves: the kernels once per time step, the
+minimizer in every inner iteration of a value solve.
+`minimize_hamiltonian`, `minimize_k_tilde` and `f_nu` evaluate the same
+minimizer and kernels at arbitrary points; they stay only for the
+benchmark tracer (`perfbench/tracer.py`) and as oracles in the tests.
 """
 
 from __future__ import annotations

@@ -139,23 +139,24 @@ class Density2D:
                    fmt="%.17g")
 
 
-def survival_quadrature(y: np.ndarray, dy: float):
-    """Quadrature over the y >= 0 nodes: (mask, trapezoid weights w_y,
-    survival kernel e^{-y} w_y)."""
+def survival_quadrature(y: np.ndarray, dy: float) -> tuple:
+    """Two rows over the nodes `y`, zero below y = 0: the trapezoid weights
+    w_y of the y >= 0 nodes and the survival kernel e^{-y} w_y.  Finite
+    data below zero carry no weight against them; a NaN there propagates."""
     keep = y >= 0.0
-    wy = trapezoid_weights(int(keep.sum()), dy)
-    return keep, wy, np.exp(-y[keep]) * wy
+    wy = np.zeros(y.size)
+    wy[keep] = trapezoid_weights(int(keep.sum()), dy)
+    return wy, np.exp(-y) * wy
 
 
 def s_map(mu: Density2D) -> SubProb1D:
     """Survival-weighted x marginal: nu(x) = int e^{-y} mu(x, y) dy.
 
     Trapezoid rule over the y >= 0 part of the grid; nodes below zero
-    (present only on extended grids) carry no physical mass and are
-    excluded so the result is insensitive to ghost data.
+    (present only on extended grids) carry no physical mass and weight
+    zero, so the result does not depend on finite ghost data there.
     """
-    keep, _, kernel = survival_quadrature(mu.y, mu.dy)
-    return SubProb1D(mu.x, mu.values[:, keep] @ kernel)
+    return SubProb1D(mu.x, mu.values @ survival_quadrature(mu.y, mu.dy)[1])
 
 
 def initial_marginal(spec, grid) -> np.ndarray:
@@ -164,7 +165,7 @@ def initial_marginal(spec, grid) -> np.ndarray:
     6)], finer than the grid's own y nodes."""
     yq = np.linspace(0.0, max(grid.y_max, 6.0), 2001)
     rho2 = spec.initial_density_2d(grid.x[:, None], yq[None, :])
-    return rho2 @ survival_quadrature(yq, yq[1] - yq[0])[2]
+    return rho2 @ survival_quadrature(yq, yq[1] - yq[0])[1]
 
 
 # ---------------------------------------------------------------------------

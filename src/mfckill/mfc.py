@@ -95,7 +95,6 @@ def evaluate_cost(
         grid = traj.grid
         grid.check_field(g, "feedback", joint=False if name == "nu" else None)
         x, dt, cw, wx = grid.x, grid.dt(spec.T), grid.time_weights, grid.wx
-        keep, _, survival = grid.survival
         running = 0.0
         for k in range(grid.nt + 1):
             t = traj.times[k]
@@ -105,16 +104,9 @@ def evaluate_cost(
                 fk = StepOperators(spec, grid, t, NuHandle(x, vals)).cost(gv)
                 running += cw[k] * dt * float((vals * fk) @ wx)
             else:
-                mu_k = traj.at(k)
-                fk = StepOperators(spec, grid, t, mu=mu_k).cost(y_column(gv))
-                fk = np.broadcast_to(fk, (grid.nx, grid.ny_total))[:, keep]
-                running += cw[k] * dt * float(
-                    wx @ ((mu_k.values[:, keep] * fk) @ survival)
-                )
-        if name == "nu":
-            nuT = NuHandle(x, nu_traj.values[-1])
-        else:
-            nuT = s_map(mu_traj.at(grid.nt))
+                fk = StepOperators(spec, grid, t, mu=traj.at(k)).cost(y_column(gv))
+                running += cw[k] * dt * float(wx @ ((traj.values[k] * fk) @ grid.survival))
+        nuT = NuHandle(x, traj.values[-1]) if name == "nu" else s_map(traj.at(grid.nt))
         terminal = float(spec.psi(nuT))
         results[name] = (running, terminal, running + terminal)
 
@@ -371,16 +363,18 @@ def smp_residual(
     """Worst pointwise optimality defect over the support of mu.
 
     sup over grid cells with mu > MU_FLOOR (the support the solvers use)
-    of K(x, y, du, g) - inf_h K(x, y, du, h); nonnegative up to minimizer
-    tolerance (clipped at zero).  Raises `GridMismatch` unless
-    `adjoint_2d` is a joint field on mu_traj's grid.
+    and y >= 0 (where `grid.wy` is positive) of K(x, y, du, g) - inf_h
+    K(x, y, du, h); nonnegative up to minimizer tolerance (clipped at
+    zero); finite data below y = 0 do not change it.  Raises
+    `GridMismatch` unless `adjoint_2d` is a joint field on mu_traj's grid.
     """
     grid = mu_traj.grid
     grid.check_field(g, "feedback")
     grid.check_field(adjoint_2d, "adjoint_2d", joint=True)
+    weighted = grid.wy > 0.0
     worst = 0.0
     for k in range(grid.nt + 1):
-        support = mu_traj.values[k] > MU_FLOOR
+        support = (mu_traj.values[k] > MU_FLOOR) & weighted
         if not support.any():
             continue
         ops = StepOperators(spec, grid, mu_traj.times[k], mu=mu_traj.at(k))
@@ -426,12 +420,7 @@ def gateaux_derivative(
     if not (lo - 1e-15 <= probe.min() and probe.max() <= hi + 1e-15):
         raise DirectionLeavesBox("g + eps h leaves the control box")
 
-    cw, wx, wy = grid.time_weights, grid.wx, grid.wy
-    keep, wy_pos, survival = grid.survival
-
-    def step_dir(k):
-        return y_column(h_vals[k])
-
+    cw, wx, wy, survival = grid.time_weights, grid.wx, grid.wy, grid.survival
     if quadrature not in ("dual", "node"):
         raise ValueError("quadrature must be 'dual' or 'node'")
     total = 0.0
@@ -442,10 +431,8 @@ def gateaux_derivative(
             fac = StepOperators(spec, grid, t).fac
             p = central_grad(adjoint_2d.u[k], dx)
             df1 = _df1_values(spec, t, x[:, None], y_column(g.at_step(k)))
-            integ = (fac[:, None] * p + grid.ey * df1) * step_dir(k)
-            contrib = mu_traj.values[k][:, keep] \
-                * np.broadcast_to(integ, mu_traj.values[k].shape)[:, keep]
-            total += cw[k] * dt * float(wx @ (contrib @ wy_pos))
+            integ = (fac[:, None] * p + grid.ey * df1) * y_column(h_vals[k])
+            total += cw[k] * dt * float(wx @ ((mu_traj.values[k] * integ) @ wy))
         return total
     offsets = noise_offsets(spec, grid, mu_traj.noise)
     for k in range(nt):
@@ -460,15 +447,14 @@ def gateaux_derivative(
         if offsets is not None:
             v = shift_density(v, -offsets[k], dx)
         b_face = ops.face_drift(y_column(g.at_step(k)))
-        db_face = face_average(ops.fac[:, None] * step_dir(k))
+        db_face = face_average(ops.fac[:, None] * y_column(h_vals[k]))
         d_mu = upwind_flux_derivative(mu_mid, b_face, db_face, dx)
         total += dt * float(wx @ ((d_mu * v) @ wy))
 
     for k in range(nt + 1):
         t = times[k]
         df1 = _df1_values(spec, t, x[:, None], y_column(g.at_step(k)))
-        integ = (mu_traj.values[k][:, keep]
-                 * np.broadcast_to(df1 * step_dir(k), mu_traj.values[k].shape)[:, keep])
+        integ = mu_traj.values[k] * (df1 * y_column(h_vals[k]))
         total += cw[k] * dt * float(wx @ (integ @ survival))
     return total
 

@@ -110,10 +110,11 @@ class Grid:
     The y axis nominally covers [0, y_max]; requesting a negative
     extension adds whole cells below zero so that 0 stays a node.  The
     grid owns its quadrature: the node arrays `x` and `y`, the trapezoid
-    weights `wx` and `wy` with spacings dx and dy, the survival quadrature
-    over y >= 0, e^{-y} as a row and the trapezoid time weights are built
-    once per grid and are read-only.  `check_field` is the one test that
-    an array or solver record is a field on the grid.
+    weights `wx` and `wy`, the survival kernel e^{-y} wy, e^{-y} as a row
+    and the time weights are built once per grid and are read-only; `wy`
+    and `survival` are zero below y = 0, so finite data there carry no
+    weight.  `check_field` is the one test that an array or solver record
+    is a field on the grid.
     """
 
     x_min: float
@@ -157,14 +158,13 @@ class Grid:
 
     @cached_property
     def wy(self) -> np.ndarray:
-        """Trapezoid weights over all ny_total y nodes."""
-        return _frozen(trapezoid_weights(self.ny_total, self.dy))
+        """Trapezoid weights of the y >= 0 nodes, zero below y = 0."""
+        return _frozen(survival_quadrature(self.y, self.dy)[0])
 
     @cached_property
-    def survival(self) -> tuple:
-        """(mask of the y >= 0 nodes, their trapezoid weights, the survival
-        kernel e^{-y} times those weights)."""
-        return tuple(map(_frozen, survival_quadrature(self.y, self.dy)))
+    def survival(self) -> np.ndarray:
+        """The survival kernel e^{-y} wy, zero below y = 0."""
+        return _frozen(survival_quadrature(self.y, self.dy)[1])
 
     @cached_property
     def ey(self) -> np.ndarray:

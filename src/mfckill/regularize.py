@@ -154,8 +154,10 @@ def build_approx_family(spec: ModelSpec, n: int) -> ApproxFamily:
     The control cost is assumed state-independent (true for the built-in
     models): its envelope is computed once on a control grid, mollified,
     and combined with the e^{-x^2/n} window and the strictly convexifying
-    |g|^2/n term.
+    |g|^2/n term.  Raises `ValueError` unless n >= 1.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     box = spec.box_array
     lo, hi = float(box[0, 0]), float(box[0, 1])
     width = max(hi - lo, 1e-12)
@@ -164,7 +166,7 @@ def build_approx_family(spec: ModelSpec, n: int) -> ApproxFamily:
 
     f1_samples = np.asarray(spec.f1(0.0, 0.0, gg), dtype=float)
     env = inf_convolution(f1_samples, gg, n)
-    eps_n = max(2.5 * dg, width / (8.0 * max(n, 1)))
+    eps_n = max(2.5 * dg, width / (8.0 * n))
     env_m = mollify(env, dg, eps_n)
 
     x_probe = np.linspace(-4.0, 4.0, 81)

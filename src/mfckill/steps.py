@@ -247,47 +247,32 @@ class StepOperators:
         return nonlocal_kernels(self.t, self.x, self.nu, self.x, self.spec)
 
     @cached_property
-    def _pairing(self) -> tuple:
-        """(columns, rows, wy, wx): a field f carries the x weights rows f
-        wx against the step's measure on the line (columns and wy None), and
-        ((rows f[:, columns]) @ wy) wx against the joint one over y >= 0."""
-        if self.mu is None:
-            return None, self.nu.values, None, self.nu.weights
-        keep, wy, _ = self.grid.survival
-        return keep, self.mu.values[:, keep], wy, self.nu.weights
-
-    @cached_property
     def df0_term(self):
-        """<nu, Df0> on the line, or <mu, e^{-y'} Df0> over y' >= 0 with a
-        joint `mu`; 0.0 for a model without Df0."""
-        cols, rows, wy, wx = self._pairing
+        """<nu, Df0> at the step's measure on the line; with a joint `mu`,
+        nu is its survival marginal, so this is <mu, e^{-y'} Df0> over
+        y' >= 0.  0.0 for a model without Df0."""
         kf = self.kernels[1]
-        if kf is None:
-            return 0.0
-        if wy is None:
-            return rows * wx @ kf
-        return ((rows * self.grid.ey[:, cols]) @ wy) * wx @ kf
+        return 0.0 if kf is None else self.nu.values * self.nu.weights @ kf
 
     @cached_property
     def db0_matrix(self) -> np.ndarray | None:
         """The (nx, nx) matrix M with p @ M = <nu, Db0 p> on the line; None
         for a model without Db0."""
-        _, rows, _, wx = self._pairing
         kb = self.kernels[0]
-        return None if kb is None else (rows * wx)[:, None] * kb
+        return None if kb is None else (self.nu.values * self.nu.weights)[:, None] * kb
 
     def nonlocal_term(self, p: np.ndarray):
         """<nu, Db0 p> + <nu, Df0> at the step's nu for a (nx,) gradient;
         with a joint `mu`, e^{-y} (<mu, Db0 p> + <mu, e^{-y'} Df0>) over
-        y' >= 0 on the half-plane for an (nx, ny) gradient.  Zeros of the
-        gradient's shape for a model without the kernels."""
+        y' >= 0 (the y weights `grid.wy`) on the half-plane for an (nx, ny)
+        gradient.  Zeros of the gradient's shape for a model without the
+        kernels."""
         if not self.spec.coupled:
             return np.zeros(p.shape)
-        cols, rows, wy, wx = self._pairing
-        kb = self.kernels[0]
-        if wy is None:
-            return (0.0 if kb is None else rows * p * wx @ kb) + self.df0_term
-        vals = 0.0 if kb is None else ((rows * p[:, cols]) @ wy) * wx @ kb
+        kb, wx = self.kernels[0], self.nu.weights
+        if self.mu is None:
+            return (0.0 if kb is None else self.nu.values * p * wx @ kb) + self.df0_term
+        vals = 0.0 if kb is None else ((self.mu.values * p) @ self.grid.wy) * wx @ kb
         return self.grid.ey * (vals + self.df0_term)[:, None]
 
 

@@ -147,6 +147,35 @@ def test_no_boundary_condition_below_zero():
     assert np.array_equal(base.u[:, :, grid.n_ext:], pert.u[:, :, grid.n_ext:])
 
 
+def test_diagnostics_ignore_data_below_zero():
+    # the diagnostics that integrate over the half-plane weigh y >= 0 only,
+    # so finite data below y = 0 leave them bit-identical
+    spec = mk.make_model("lq_killing")
+    grid = mk.build_grid(-4, 4, 81, 2.4, 16, 80, extension_ell=-0.3)
+    g = FeedbackControl.constant(0.1, grid, spec)
+    mu = mk.solve_forward_2d(spec, grid, g)
+    term2 = np.exp(-grid.y)[None, :] * np.asarray(spec.dpsi(None, grid.x))[:, None]
+    rng = np.random.default_rng(0)
+    term_perturbed = term2.copy()
+    term_perturbed[:, : grid.n_ext] += rng.normal(size=(grid.nx, grid.n_ext))
+    vals = mu.values.copy()
+    vals[:, :, : grid.n_ext] += np.abs(rng.normal(size=(grid.nt + 1, grid.nx, grid.n_ext)))
+    mu2 = ForwardTrajectory2D(grid, mu.times, vals, g, None, mu.mass_series,
+                              mu.energy, 0.0)
+    runs = [(m, solve_backward_2d(spec, grid, m, g=g, terminal=t))
+            for m, t in ((mu, term2), (mu2, term_perturbed))]
+    h = np.full(g.values.shape, 0.05)
+
+    def diagnostics(m, adj):
+        return (energy_report(adj),
+                mk.gateaux_derivative(spec, g, h, m, adj, quadrature="dual"),
+                mk.gateaux_derivative(spec, g, h, m, adj, quadrature="node"),
+                mk.smp_residual(spec, g, m, adj),
+                mk.evaluate_cost(spec, g, mu_traj=m).total)
+
+    assert diagnostics(*runs[0]) == diagnostics(*runs[1])
+
+
 def test_monotonicity_nonnegative_data():
     spec = mk.make_model("lq_killing", f1_weight=1.0)
     grid = mk.build_grid(-4, 4, 101, 2.4, 16, 100)

@@ -113,16 +113,28 @@ def test_removed_solver_keys_exit_2(tmp_path, capsys, key):
     {"model": {"name": "lq_killing", "params": {"control_box": [-1.0, "1"]}}},
     {"sigma0": float("nan")},
     {"model": {"name": "lq_killing", "params": {"kappa": float("nan")}}},
+    {"approx_indices": "ab"},
+    {"approx_indices": [2, 4.5]},
+    {"particles": 10.9},
+    {"solver": {"max_iter": 2.7}},
+    {"solver": {"tol_pi": True}},
+    {"grid": {"x_min": -4.0, "x_max": 4.0, "nx": 21.5, "y_max": 2.4, "ny": 10, "nt": 60}},
+    {"control": True},
+    {"seed": True},
+    {"seed": -1},
 ], ids=["solver-string", "grid-string", "model-unknown-param", "model-params-list",
         "grid-too-coarse", "sigma0-string", "kappa-string", "x0-string", "kappa-bool",
         "kappa-pair", "box-string", "sigma0-nan",
-        "kappa-nan"])
+        "kappa-nan", "indices-string", "indices-fraction", "particles-fraction",
+        "max-iter-fraction", "tol-pi-bool", "grid-count-fraction", "control-bool",
+        "seed-bool", "seed-negative"])
 def test_bad_config_value_exit_2(tmp_path, capsys, overrides):
     # a configuration error exits 2 with one line, not 1 with a traceback,
     # before the experiment reads a coefficient
     cfg = small_config(tmp_path, experiment="forward", **overrides)
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.name)
@@ -137,6 +149,21 @@ def test_too_few_particles_exit_2(tmp_path, capsys):
     # an experiment that runs no particles ignores the count
     cfg = small_config(tmp_path, experiment="forward", particles=5)
     assert main(["--config", str(cfg), "--out", str(tmp_path / "f")]) == 0
+
+
+def test_approx_index_below_one_exit_2(tmp_path, capsys):
+    cfg = small_config(tmp_path, experiment="regularize-sweep", approx_indices=[2, 0])
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: approx_indices") and "n must be >= 1" in err
+
+
+@pytest.mark.parametrize("levels", [0, 1])
+def test_too_few_refine_levels_exit_2(tmp_path, capsys, levels):
+    # the separability verdict compares successive gaps, so it needs two
+    cfg = small_config(tmp_path, experiment="separability-check", refine_levels=levels)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: refine_levels must be >= 2")
 
 
 def test_bad_model_name_exit_2(tmp_path):

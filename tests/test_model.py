@@ -9,7 +9,7 @@ from mfckill.errors import (
     NonconvexControlCost,
     NondegeneracyViolation,
 )
-from mfckill.measures import NuHandle
+from mfckill.measures import NuHandle, trapezoid_weights
 from mfckill.model import lq_killing
 
 
@@ -118,6 +118,19 @@ def test_grid_nodes_cached_read_only():
     for nodes in (g.x, g.y):
         with pytest.raises(ValueError):
             nodes[0] = 1.0
+
+
+def test_grid_weighs_only_nonnegative_y():
+    ext = mk.build_grid(-4, 4, 81, 2.4, 16, 80, extension_ell=-0.3)
+    assert ext.n_ext > 0
+    for row in (ext.wy, ext.survival):
+        assert row.shape == (ext.ny_total,)
+        assert not row[: ext.n_ext].any() and row[ext.n_ext:].all()
+        with pytest.raises(ValueError):
+            row[0] = 1.0
+    g = mk.build_grid(-4, 4, 41, 2.4, 8, 20)
+    assert np.array_equal(g.wy, trapezoid_weights(g.ny, g.dy))
+    assert np.array_equal(g.survival, np.exp(-g.y) * g.wy)
 
 
 def test_f1_midpoint_convexity_sampled():

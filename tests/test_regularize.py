@@ -97,6 +97,12 @@ def test_family_passes_validation(n):
     assert fam.certified["assumptions"]
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_family_index_below_one_rejected(n):
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        build_approx_family(mk.make_model("lq_killing"), n)
+
+
 def test_family_intensity_cap_exact():
     spec = mk.make_model("lq_killing")
     spec.lam = lambda t, x: np.abs(np.asarray(x, dtype=float)) * 3.0
