@@ -13,11 +13,12 @@ stencils, each beside its transpose, are in steps.py.  Both marchers run
 in one time loop, `_march`.  Each step reads what does not depend on the
 density (the diffusion matrix, lam and its kill factor, b1_factor and
 the box) from `steps.StepOperators`, which takes them from the control
-loop's `steps.step_table` when one is active, and its quadrature weights
-and survival kernel from the `Grid`; a control loop also builds the
-default initial marginal (`initial_marginal`) once and passes it as
-`initial`.  `Grid.check_field` refuses a feedback or initial density off
-the grid at entry, and a joint feedback on the line.
+loop's `steps.step_table` when one is active, and its weights from the
+`Grid`; like every half-plane step, the joint one hands it a `Density2D`
+and the model reads nu = `s_map` of it.  A control loop builds the default
+initial marginal (`initial_marginal`) once and passes it as `initial`.
+`Grid.check_field` refuses a feedback or initial density off the grid at
+entry, and a joint feedback on the line.
 """
 
 from __future__ import annotations
@@ -105,13 +106,14 @@ class ForwardTrajectory1D(_ForwardTrajectory):
 
 class ForwardTrajectory2D(_ForwardTrajectory):
     def at(self, k: int) -> Density2D:
-        return Density2D(self.grid.x, self.grid.y, self.values[k])
+        return Density2D(self.grid, self.values[k])
 
     def marginal(self) -> ForwardTrajectory1D:
         """The survival-weighted marginal s_map(mu) at every step."""
         vals = np.stack([s_map(self.at(k)).values for k in range(self.times.size)])
+        energy = _energy(vals, self.grid, self.grid.dt(self.times[-1]))
         return ForwardTrajectory1D(self.grid, self.times, vals, self.control, self.noise,
-                                   vals.sum(axis=1) * self.grid.dx, self.energy, 0.0)
+                                   vals.sum(axis=1) * self.grid.dx, energy, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -140,18 +142,34 @@ def _drift(ops: StepOperators, g: FeedbackControl, k: int,
     return b
 
 
-def _march(spec: ModelSpec, grid: Grid, vals0: np.ndarray,
-           noise: CommonNoisePath | None, step, joint: bool = False) -> tuple:
-    """The time loop of both forward solvers.
+def _energy(values: np.ndarray, grid: Grid, dt: float) -> EnergyRecord:
+    """The energy record of a trajectory's (nx,) or (nx, ny_total) slices:
+    the sup of the L2 norm squared, the dt-weighted sum over k >= 1 of the
+    L2 and H^1_0 norms squared, the initial L2 norm squared, and the ratio."""
+    wy = grid.wy if values.ndim == 3 else None
+    l2 = [weighted_l2_sq(rho, grid.wx, wy) for rho in values]
+    h10_sum = 0.0
+    for rho, l2_sq in zip(values[1:], l2[1:]):
+        grad_sq = (np.diff(rho, axis=0) / grid.dx) ** 2
+        h10_sq = float((grad_sq if wy is None else grad_sq @ wy).sum() * grid.dx)
+        h10_sum += (l2_sq + h10_sq) * dt
+    sup_sq, init_sq = max(l2), l2[0]
+    return EnergyRecord(sup_sq, h10_sum, init_sq,
+                        (sup_sq + h10_sum) / init_sq if init_sq > 0 else 0.0)
+
+
+def _march(kind: type, spec: ModelSpec, grid: Grid, g: FeedbackControl,
+           vals0: np.ndarray, noise: CommonNoisePath | None, step) -> _ForwardTrajectory:
+    """The time loop of both forward solvers, returning their `kind` of record.
 
     `step(k, t, rho)` advances the density over [t_k, t_{k+1}]; the loop
     then applies the common-noise shift, if any, and records the values,
-    the cell-sum mass, the energy and the mass that left through the shift.
-    The density is (nx,) on the line, (nx, ny) when `joint`.  Returns
-    (times, values, mass, energy, leakage).
+    the cell-sum mass and the mass that left through the shift.  The
+    density is (nx,) on the line, (nx, ny) for a `ForwardTrajectory2D`.
     """
-    dx, dt, nt, wx = grid.dx, grid.dt(spec.T), grid.nt, grid.wx
-    wy, dy = (grid.wy, grid.dy) if joint else (None, 1.0)
+    joint = kind is ForwardTrajectory2D
+    dx, nt = grid.dx, grid.nt
+    dy = grid.dy if joint else 1.0
     rho = np.ascontiguousarray(vals0, dtype=float)
     grid.check_field(rho, "initial density", joint, series=False)
     offsets = noise_offsets(spec, grid, noise)
@@ -160,28 +178,18 @@ def _march(spec: ModelSpec, grid: Grid, vals0: np.ndarray,
     out[0] = rho
     mass = np.empty(nt + 1)
     mass[0] = rho.sum() * dx * dy
-    init_sq = sup_sq = weighted_l2_sq(rho, wx, wy)
-    h10_sum = leakage = 0.0
+    leakage = 0.0
     times = grid.times(spec.T)
     for k in range(nt):
-        t = times[k]
-        rho = step(k, t, rho)
+        rho = step(k, times[k], rho)
         if offsets is not None:
             pre = rho.sum()
             rho = shift_density(rho, offsets[k], dx)
             leakage += abs(pre - rho.sum()) * dx * dy
-
         out[k + 1] = rho
         mass[k + 1] = rho.sum() * dx * dy
-        l2_sq = weighted_l2_sq(rho, wx, wy)
-        sup_sq = max(sup_sq, l2_sq)
-        grad_sq = (np.diff(rho, axis=0) / dx) ** 2
-        h10_sq = float((grad_sq if wy is None else grad_sq @ wy).sum() * dx)
-        h10_sum += (l2_sq + h10_sq) * dt
-
-    energy = EnergyRecord(sup_sq, h10_sum, init_sq,
-                          (sup_sq + h10_sum) / init_sq if init_sq > 0 else 0.0)
-    return times, out, mass, energy, leakage
+    energy = _energy(out, grid, grid.dt(spec.T))
+    return kind(grid, times, out, g, noise, mass, energy, leakage)
 
 
 def solve_forward_1d(
@@ -210,8 +218,7 @@ def solve_forward_1d(
         rho = diffuse(rho, ops.matrix) * ops.kill
         return rho + dt * upwind_flux_divergence(rho, face_average(b), dx)
 
-    times, out, mass, energy, leakage = _march(spec, grid, initial, noise, step)
-    return ForwardTrajectory1D(grid, times, out, g, noise, mass, energy, leakage)
+    return _march(ForwardTrajectory1D, spec, grid, g, initial, noise, step)
 
 
 def solve_forward_2d(
@@ -228,18 +235,16 @@ def solve_forward_2d(
     mass is conserved exactly by the scheme.
     """
     grid.check_field(g, "feedback")
-    x, y = grid.x, grid.y
     dx, dy, dt = grid.dx, grid.dy, grid.dt(spec.T)
     if initial is None:
-        initial = np.asarray(spec.initial_density_2d(x[:, None], y[None, :]), dtype=float)
-        initial = initial / (grid.wx @ initial @ grid.wy)
+        mu0 = Density2D(grid, spec.initial_density_2d(grid.x[:, None], grid.y[None, :]))
+        initial = mu0.values / mu0.mass
 
     def step(k, t, mu):
-        ops = StepOperators(spec, grid, t, NuHandle(x, mu @ grid.survival), noise)
+        ops = StepOperators(spec, grid, t, noise=noise, mu=Density2D(grid, mu))
         b = _drift(ops, g, k, dy)
         mu = diffuse(mu, ops.matrix)
         expl = upwind_flux_divergence(mu, face_average(b), dx)
         return y_transport(mu, ops.lam, dt, dy) + dt * expl
 
-    times, out, mass, energy, leakage = _march(spec, grid, initial, noise, step, joint=True)
-    return ForwardTrajectory2D(grid, times, out, g, noise, mass, energy, leakage)
+    return _march(ForwardTrajectory2D, spec, grid, g, initial, noise, step)

@@ -46,15 +46,14 @@ def _golden_min(obj, lo: np.ndarray, hi: np.ndarray, tol: float = 1e-9,
     for _ in range(max_iter):
         if np.max(b - a) < tol:
             break
+        # keep [a, d] or [c, b]; its interior point and value carry over
         take_left = fc < fd
         b = np.where(take_left, d, b)
         a = np.where(take_left, a, c)
-        d_new = a + _INVPHI * (b - a)
-        c_new = b - _INVPHI * (b - a)
-        # only one of the two interior points moves; recompute both cheaply
-        c, d = c_new, d_new
-        fc = obj(c)
-        fd = obj(d)
+        new = np.where(take_left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
+        f_new = obj(new)
+        c, d = np.where(take_left, new, d), np.where(take_left, c, new)
+        fc, fd = np.where(take_left, f_new, fd), np.where(take_left, fc, f_new)
     return 0.5 * (a + b)
 
 

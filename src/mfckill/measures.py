@@ -11,20 +11,25 @@ survival-weighted marginal of a model's initial law.  A plain `NuHandle` is buil
 only where a solver holds raw density values, such as mid-march.
 
 Conventions: densities live on uniform node grids and all pairings use the
-trapezoid rule (tensor-product trapezoid in 2d).  These types take their
-spacing from their nodes, since they also serve nodes that belong to no
-`model.Grid`; a solver takes its weights from its grid.  Negative values produced
-by numerics are tolerated down to -1e-12 and clipped only in diagnostics,
-never inside solvers.
+trapezoid rule (tensor-product trapezoid in 2d).  `Density2D` reads its
+grid's weights; the measures on the line take their spacing from their
+nodes, which may belong to no `model.Grid` (on the workload grids
+x[1] - x[0] is not `grid.dx` to the last bit, and the seed-7 costs keep
+it).  Negative values produced by numerics are tolerated down to -1e-12
+and clipped only in diagnostics, never inside solvers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import GridMismatch
+
+if TYPE_CHECKING:
+    from .model import Grid
 
 __all__ = [
     "NuHandle",
@@ -110,30 +115,22 @@ class SubProb1D(NuHandle):
 
 @dataclass
 class Density2D:
-    """Joint density of (position, cumulative intensity) on a tensor grid."""
+    """Joint density of (position, cumulative intensity): a field on a grid."""
 
-    x: np.ndarray
-    y: np.ndarray
-    values: np.ndarray  # shape (nx, ny)
+    grid: Grid
+    values: np.ndarray
 
     def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        self.y = np.asarray(self.y, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.x.size, self.y.size):
-            raise GridMismatch("values must have shape (nx, ny)")
-
-    @property
-    def dy(self) -> float:
-        return float(self.y[1] - self.y[0])
+        self.grid.check_field(self.values, "joint density", joint=True, series=False)
 
     @property
     def mass(self) -> float:
-        wx, wy = (trapezoid_weights(v.size, float(v[1] - v[0])) for v in (self.x, self.y))
-        return float(wx @ self.values @ wy)
+        """Trapezoid mass over the y >= 0 nodes."""
+        return float(self.grid.wx @ self.values @ self.grid.wy)
 
     def to_csv(self, path) -> None:
-        xs, ys = np.meshgrid(self.x, self.y, indexing="ij")
+        xs, ys = np.meshgrid(self.grid.x, self.grid.y, indexing="ij")
         data = np.column_stack([xs.ravel(), ys.ravel(), self.values.ravel()])
         np.savetxt(path, data, delimiter=",", header="x,y,value", comments="",
                    fmt="%.17g")
@@ -150,13 +147,9 @@ def survival_quadrature(y: np.ndarray, dy: float) -> tuple:
 
 
 def s_map(mu: Density2D) -> SubProb1D:
-    """Survival-weighted x marginal: nu(x) = int e^{-y} mu(x, y) dy.
-
-    Trapezoid rule over the y >= 0 part of the grid; nodes below zero
-    (present only on extended grids) carry no physical mass and weight
-    zero, so the result does not depend on finite ghost data there.
-    """
-    return SubProb1D(mu.x, mu.values @ survival_quadrature(mu.y, mu.dy)[1])
+    """Survival-weighted x marginal nu(x) = int e^{-y} mu(x, y) dy: the values
+    paired with the grid's survival kernel, zero below y = 0."""
+    return SubProb1D(mu.grid.x, mu.values @ mu.grid.survival)
 
 
 def initial_marginal(spec, grid) -> np.ndarray:

@@ -4,8 +4,9 @@
 reads of the model apart from the measure (sigma, lam and its kill factor,
 b1_factor, the control box and the diffusion matrix) lives in a
 `NodeInputs` for that time node; the quadrature weights and e^{-y} it
-reads from the `Grid`, which builds them once.  While `step_table(spec,
-grid)` is active, as it is for the whole of a `solve_mfc` or
+reads from the `Grid`, which builds them once; every half-plane step
+passes its density as a `Density2D` and reads nu as `s_map` of it.  While
+`step_table(spec, grid)` is active, as it is for the whole of a `solve_mfc` or
 `solve_mfc_2d` call, every `StepOperators` of that model and grid at one
 of its time nodes shares the table's `NodeInputs`, so each member is
 evaluated once per node for the call, not once per sweep and marcher; the

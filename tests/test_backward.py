@@ -176,6 +176,30 @@ def test_diagnostics_ignore_data_below_zero():
     assert diagnostics(*runs[0]) == diagnostics(*runs[1])
 
 
+def test_forward_and_transposed_steps_read_the_same_nu():
+    # every half-plane step takes nu from s_map on the grid's survival row,
+    # so the forward step and its transpose hand b0 the same measure, also
+    # where y[1] - y[0] is not grid.dy
+    spec = mk.make_model("lq_mean_field")
+    grid = mk.build_grid(-4, 4, 81, 2.4, 16, 80, extension_ell=-0.5)
+    seen = {}
+    b0 = spec.b0
+
+    def recording_b0(t, x, nu):
+        seen.setdefault(t, []).append(nu.values.copy())
+        return b0(t, x, nu)
+
+    spec.b0 = recording_b0
+    g = FeedbackControl.constant(0.1, grid, spec)
+    mu = mk.solve_forward_2d(spec, grid, g)
+    forward = {t: vals[0] for t, vals in seen.items()}
+    seen.clear()
+    solve_backward_2d(spec, grid, mu, g=g, terminal=np.zeros((grid.nx, grid.ny_total)))
+    assert len(forward) == grid.nt
+    for t, nu in forward.items():
+        assert np.array_equal(seen[t][0], nu)
+
+
 def test_monotonicity_nonnegative_data():
     spec = mk.make_model("lq_killing", f1_weight=1.0)
     grid = mk.build_grid(-4, 4, 101, 2.4, 16, 100)

@@ -1,7 +1,6 @@
 import ast
 import importlib
 import pkgutil
-import re
 from pathlib import Path
 
 import pytest
@@ -24,40 +23,51 @@ SRC = Path(mfckill.__file__).resolve().parent
 PERFBENCH = SRC.parents[1] / "perfbench"
 
 
-def _reference_lines(path):
-    """(lines, in_all, defined): the file's lines, the line numbers of its
-    `__all__`, and the def/class line of each name it defines; neither
-    counts as a reference."""
-    source = path.read_text()
-    in_all, defined = set(), {}
-    for node in ast.parse(source).body:
+# Public names that only the tests call, each an entry point of the
+# library, with the reason it stays public.
+ENTRY_POINTS = {
+    "mfc.solve_mfc_2d": "the joint-feedback control loop: acceptance criterion 10 "
+                        "solves with it, and no CLI experiment runs it yet",
+}
+
+
+def _references(path):
+    """The names a file's code refers to: names, attributes, imported
+    names and string constants, none of them inside its `__all__`.
+    Docstrings and comments name things only in prose and do not count."""
+    found = set()
+
+    def visit(node):
         if isinstance(node, ast.Assign) and any(
                 getattr(t, "id", None) == "__all__" for t in node.targets):
-            in_all.update(range(node.lineno, node.end_lineno + 1))
-        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            defined[node.name] = node.lineno
-    return source.splitlines(), in_all, defined
+            return
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.update(node.name.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(path.read_text()))
+    return found
 
 
 def test_every_public_name_is_reached():
-    # a public name that nothing in the library or the benchmark reaches is
-    # code only tests run; it belongs in the tests, not in the package
+    # a public name that no code in the library or the benchmark reaches is
+    # code only tests run; it belongs in the tests, not in the package,
+    # unless it is a listed entry point
     files = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
     files += sorted(PERFBENCH.glob("*.py"))
-    scanned = {p: _reference_lines(p) for p in files}
-    unreached = []
-    for name in MODULES:
-        own = SRC / f"{name}.py"
-        for public in getattr(importlib.import_module(f"mfckill.{name}"), "__all__", ()):
-            word = re.compile(rf"\b{re.escape(public)}\b")
-            reached = any(
-                word.search(line)
-                for path, (lines, in_all, defined) in scanned.items()
-                for i, line in enumerate(lines, 1)
-                if i not in in_all and not (path == own and defined.get(public) == i))
-            if not reached:
-                unreached.append(f"{name}.{public}")
-    assert unreached == []
+    reached = set().union(*map(_references, files))
+    unreached = {f"{name}.{public}"
+                 for name in MODULES
+                 for public in getattr(importlib.import_module(f"mfckill.{name}"), "__all__", ())
+                 if public not in reached}
+    assert unreached == set(ENTRY_POINTS)
 
 
 @pytest.mark.parametrize("name", MODULES)

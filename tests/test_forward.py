@@ -114,6 +114,22 @@ def test_energy_bound_reported():
     assert tr.energy.sup_sq <= tr.energy.constant * tr.energy.initial_sq + 1e-12
 
 
+def test_marginal_energy_is_its_own():
+    # the survival marginal reports the energy of its own slices, not the
+    # joint density's
+    spec = mk.make_model("lq_killing")
+    grid = mk.build_grid(-4.0, 4.0, 101, 2.4, 16, 100)
+    tr = mk.solve_forward_2d(spec, grid, tanh_feedback(grid, spec))
+    nu = tr.marginal()
+    l2 = (nu.values**2) @ grid.wx
+    h10 = (np.diff(nu.values, axis=1) ** 2).sum(axis=1) / grid.dx
+    h10_sum = float((l2[1:] + h10[1:]).sum() * grid.dt(spec.T))
+    assert np.allclose([nu.energy.initial_sq, nu.energy.sup_sq, nu.energy.h10_sum],
+                       [l2[0], l2.max(), h10_sum], rtol=1e-12, atol=0.0)
+    assert np.isclose(nu.energy.constant, (l2.max() + h10_sum) / l2[0], rtol=1e-12)
+    assert not np.isclose(nu.energy.initial_sq, tr.energy.initial_sq)
+
+
 def test_shift_identity():
     rng = np.random.default_rng(0)
     v = rng.random(64)

@@ -5,7 +5,7 @@ import pytest
 
 import mfckill as mk
 from mfckill.errors import NonfiniteInput
-from mfckill.hamiltonians import f_nu, minimize_hamiltonian
+from mfckill.hamiltonians import _INVPHI, _golden_min, f_nu, minimize_hamiltonian
 from mfckill.measures import Density2D, NuHandle, SubProb1D, trapezoid_weights
 from mfckill.model import lq_killing
 from mfckill.steps import StepOperators
@@ -38,6 +38,21 @@ def test_minimize_quartic_against_grid_search():
     gg = np.linspace(-2, 2, 1_000_001)
     oracle = gg[np.argmin(gg * p + gg**4 / 4 + gg)]
     assert abs(g - oracle) < 1e-5
+
+
+def test_golden_search_evaluates_one_point_per_iteration():
+    # the kept interior point's value carries over: after the two starting
+    # points, each iteration shrinks the bracket by 1/phi with one call
+    calls = []
+
+    def obj(g):
+        calls.append(g.shape)
+        return (g - np.linspace(-0.5, 0.5, 5)) ** 2
+
+    g = _golden_min(obj, np.full(5, -1.0), np.full(5, 1.0), tol=1e-9)
+    iterations = math.ceil(math.log(1e-9 / 2.0) / math.log(_INVPHI))
+    assert len(calls) == 2 + iterations
+    assert np.abs(g - np.linspace(-0.5, 0.5, 5)).max() < 1e-9
 
 
 def test_minimize_vectorized_matches_scalar():
@@ -78,7 +93,7 @@ def test_nonlocal_term_zero_without_kernels():
     ops = StepOperators(spec, grid, 0.0, uniform_nu(x))
     out = ops.nonlocal_term(np.sin(x))
     assert isinstance(out, np.ndarray) and np.array_equal(out, np.zeros(9))
-    mu = Density2D(x, y, np.full((9, 5), 0.05))
+    mu = Density2D(grid, np.full((9, 5), 0.05))
     out2 = StepOperators(spec, grid, 0.0, mu=mu).nonlocal_term(np.ones((9, 5)))
     assert isinstance(out2, np.ndarray) and np.array_equal(out2, np.zeros((9, 5)))
 
@@ -189,7 +204,7 @@ def test_joint_nonlocal_term_concentrated_matches_marginal():
     wy = trapezoid_weights(y.size, grid.dy)
     vals = np.zeros((121, 41))
     vals[:, 0] = 0.8 * np.exp(-0.5 * x**2) / math.sqrt(2 * math.pi) / wy[0]
-    ops2 = StepOperators(spec, grid, 0.0, mu=Density2D(x, y, vals))
+    ops2 = StepOperators(spec, grid, 0.0, mu=Density2D(grid, vals))
     out = ops2.nonlocal_term(np.tile(np.sin(x)[:, None], (1, 41)))
     ref = StepOperators(spec, grid, 0.0, nu=ops2.nu).nonlocal_term(np.sin(x))
     assert np.abs(out[:, 0] - ref).max() < 1e-10
@@ -201,7 +216,7 @@ def test_joint_nonlocal_term_separable_identity():
     x, y = grid.x, grid.y
     vals = np.outer(np.exp(-0.5 * x**2), np.exp(-y))
     vals /= vals.sum() * (x[1] - x[0]) * (y[1] - y[0]) * 1.4
-    ops2 = StepOperators(spec, grid, 0.0, mu=Density2D(x, y, vals))
+    ops2 = StepOperators(spec, grid, 0.0, mu=Density2D(grid, vals))
     out = ops2.nonlocal_term(np.exp(-y)[None, :] * np.cos(x)[:, None])
     ref1 = StepOperators(spec, grid, 0.0, nu=ops2.nu).nonlocal_term(np.cos(x))
     assert np.abs(out - np.exp(-y)[None, :] * ref1[:, None]).max() < 1e-10

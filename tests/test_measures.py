@@ -19,29 +19,27 @@ from mfckill.measures import (
 from oracles import hat_basis, hat_reconstruction, metric_d0
 
 
-def grid_xy(nx=81, ny=41, y_max=4.0):
-    return np.linspace(-4, 4, nx), np.linspace(0, y_max, ny)
+def grid_2d(nx=81, ny=41, y_max=4.0):
+    return mk.build_grid(-4, 4, nx, y_max, ny, 2)
 
 
-def point_mass_2d(x, y, ix, iy):
-    vals = np.zeros((x.size, y.size))
-    wx = trapezoid_weights(x.size, x[1] - x[0])
-    wy = trapezoid_weights(y.size, y[1] - y[0])
-    vals[ix, iy] = 1.0 / (wx[ix] * wy[iy])
-    return Density2D(x, y, vals)
+def point_mass_2d(grid, ix, iy):
+    vals = np.zeros((grid.nx, grid.ny_total))
+    vals[ix, iy] = 1.0 / (grid.wx[ix] * grid.wy[iy])
+    return Density2D(grid, vals)
 
 
 def test_s_map_mass_at_zero_intensity():
-    x, y = grid_xy()
-    mu = point_mass_2d(x, y, 40, 0)
+    mu = point_mass_2d(grid_2d(), 40, 0)
     nu = s_map(mu)
     assert abs(nu.mass - mu.mass) < 1e-12  # e^0 = 1
 
 
 def test_s_map_mass_at_log2():
-    x, y = grid_xy(ny=41, y_max=4.0)
+    grid = grid_2d(ny=41, y_max=4.0)
+    y = grid.y
     iy = int(np.argmin(np.abs(y - math.log(2.0))))
-    mu = point_mass_2d(x, y, 40, iy)
+    mu = point_mass_2d(grid, 40, iy)
     nu = s_map(mu)
     assert abs(nu.mass / mu.mass - math.exp(-y[iy])) < 1e-12
     assert abs(math.exp(-y[iy]) - 0.5) < 0.05  # node close to ln 2
@@ -49,23 +47,24 @@ def test_s_map_mass_at_log2():
 
 def test_s_map_uniform_profile_factor():
     # oracle: fine quadrature of e^{-y} over [0, Y]
-    x = np.linspace(-4, 4, 81)
-    yy = np.linspace(0.0, 2.0, 801)
+    grid = grid_2d(ny=801, y_max=2.0)
+    x, yy = grid.x, grid.y
     yfine = np.linspace(0.0, 2.0, 200001)
     oracle = np.trapezoid(np.exp(-yfine), yfine) / 2.0
     profile = np.exp(-0.5 * x**2)
     profile /= 2.0 * np.trapezoid(profile, x)  # total 2d mass 1
-    mu = Density2D(x, yy, np.tile(profile[:, None], (1, yy.size)))
+    mu = Density2D(grid, np.tile(profile[:, None], (1, yy.size)))
     nu = s_map(mu)
     assert abs(nu.mass / mu.mass - oracle) < 1e-6
     assert abs(oracle - (1 - math.exp(-2.0)) / 2.0) < 1e-10
 
 
 def test_s_map_collapse_identity_at_zero():
-    x, y = grid_xy()
+    grid = grid_2d()
+    x, y = grid.x, grid.y
     vals = np.zeros((x.size, y.size))
     vals[:, 0] = np.exp(-0.5 * x**2)
-    mu = Density2D(x, y, vals)
+    mu = Density2D(grid, vals)
     nu = s_map(mu)
     wy = trapezoid_weights(y.size, y[1] - y[0])
     marginal = mu.values @ wy
@@ -74,16 +73,45 @@ def test_s_map_collapse_identity_at_zero():
 
 def test_s_map_lipschitz_l2():
     rng = np.random.default_rng(0)
-    x, y = grid_xy(nx=41, ny=31, y_max=3.0)
+    grid = grid_2d(nx=41, ny=31, y_max=3.0)
+    x, y = grid.x, grid.y
     wx = trapezoid_weights(x.size, x[1] - x[0])
     wy = trapezoid_weights(y.size, y[1] - y[0])
     for _ in range(50):
         a = 0.04 * rng.random((x.size, y.size))
         b = 0.04 * rng.random((x.size, y.size))
-        da = s_map(Density2D(x, y, a)).values - s_map(Density2D(x, y, b)).values
+        da = s_map(Density2D(grid, a)).values - s_map(Density2D(grid, b)).values
         lhs = float((da**2) @ wx)
         rhs = float(wx @ ((a - b) ** 2) @ wy)
         assert lhs <= rhs + 1e-12
+
+
+EXTENDED = dict(x_min=-4, x_max=4, nx=81, y_max=2.4, ny=16, nt=80, extension_ell=-0.5)
+
+
+def test_density_mass_ignores_data_below_zero():
+    grid = mk.build_grid(**EXTENDED)
+    assert grid.n_ext > 0
+    vals = np.random.default_rng(0).random((grid.nx, grid.ny_total))
+    mass = Density2D(grid, vals).mass
+    vals[:, : grid.n_ext] += 1.0
+    assert Density2D(grid, vals).mass == mass
+
+
+def test_density_refuses_values_off_its_grid():
+    grid = mk.build_grid(**EXTENDED)
+    with pytest.raises(GridMismatch, match="joint density"):
+        Density2D(grid, np.zeros((grid.nx, grid.ny)))
+
+
+def test_s_map_is_the_grid_survival_pairing():
+    # s_map reads the grid's survival row, not one rebuilt from node gaps
+    spec = mk.make_model("lq_killing")
+    grid = mk.build_grid(**EXTENDED)
+    g = mk.FeedbackControl.constant(0.1, grid, spec)
+    mu = mk.solve_forward_2d(spec, grid, g)
+    for k in range(grid.nt + 1):
+        assert np.array_equal(s_map(mu.at(k)).values, mu.values[k] @ grid.survival)
 
 
 def delta_at(x, i, mass=1.0):
