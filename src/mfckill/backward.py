@@ -17,13 +17,16 @@ the stated tolerances; the semilinear modes run the damped inner
 fixed-point iteration on (u, du/dx) instead.  Each step builds its map
 once, with what the step fixes (the source, the killing factor, the
 nonlocal Db0 pairing) computed then, and the iterations write into work
-arrays allocated once per solve.  On the half-plane the map and the
-damped update run over blocks of rows small enough to stay in cache
-(`_row_windows`), with the whole-field results bit for bit.  That
-iteration starts from the extrapolation of the slices above;
-`solve_backward_1d` also takes the field of an earlier solve (a Picard
-loop's last sweep) and starts from that extrapolation corrected by the
-error it made on the earlier field.
+arrays allocated once per solve.  On the line the map also binds its
+operands once per step (x, b1_factor, b0, the minimizer, f1 and the
+diffusion matrix, from its `StepOperators`) and each iteration calls
+the model callables and numpy ufuncs on them directly.  On the
+half-plane the map and the damped update run over blocks of rows small
+enough to stay in cache (`_row_windows`), with the whole-field results
+bit for bit.  That iteration starts from the extrapolation of the slices
+above; `solve_backward_1d` also takes the field of an earlier solve (a
+Picard loop's last sweep) and starts from that extrapolation corrected by
+the error it made on the earlier field.
 Every mode (the line's, and the half-plane's linear and semilinear) runs
 in one time loop, `_march`, which builds the solve's common-noise shift
 once and hands it to each step.
@@ -39,7 +42,7 @@ import numpy as np
 from .controls import FeedbackControl
 from .errors import ArgumentConflict, FixedPointDiverged
 from .forward import CommonNoisePath, ForwardTrajectory1D, ForwardTrajectory2D
-from .hamiltonians import MU_FLOOR
+from .hamiltonians import MU_FLOOR, max_reduce
 from .model import Grid, ModelSpec
 from .steps import (
     StepOperators,
@@ -176,7 +179,7 @@ def _run_fixed_point(apply_map, u_init, t_k, tol_fp):
         res = 0.0
         for block, wb, d, abs_d in blocks:
             np.subtract(cand[block], wb, out=d)
-            res = max(res, np.abs(d, out=abs_d).max())
+            res = max(res, max_reduce(np.abs(d, out=abs_d), axis=None))
             d *= FP_DAMPING
             wb += d
         res = weight * float(res)
@@ -251,7 +254,8 @@ def _march(spec: ModelSpec, grid: Grid, terminal: np.ndarray,
         u[k] = v
         steps.append(step_record)
         if shift is not None:
-            q[k] = spec.sigma0(t) * central_grad(v, grid.dx)
+            central_grad(v, grid.dx, out=q[k])
+            q[k] *= spec.sigma0(t)
     return BSPDESolution(grid, times, u, q, terminal, FixedPointStats.from_steps(steps))
 
 
@@ -310,30 +314,34 @@ def solve_backward_1d(
         grid.check_field(previous, "previous value field", joint=False)
     coupled = spec.coupled
     # the inner iterations' work arrays, shared by every step of the solve
-    p, drift, expl = (np.empty(grid.nx) for _ in range(3))
-    face = np.empty(grid.nx - 1)
+    p, g, drift, expl, pairing = (np.empty(grid.nx) for _ in range(5))
+    face, du, neg = (np.empty(grid.nx - 1) for _ in range(3))
+    work = (du, neg)
 
     def step_map(k, t, v):
         ops = StepOperators(spec, grid, t, nu_traj.at(k), noise, transpose=True)
         # the step's map is diffuse(kill (v + dt (f0 + <nu, Df0>)) + kill dt
         # (b du/dx + f1(g) + <nu, Db0 p>)); the first term and kill dt are
-        # fixed for the step
+        # fixed for the step, and the operands of the minimizer, drift and
+        # f1 are bound once
         f0 = ops.f0 + ops.df0_term if coupled else ops.f0
         killed_source = ops.kill * (v + dt * f0)
         kill_dt = ops.kill * dt
         db0 = ops.db0_matrix if coupled else None
+        x, fac, b0, matrix = grid.x, ops.fac, ops.b0, ops.matrix
+        f1, minimize = spec.f1, ops.node.minimize
 
         def apply(w):
             central_grad(w, dx, out=p)
-            g = ops.control(p)
-            rhs = upwind_transport_adjoint(
-                w, face_average(ops.drift(g, out=drift), out=face), dx, out=expl)
-            rhs += ops.control_cost(g)
+            minimize(x, p, fac, 1.0, g)
+            np.add(b0, np.multiply(fac, g, out=drift), out=drift)
+            rhs = upwind_transport_adjoint(w, face_average(drift, out=face), dx, expl, work)
+            rhs += f1(t, x, g)
             if db0 is not None:
-                rhs += p @ db0
+                rhs += np.matmul(p, db0, out=pairing)
             rhs *= kill_dt
             rhs += killed_source
-            return diffuse(rhs, ops.matrix)
+            return diffuse(rhs, matrix)
         return apply
 
     return _march(spec, grid, terminal, noise,

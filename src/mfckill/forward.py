@@ -122,16 +122,18 @@ class ForwardTrajectory2D(_ForwardTrajectory):
 
 
 def _drift(ops: StepOperators, g: FeedbackControl, k: int,
-           dy: float | None = None) -> np.ndarray:
+           dy: float | None = None, work: tuple | None = None) -> np.ndarray:
     """Node drift of the feedback at step k, after checking that it stays
     in the box and that the step meets the advective CFL condition, with
-    the y transport when `dy` is given."""
+    the y transport when `dy` is given.  On the line `work` may hold two
+    node arrays, for the drift and its magnitude."""
     gv = g.at_step(k)
     lo, hi = ops.box
     if not (lo - 1e-12 <= gv.min() and gv.max() <= hi + 1e-12):
         raise ControlOutOfBox("control leaves the box at step %d" % k)
-    b = ops.drift(gv if dy is None else y_column(gv))
-    bmax = float(np.max(np.abs(b)))
+    drift, speed = (None, None) if work is None else work
+    b = ops.drift(gv if dy is None else y_column(gv), out=drift)
+    bmax = float(np.max(np.abs(b, out=speed)))
     lmax = 0.0 if dy is None else float(ops.lam.max())
     cfl = bmax * ops.dt / ops.dx + (0.0 if dy is None else lmax * ops.dt / dy)
     if cfl > 1.0 + 1e-12:
@@ -145,12 +147,17 @@ def _drift(ops: StepOperators, g: FeedbackControl, k: int,
 def _energy(values: np.ndarray, grid: Grid, dt: float) -> EnergyRecord:
     """The energy record of a trajectory's (nx,) or (nx, ny_total) slices:
     the sup of the L2 norm squared, the dt-weighted sum over k >= 1 of the
-    L2 and H^1_0 norms squared, the initial L2 norm squared, and the ratio."""
+    L2 and H^1_0 norms squared, the initial L2 norm squared, and the ratio.
+    Each slice's squares and scaled differences go into one scratch pair."""
     wy = grid.wy if values.ndim == 3 else None
-    l2 = [weighted_l2_sq(rho, grid.wx, wy) for rho in values]
+    square = np.empty(values.shape[1:])
+    grad_sq = np.empty((values.shape[1] - 1, *values.shape[2:]))
+    l2 = [weighted_l2_sq(rho, grid.wx, wy, out=square) for rho in values]
     h10_sum = 0.0
     for rho, l2_sq in zip(values[1:], l2[1:]):
-        grad_sq = (np.diff(rho, axis=0) / grid.dx) ** 2
+        np.subtract(rho[1:], rho[:-1], out=grad_sq)
+        grad_sq /= grid.dx
+        np.square(grad_sq, out=grad_sq)
         h10_sq = float((grad_sq if wy is None else grad_sq @ wy).sum() * grid.dx)
         h10_sum += (l2_sq + h10_sq) * dt
     sup_sq, init_sq = max(l2), l2[0]
@@ -211,12 +218,20 @@ def solve_forward_1d(
     x, dx, dt = grid.x, grid.dx, grid.dt(spec.T)
     if initial is None:
         initial = initial_marginal(spec, grid)
+    # the steps' work arrays, shared by every step of the march
+    nodes = tuple(np.empty(grid.nx) for _ in range(3))
+    faces = tuple(np.empty(grid.nx - 1) for _ in range(3))
 
     def step(k, t, rho):
         ops = StepOperators(spec, grid, t, NuHandle(x, rho), noise)
-        b = _drift(ops, g, k)
-        rho = diffuse(rho, ops.matrix) * ops.kill
-        return rho + dt * upwind_flux_divergence(rho, face_average(b), dx)
+        b = _drift(ops, g, k, work=nodes[:2])
+        rho = diffuse(rho, ops.matrix)
+        rho *= ops.kill
+        div = upwind_flux_divergence(rho, face_average(b, out=faces[0]), dx,
+                                     nodes[2], faces[1:])
+        div *= dt
+        rho += div
+        return rho
 
     return _march(ForwardTrajectory1D, spec, grid, g, initial, noise, step)
 

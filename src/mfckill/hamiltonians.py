@@ -1,10 +1,10 @@
 """The box-constrained control minimizer and the nonlocal kernels.
 
-`minimize_control` is the one box-constrained control minimizer and
-`nonlocal_kernels` the one evaluation of the Db0/Df0 kernels.  The
-solvers call both through `steps.StepOperators`, which also evaluates
-the Hamiltonians themselves: the kernels once per time step, the
-minimizer in every inner iteration of a value solve.
+`bound_minimizer` is the one box-constrained control minimizer, bound to
+a time and box once, and `nonlocal_kernels` the one evaluation of the
+Db0/Df0 kernels.  The solvers call both through `steps.StepOperators`,
+which also evaluates the Hamiltonians themselves: the kernels once per
+time step, the minimizer in every inner iteration of a value solve.
 `minimize_hamiltonian`, `minimize_k_tilde` and `f_nu` evaluate the same
 minimizer and kernels at arbitrary points; they stay only for the
 benchmark tracer (`perfbench/tracer.py`) and as oracles in the tests.
@@ -32,11 +32,20 @@ __all__ = [
 
 MU_FLOOR = 1e-12
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# ndarray.all and ndarray.max without the methods' Python wrappers, for
+# the checks that the solvers' inner iterations make
+_all, max_reduce = np.logical_and.reduce, np.maximum.reduce
+
+
+def all_finite(values: np.ndarray) -> bool:
+    """Whether every entry is finite: `np.isfinite(values).all()`."""
+    return _all(np.isfinite(values), axis=None)
 
 
 def _golden_min(obj, lo: np.ndarray, hi: np.ndarray, tol: float = 1e-9,
-                max_iter: int = 80) -> np.ndarray:
-    """Vectorized golden-section minimization of elementwise-unimodal obj."""
+                max_iter: int = 80, out: np.ndarray | None = None) -> np.ndarray:
+    """Vectorized golden-section minimization of elementwise-unimodal obj,
+    written into `out` when given."""
     a = np.array(lo, dtype=float, copy=True)
     b = np.array(hi, dtype=float, copy=True)
     c = b - _INVPHI * (b - a)
@@ -54,28 +63,34 @@ def _golden_min(obj, lo: np.ndarray, hi: np.ndarray, tol: float = 1e-9,
         f_new = obj(new)
         c, d = np.where(take_left, new, d), np.where(take_left, c, new)
         fc, fd = np.where(take_left, f_new, fd), np.where(take_left, fc, f_new)
-    return 0.5 * (a + b)
+    return np.multiply(0.5, np.add(a, b, out=out), out=out)
 
 
-def minimize_control(t, x, p, fac, box, spec: ModelSpec, scale=1.0):
-    """Pointwise minimizer over the box (lo, hi) of h -> fac h p + scale f1(t,x,h).
+def bound_minimizer(spec: ModelSpec, t: float, box: tuple):
+    """`minimize(x, p, fac, scale, out=None)`: the pointwise minimizer over
+    the box (lo, hi) of h -> fac h p + scale f1(t, x, h), written into
+    `out` when given.
 
     `fac` is b1_factor at `x`; `scale` is 1 for the marginal Hamiltonian
     and e^{-y} for the joint one.  The model's closed-form
     `control_minimizer` when it has one, clipped to the box; vectorized
     golden-section search otherwise.  A non-finite `p` raises.
     """
-    if not np.isfinite(p).all():
-        raise NonfiniteInput("control minimizer received a non-finite gradient")
     lo, hi = box
-    if spec.control_minimizer is not None:
-        return _clip(spec.control_minimizer(t, x, p, fac, scale), lo, hi)
-    shape = np.broadcast(x, p, scale).shape
+    closed, f1 = spec.control_minimizer, spec.f1
 
-    def obj(g):
-        return fac * g * p + scale * np.asarray(spec.f1(t, x, g), dtype=float)
+    def minimize(x, p, fac, scale, out=None):
+        if not all_finite(p):
+            raise NonfiniteInput("control minimizer received a non-finite gradient")
+        if closed is not None:
+            return _clip(closed(t, x, p, fac, scale), lo, hi, out=out)
 
-    return _golden_min(obj, np.full(shape, lo), np.full(shape, hi))
+        def obj(g):
+            return fac * g * p + scale * np.asarray(f1(t, x, g), dtype=float)
+
+        shape = np.broadcast(x, p, scale).shape
+        return _golden_min(obj, np.full(shape, lo), np.full(shape, hi), out=out)
+    return minimize
 
 
 def minimize_hamiltonian(t, x, p, spec: ModelSpec):
@@ -121,5 +136,5 @@ def minimize_k_tilde(t, x, y, p, nu: NuHandle, spec: ModelSpec):
     """Minimizer over the box of h -> b1(h) p + e^{-y} f1(h), vectorized."""
     x = np.asarray(x, dtype=float)
     fac = np.asarray(spec.b1_factor(t, x), dtype=float)
-    return minimize_control(t, x, np.asarray(p, dtype=float), fac, spec.box_array[0],
-                            spec, np.exp(-np.asarray(y, dtype=float)))
+    minimize = bound_minimizer(spec, t, spec.box_array[0])
+    return minimize(x, np.asarray(p, dtype=float), fac, np.exp(-np.asarray(y, dtype=float)))

@@ -2,10 +2,11 @@
 
 `StepOperators` evaluates the model at one time and measure.  What a step
 reads of the model apart from the measure (sigma, lam and its kill factor,
-b1_factor, the control box and the diffusion matrix) lives in a
-`NodeInputs` for that time node; the quadrature weights and e^{-y} it
-reads from the `Grid`, which builds them once; every half-plane step
-passes its density as a `Density2D` and reads nu as `s_map` of it.  While
+b1_factor, the control box, the minimizer bound to the node's time and box
+and the diffusion matrix) lives in a `NodeInputs` for that time node; the
+quadrature weights and e^{-y} it reads from the `Grid`, which builds them
+once; every half-plane step passes its density as a `Density2D` and reads
+nu as `s_map` of it.  While
 `step_table(spec, grid)` is active, as it is for the whole of a `solve_mfc` or
 `solve_mfc_2d` call, every `StepOperators` of that model and grid at one
 of its time nodes shares the table's `NodeInputs`, so each member is
@@ -17,15 +18,16 @@ The stencils act on (nx,) fields on the line or (nx, m) fields on the
 half-plane along axis 0, with face drifts of shape (nx-1,), (nx-1, 1) or
 (nx-1, m) that broadcast along y.  Each transport stencil sits beside its
 transpose, so a fixed-feedback backward step is the algebraic transpose of
-a forward step.  The stencils that the backward inner iterations call
-write into an `out` array when given one.
+a forward step.  The stencils that the inner iterations and the forward
+step on the line call write into an `out` array when given one, and the
+upwind pair keeps its face temporaries in a `work` pair.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from functools import cached_property
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -33,7 +35,7 @@ from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs
 
 from .errors import GridMismatch, NonfiniteInput
-from .hamiltonians import minimize_control, nonlocal_kernels
+from .hamiltonians import all_finite, bound_minimizer, nonlocal_kernels
 from .measures import Density2D, NuHandle, s_map
 from .model import Grid, ModelSpec
 
@@ -46,6 +48,24 @@ __all__ = [
     "face_flux_divergence", "upwind_flux_divergence", "upwind_transport_adjoint",
     "upwind_flux_derivative", "y_transport", "y_transport_adjoint_rate",
 ]
+
+
+class _lazy:
+    """A member computed on first read and stored on the instance, where
+    later reads find it: `functools.cached_property` without the lock that
+    Python 3.11 takes on every first read."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 class NodeInputs:
@@ -66,7 +86,7 @@ class NodeInputs:
     def _coeff(self, fn) -> np.ndarray:
         return np.asarray(fn(self.t, self.grid.x), dtype=float)
 
-    @cached_property
+    @_lazy
     def sigma_sq(self) -> np.ndarray:
         return self._coeff(self.spec.sigma) ** 2
 
@@ -89,32 +109,35 @@ class NodeInputs:
             out = self._diffusion[noisy] = Tridiagonal(-r * a[:-1], diag, -r * a[1:])
         return out
 
-    @cached_property
+    @_lazy
     def lam(self) -> np.ndarray:
         return self._coeff(self.spec.lam)
 
-    @cached_property
+    @_lazy
     def kill(self) -> np.ndarray:
         """Exact killing factor e^{-lam dt} of the step."""
         return np.exp(-self.lam * self.grid.dt(self.spec.T))
 
-    @cached_property
+    @_lazy
     def fac(self) -> np.ndarray:
         return self._coeff(self.spec.b1_factor)
 
-    @cached_property
+    @_lazy
     def box(self) -> tuple:
         """(lo, hi) of the control box."""
         lo, hi = self.spec.box_array[0]
         return lo, hi
 
-    @cached_property
-    def control_args(self) -> dict:
-        """x, b1_factor and the scale of f1 that the minimizer reads, keyed by
-        the gradient's ndim: the line's nodes, or columns and e^{-y} on the
-        half-plane."""
-        x, fac = self.grid.x, self.fac
-        return {1: (x, fac, 1.0), 2: (x[:, None], fac[:, None], self.grid.ey)}
+    @_lazy
+    def minimize(self):
+        """The box-constrained minimizer at this time (`bound_minimizer`)."""
+        return bound_minimizer(self.spec, self.t, self.box)
+
+    @_lazy
+    def columns(self) -> tuple:
+        """x and b1_factor as (nx, 1) columns that broadcast along y, and
+        e^{-y}: what a half-plane control and its cost read."""
+        return self.grid.x[:, None], self.fac[:, None], self.grid.ey
 
 
 # (spec, grid, {t: NodeInputs}) of the active `step_table`, or None
@@ -145,9 +168,9 @@ def _node_inputs(spec: ModelSpec, grid: Grid, t: float) -> NodeInputs:
     return NodeInputs(spec, grid, t)
 
 
-def _from_node(name: str) -> cached_property:
-    """A `StepOperators` member read from its `NodeInputs` on first use."""
-    return cached_property(lambda self: getattr(self.node, name))
+def _from_node(name: str) -> property:
+    """A `StepOperators` member read from its `NodeInputs`."""
+    return property(attrgetter("node." + name))
 
 
 class StepOperators:
@@ -180,7 +203,7 @@ class StepOperators:
     fac = _from_node("fac")
     box = _from_node("box")
 
-    @cached_property
+    @_lazy
     def matrix(self) -> Tridiagonal:
         """The implicit diffusion matrix, or its transpose."""
         matrix = self.node.diffusion(self.noisy)
@@ -189,33 +212,23 @@ class StepOperators:
     def _coeff(self, fn, *args) -> np.ndarray:
         return np.asarray(fn(self.t, self.x, *args), dtype=float)
 
-    @cached_property
+    @_lazy
     def b0(self) -> np.ndarray:
         return self._coeff(self.spec.b0, self.nu)
 
-    @cached_property
+    @_lazy
     def f0(self) -> np.ndarray:
         return self._coeff(self.spec.f0, self.nu)
-
-    @cached_property
-    def _drift_args(self) -> dict:
-        """b0 and b1_factor keyed by the feedback's ndim: as nodes, or as
-        columns that broadcast along y."""
-        b0, fac = self.b0, self.fac
-        return {1: (b0, fac), 2: (b0[:, None], fac[:, None])}
-
-    @cached_property
-    def _cost_args(self) -> dict:
-        """f0 and x keyed by the feedback's ndim, as `_drift_args`."""
-        f0, x = self.f0, self.x
-        return {1: (f0, x), 2: (f0[:, None], x[:, None])}
 
     def drift(self, g: np.ndarray, out: np.ndarray | None = None,
               rows: slice = slice(None)) -> np.ndarray:
         """Node drift b0 + b1_factor g for a (nx,) or (nx, m) feedback, or
         for a feedback on the nodes `rows` only, written into `out` when
         given."""
-        b0, fac = self._drift_args[g.ndim]
+        if g.ndim == 1:
+            b0, fac = self.b0, self.fac
+        else:
+            b0, fac = self.b0[:, None], self.node.columns[1]
         return np.add(b0[rows], np.multiply(fac[rows], g, out=out), out=out)
 
     def face_drift(self, g: np.ndarray) -> np.ndarray:
@@ -223,31 +236,31 @@ class StepOperators:
 
     def cost(self, g: np.ndarray) -> np.ndarray:
         """Node running cost f0 + f1(g) for a (nx,) or (nx, m) feedback."""
-        return self._cost_args[g.ndim][0] + self.control_cost(g)
+        return (self.f0 if g.ndim == 1 else self.f0[:, None]) + self.control_cost(g)
 
     def control_cost(self, g: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
         """Node control cost f1(g) for a (nx,) or (nx, m) feedback, or for
         one on the nodes `rows` only."""
-        x = self._cost_args[g.ndim][1][rows]
-        return np.asarray(self.spec.f1(self.t, x, g), dtype=float)
+        x = self.x if g.ndim == 1 else self.node.columns[0]
+        return np.asarray(self.spec.f1(self.t, x[rows], g), dtype=float)
 
     def control(self, p: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
         """Pointwise minimizer over the box of b1_factor h p + f1(h), with
         f1 scaled by e^{-y} for an (nx, ny) gradient, or for a gradient on
         the nodes `rows` only.  The result is a new array."""
-        x, fac, scale = self.node.control_args[p.ndim]
-        return minimize_control(self.t, x[rows], p, fac[rows], self.box, self.spec, scale)
+        x, fac, scale = (self.x, self.fac, 1.0) if p.ndim == 1 else self.node.columns
+        return self.node.minimize(x[rows], p, fac[rows], scale)
 
     def k_tilde(self, p: np.ndarray, h: np.ndarray) -> np.ndarray:
         """Running Hamiltonian b(h) p + e^{-y} (f0 + f1(h)) on the half-plane."""
         return self.drift(h) * p + self.grid.ey * self.cost(h)
 
-    @cached_property
+    @_lazy
     def kernels(self) -> tuple:
         """(Db0, Df0) at the step's measure on nodes x nodes."""
         return nonlocal_kernels(self.t, self.x, self.nu, self.x, self.spec)
 
-    @cached_property
+    @_lazy
     def df0_term(self):
         """<nu, Df0> at the step's measure on the line; with a joint `mu`,
         nu is its survival marginal, so this is <mu, e^{-y'} Df0> over
@@ -255,7 +268,7 @@ class StepOperators:
         kf = self.kernels[1]
         return 0.0 if kf is None else self.nu.values * self.nu.weights @ kf
 
-    @cached_property
+    @_lazy
     def db0_matrix(self) -> np.ndarray | None:
         """The (nx, nx) matrix M with p @ M = <nu, Db0 p> on the line; None
         for a model without Db0."""
@@ -331,7 +344,7 @@ class Tridiagonal:
 
 def diffuse(values: np.ndarray, matrix: Tridiagonal) -> np.ndarray:
     """Solve one implicit diffusion step with a `StepOperators.matrix`."""
-    if not np.isfinite(values).all():
+    if not all_finite(values):
         raise NonfiniteInput("diffusion step received non-finite values")
     if matrix.ldl is not None:
         out, info = dpttrs(*matrix.ldl, values)
@@ -365,11 +378,14 @@ def central_grad(u: np.ndarray, dx: float, out: np.ndarray | None = None) -> np.
     return out
 
 
-def weighted_l2_sq(vals: np.ndarray, wx: np.ndarray, wy: np.ndarray | None) -> float:
-    """Trapezoid L2 norm squared of a (nx,) profile, or (nx, ny) with `wy`."""
+def weighted_l2_sq(vals: np.ndarray, wx: np.ndarray, wy: np.ndarray | None,
+                   out: np.ndarray | None = None) -> float:
+    """Trapezoid L2 norm squared of a (nx,) profile, or (nx, ny) with `wy`;
+    the squares go into `out` when given."""
+    sq = np.square(vals, out=out)
     if wy is None:
-        return float((vals**2) @ wx)
-    return float(wx @ (vals**2) @ wy)
+        return float(sq @ wx)
+    return float(wx @ sq @ wy)
 
 
 def _shifted(values: np.ndarray, m: int) -> np.ndarray:
@@ -397,35 +413,48 @@ def shift_density(values: np.ndarray, offset: float, dx: float) -> np.ndarray:
     return (1.0 - frac) * _shifted(values, k) + frac * _shifted(values, k + 1)
 
 
-def face_flux_divergence(flux: np.ndarray, dx: float) -> np.ndarray:
-    """-(F_{i+1/2} - F_{i-1/2})/dx with zero-flux outer faces."""
-    div = np.zeros((flux.shape[0] + 1, *flux.shape[1:]))
-    div[:-1] += flux
-    div[1:] -= flux
-    div /= -dx
-    return div
+def face_flux_divergence(flux: np.ndarray, dx: float,
+                         out: np.ndarray | None = None) -> np.ndarray:
+    """-(F_{i+1/2} - F_{i-1/2})/dx with zero-flux outer faces, written
+    into `out` when given."""
+    if out is None:
+        out = np.zeros((flux.shape[0] + 1, *flux.shape[1:]))
+    else:
+        out.fill(0.0)
+    out[:-1] += flux
+    out[1:] -= flux
+    out /= -dx
+    return out
 
 
-def upwind_flux_divergence(values: np.ndarray, b_face: np.ndarray,
-                           dx: float) -> np.ndarray:
+def upwind_flux_divergence(values: np.ndarray, b_face: np.ndarray, dx: float,
+                           out: np.ndarray | None = None,
+                           work: tuple | None = None) -> np.ndarray:
     """Conservative upwind d/dx(b rho) with zero-flux outer faces: the
-    interface flux is b^+ rho_left + b^- rho_right."""
-    flux = np.maximum(b_face, 0.0) * values[:-1] + np.minimum(b_face, 0.0) * values[1:]
-    return face_flux_divergence(flux, dx)
+    interface flux is b^+ rho_left + b^- rho_right.  Written into `out`
+    when given, with the two face fluxes in `work`, a pair of arrays of
+    the faces' shape."""
+    pos, neg = (None, None) if work is None else work
+    flux = np.multiply(np.maximum(b_face, 0.0, out=pos), values[:-1], out=pos)
+    flux += np.multiply(np.minimum(b_face, 0.0, out=neg), values[1:], out=neg)
+    return face_flux_divergence(flux, dx, out)
 
 
 def upwind_transport_adjoint(u: np.ndarray, b_face: np.ndarray, dx: float,
-                             out: np.ndarray | None = None) -> np.ndarray:
+                             out: np.ndarray | None = None,
+                             work: tuple | None = None) -> np.ndarray:
     """Exact transpose of `upwind_flux_divergence`: an upwind b du/dx,
-    written into `out` when given."""
-    du = u[1:] - u[:-1]
+    written into `out` when given, with the differences and the negative
+    drift in `work`, a pair of arrays of the faces' shape."""
+    diff, neg = (None, None) if work is None else work
+    du = np.subtract(u[1:], u[:-1], out=diff)
     du /= dx
     if out is None:
         out = np.empty_like(u)
     outflow = np.maximum(b_face, 0.0, out=out[:-1])
     outflow *= du
     out[-1] = 0.0
-    du *= np.minimum(b_face, 0.0)
+    du *= np.minimum(b_face, 0.0, out=neg)
     out[1:] += du
     return out
 

@@ -195,7 +195,8 @@ def test_pde_handle_coupling_close_to_empirical():
 def test_uniform_interp_matches_np_interp(bounds):
     # the particle step's index-arithmetic interpolation equals np.interp
     # bit for bit: random points, every node and its neighbours, the end
-    # points and points outside the range, including signed-zero data
+    # points and points outside the range, including signed-zero data, and
+    # NaN positions of either sign, which take interval 0 and give NaN
     grid = mk.build_grid(bounds[0], bounds[1], bounds[2], 2.0, 5, 10)
     xp = grid.x
     rng = np.random.default_rng(bounds[2])
@@ -204,10 +205,12 @@ def test_uniform_interp_matches_np_interp(bounds):
         rng.uniform(xp[0] - 0.1 * span, xp[-1] + 0.1 * span, 20000),
         xp, np.nextafter(xp, np.inf), np.nextafter(xp, -np.inf),
         [xp[0], xp[-1], xp[0] - span, xp[-1] + span, -1e300, 1e300, -np.inf, np.inf],
+        [np.nan, -np.nan],
     ])
     fp = rng.normal(size=xp.size)
     fp[[0, 3, -1]] = -0.0
     want = np.interp(x, xp, fp)
+    assert np.isnan(want[-2:]).all()
     assert np.array_equal(_interp_uniform(x, xp, fp).view(np.int64), want.view(np.int64))
 
 
