@@ -29,7 +29,8 @@ Picard loop's last sweep) and starts from that extrapolation corrected by
 the error it made on the earlier field.
 Every mode (the line's, and the half-plane's linear and semilinear) runs
 in one time loop, `_march`, which builds the solve's common-noise shift
-once and hands it to each step.
+once and hands it to each step; the path is the trajectory's own
+(`nu_traj.noise`, `mu_traj.noise`), the one the population moved under.
 """
 
 from __future__ import annotations
@@ -96,12 +97,11 @@ class BSPDESolution:
     times: np.ndarray
     u: np.ndarray           # (nt+1, nx) or (nt+1, nx, ny_total)
     q: np.ndarray           # same shape; zero when no noise path was given
-    terminal: np.ndarray
     fixed_point: FixedPointStats | None = None
 
     @property
-    def is_2d(self) -> bool:
-        return self.u.ndim == 3
+    def terminal(self) -> np.ndarray:  # u[nt], the solve's own copy of the data
+        return self.u[-1]
 
     @cached_property
     def energy(self) -> dict:
@@ -115,7 +115,7 @@ def energy_report(solution: BSPDESolution) -> dict:
     data."""
     grid = solution.grid
     dt = float(solution.times[1] - solution.times[0])
-    wx, wy = grid.wx, grid.wy if solution.is_2d else None
+    wx, wy = grid.wx, grid.wy if solution.u.ndim == 3 else None
     sup_u = 0.0
     grad_sum = 0.0
     q_sum = 0.0
@@ -136,14 +136,14 @@ def energy_report(solution: BSPDESolution) -> dict:
     }
 
 
-def _warm_start(u: np.ndarray, k: int, nt: int, v: np.ndarray,
-                shifted: bool) -> np.ndarray:
+def _warm_start(u: np.ndarray, k: int, v: np.ndarray, shifted: bool) -> np.ndarray:
     """Seed the inner iteration by extrapolating the marched slices.
 
     Cubic extrapolation in time once four slices are available, of lower
     degree before; the unshifted next slice at the first step or when a
     noise path makes successive slices live in different frames.
     """
+    nt = u.shape[0] - 1
     if shifted or k >= nt - 1:
         return v
     if k >= nt - 2:
@@ -256,7 +256,7 @@ def _march(spec: ModelSpec, grid: Grid, terminal: np.ndarray,
         if shift is not None:
             central_grad(v, grid.dx, out=q[k])
             q[k] *= spec.sigma0(t)
-    return BSPDESolution(grid, times, u, q, terminal, FixedPointStats.from_steps(steps))
+    return BSPDESolution(grid, times, u, q, FixedPointStats.from_steps(steps))
 
 
 def _fixed_point_step(step_map, tol_fp: float, previous: np.ndarray | None = None):
@@ -270,12 +270,11 @@ def _fixed_point_step(step_map, tol_fp: float, previous: np.ndarray | None = Non
     error the two fields share cancels."""
 
     def step(k, t, v, u, shift):
-        nt = u.shape[0] - 1
         shifted = shift is not None
-        w0 = _warm_start(u, k, nt, v, shifted)
+        w0 = _warm_start(u, k, v, shifted)
         if previous is not None:
             pv = shift(k, previous[k + 1]) if shifted else previous[k + 1]
-            w0 = w0 + (previous[k] - _warm_start(previous, k, nt, pv, shifted))
+            w0 = w0 + (previous[k] - _warm_start(previous, k, pv, shifted))
         return _run_fixed_point(step_map(k, t, v), w0, t, tol_fp)
     return step
 
@@ -285,7 +284,7 @@ def solve_backward_1d(
     grid: Grid,
     nu_traj: ForwardTrajectory1D,
     terminal: np.ndarray,
-    noise: CommonNoisePath | None = None,
+    *,
     tol_fp: float = TOL_FP,
     previous: np.ndarray | None = None,
 ) -> BSPDESolution:
@@ -300,11 +299,11 @@ def solve_backward_1d(
     step's fixed point starts (see `_fixed_point_step`): the result agrees
     with the solve without it to the accuracy tol_fp sets.
 
-    A noise path gives the pathwise solve, in which the whole path is
-    known in advance: step k moves u[k+1] by the offset sigma0 (W(t_{k+1})
-    - W(t_k)), so u[k] reads every increment after t_k.  It is not the
-    adapted solution of the paper's BSPDE, which at t_k depends only on
-    the increments before t_k.
+    The noise path is `nu_traj.noise`.  A path gives the pathwise solve, in
+    which the whole path is known in advance: step k moves u[k+1] by the
+    offset sigma0 (W(t_{k+1}) - W(t_k)), so u[k] reads every increment
+    after t_k.  It is not the adapted solution of the paper's BSPDE, which
+    at t_k depends only on the increments before t_k.
     """
     dx, dt = grid.dx, grid.dt(spec.T)
     grid.check_field(nu_traj, "nu trajectory", joint=False)
@@ -312,7 +311,7 @@ def solve_backward_1d(
     grid.check_field(terminal, "terminal data", joint=False, series=False)
     if previous is not None:
         grid.check_field(previous, "previous value field", joint=False)
-    coupled = spec.coupled
+    coupled, noise = spec.coupled, nu_traj.noise
     # the inner iterations' work arrays, shared by every step of the solve
     p, g, drift, expl, pairing = (np.empty(grid.nx) for _ in range(5))
     face, du, neg = (np.empty(grid.nx - 1) for _ in range(3))
@@ -348,7 +347,7 @@ def solve_backward_1d(
                   _fixed_point_step(step_map, tol_fp, previous))
 
 
-def population_inputs(spec: ModelSpec, grid: Grid, nu_traj: ForwardTrajectory1D,
+def population_inputs(spec: ModelSpec, nu_traj: ForwardTrajectory1D,
                       terminal: np.ndarray) -> np.ndarray | None:
     """Everything `solve_backward_1d` reads from the population, or None
     when the model is coupled (its nonlocal term reads the measure itself).
@@ -361,6 +360,7 @@ def population_inputs(spec: ModelSpec, grid: Grid, nu_traj: ForwardTrajectory1D,
     """
     if spec.coupled:
         return None
+    grid = nu_traj.grid
     times = grid.times(spec.T)
     out = np.empty((2 * grid.nt + 1, grid.nx))
     out[0] = terminal
@@ -372,15 +372,15 @@ def population_inputs(spec: ModelSpec, grid: Grid, nu_traj: ForwardTrajectory1D,
 
 
 def terminal_cost_injection(spec: ModelSpec, g: FeedbackControl,
-                            mu_traj: ForwardTrajectory2D, weight: float) -> np.ndarray:
+                            mu_traj: ForwardTrajectory2D) -> np.ndarray:
     """The end-point running cost the dual state carries above the psi data.
 
-    weight dt e^{-y} (f0 + f1) at t_N, with f0 taken at the survival
-    marginal of mu at step N, matching the last term of the cost sum.
+    w_N dt e^{-y} (f0 + f1) at t_N, w_N the last time weight, with f0 taken
+    at the survival marginal of mu at step N, matching the cost sum.
     """
     grid = mu_traj.grid
     ops = StepOperators(spec, grid, mu_traj.times[grid.nt], mu=mu_traj.at(grid.nt))
-    return weight * ops.dt * grid.ey * ops.cost(y_column(g.at_step(grid.nt)))
+    return grid.time_weights[-1] * ops.dt * grid.ey * ops.cost(y_column(g.at_step(grid.nt)))
 
 
 def solve_backward_2d(
@@ -391,7 +391,6 @@ def solve_backward_2d(
     u_1d: BSPDESolution | None = None,
     *,
     terminal: np.ndarray,
-    noise: CommonNoisePath | None = None,
     tol_fp: float = TOL_FP,
 ) -> BSPDESolution:
     """Backward march on the half-plane.
@@ -409,9 +408,8 @@ def solve_backward_2d(
     so the discrete duality with the forward solve is exact up to
     boundary-weight corrections.
 
-    A noise path gives the pathwise solve, as in `solve_backward_1d`:
-    u[k] reads every increment after t_k, so it is not the adapted
-    solution of the paper's BSPDE.
+    The noise path is `mu_traj.noise`; it gives the pathwise solve, as in
+    `solve_backward_1d`, not the adapted solution of the paper's BSPDE.
     """
     if (g is None) == (u_1d is None):
         raise ArgumentConflict("supply exactly one of g and u_1d")
@@ -425,7 +423,7 @@ def solve_backward_2d(
     dx, dy, dt, ey = grid.dx, grid.dy, grid.dt(spec.T), grid.ey
     sh = terminal.shape
     decay = float(np.exp(-dy))
-    coupled = spec.coupled
+    coupled, noise = spec.coupled, mu_traj.noise
 
     def operators(k, t):
         return StepOperators(spec, grid, t, noise=noise, transpose=True, mu=mu_traj.at(k))
@@ -445,7 +443,7 @@ def solve_backward_2d(
 
         # the march carries the dual state with the terminal half-weight cost
         # injection; the stored terminal slice stays the psi data
-        carry = terminal + terminal_cost_injection(spec, g, mu_traj, cost_weights[-1])
+        carry = terminal + terminal_cost_injection(spec, g, mu_traj)
         return _march(spec, grid, terminal, noise, step, carry)
 
     # The map runs window by window over the rows (see `_row_windows`), so

@@ -418,8 +418,9 @@ def run(config_path: str | Path, experiment: str | None = None,
         cfg = load_config(config_path, {
             "experiment": experiment, "out_dir": out_dir, "seed": seed,
         })
-        if refine:
-            cfg.grid = _refined(cfg.grid, refine)
+        if refine < 0:
+            raise ConfigError(f"--refine must be >= 0, not {refine}")
+        cfg.grid = _refined(cfg.grid, refine)
         spec = _spec_for(cfg)
     except (ConfigError, ModelValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

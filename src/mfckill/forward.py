@@ -18,7 +18,8 @@ loop's `steps.step_table` when one is active, and its weights from the
 and the model reads nu = `s_map` of it.  A control loop builds the default
 initial marginal (`initial_marginal`) once and passes it as `initial`.
 `Grid.check_field` refuses a feedback or initial density off the grid at
-entry, and a joint feedback on the line.
+entry, and a joint feedback on the line.  Each trajectory records the
+noise path it moved under, and the backward solves read it there.
 """
 
 from __future__ import annotations
@@ -57,12 +58,10 @@ class CommonNoisePath:
     """Brownian increments over the solver time grid, reproducible by seed."""
 
     increments: np.ndarray
-    seed: int
 
     @classmethod
     def from_seed(cls, seed: int, nt: int, dt: float) -> "CommonNoisePath":
-        rng = np.random.default_rng(seed)
-        return cls(rng.normal(0.0, np.sqrt(dt), size=nt), seed)
+        return cls(np.random.default_rng(seed).normal(0.0, np.sqrt(dt), size=nt))
 
     @property
     def cumulative(self) -> np.ndarray:
@@ -241,19 +240,17 @@ def solve_forward_2d(
     grid: Grid,
     g: FeedbackControl,
     noise: CommonNoisePath | None = None,
-    initial: np.ndarray | None = None,
 ) -> ForwardTrajectory2D:
     """March the joint density of (position, cumulative intensity).
 
-    The pair is never killed: the intensity coordinate is transported
-    upward at rate lam(x) instead, with zero inflow at y = 0, so total
-    mass is conserved exactly by the scheme.
+    It starts from the model's `initial_density_2d` at unit mass.  The pair
+    is never killed: the intensity coordinate is transported upward at rate
+    lam(x) instead, with zero inflow at y = 0, so total mass is conserved
+    exactly by the scheme.
     """
     grid.check_field(g, "feedback")
     dx, dy, dt = grid.dx, grid.dy, grid.dt(spec.T)
-    if initial is None:
-        mu0 = Density2D(grid, spec.initial_density_2d(grid.x[:, None], grid.y[None, :]))
-        initial = mu0.values / mu0.mass
+    mu0 = Density2D(grid, spec.initial_density_2d(grid.x[:, None], grid.y[None, :]))
 
     def step(k, t, mu):
         ops = StepOperators(spec, grid, t, noise=noise, mu=Density2D(grid, mu))
@@ -262,4 +259,4 @@ def solve_forward_2d(
         expl = upwind_flux_divergence(mu, face_average(b), dx)
         return y_transport(mu, ops.lam, dt, dy) + dt * expl
 
-    return _march(ForwardTrajectory2D, spec, grid, g, initial, noise, step)
+    return _march(ForwardTrajectory2D, spec, grid, g, mu0.values / mu0.mass, noise, step)

@@ -32,6 +32,7 @@ __all__ = [
 
 MU_FLOOR = 1e-12
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+GOLDEN_TOL, GOLDEN_MAX_ITER = 1e-9, 80  # golden section: bracket width, shrinks
 # ndarray.all and ndarray.max without the methods' Python wrappers, for
 # the checks that the solvers' inner iterations make
 _all, max_reduce = np.logical_and.reduce, np.maximum.reduce
@@ -42,8 +43,7 @@ def all_finite(values: np.ndarray) -> bool:
     return _all(np.isfinite(values), axis=None)
 
 
-def _golden_min(obj, lo: np.ndarray, hi: np.ndarray, tol: float = 1e-9,
-                max_iter: int = 80, out: np.ndarray | None = None) -> np.ndarray:
+def _golden_min(obj, lo: np.ndarray, hi: np.ndarray, out=None) -> np.ndarray:
     """Vectorized golden-section minimization of elementwise-unimodal obj,
     written into `out` when given."""
     a = np.array(lo, dtype=float, copy=True)
@@ -52,8 +52,8 @@ def _golden_min(obj, lo: np.ndarray, hi: np.ndarray, tol: float = 1e-9,
     d = a + _INVPHI * (b - a)
     fc = obj(c)
     fd = obj(d)
-    for _ in range(max_iter):
-        if np.max(b - a) < tol:
+    for _ in range(GOLDEN_MAX_ITER):
+        if np.max(b - a) < GOLDEN_TOL:
             break
         # keep [a, d] or [c, b]; its interior point and value carry over
         take_left = fc < fd

@@ -52,6 +52,8 @@ __all__ = [
     "separability_gap",
 ]
 
+INNER_RATIO_MAX = 1e-2  # the largest inner tolerance / last Picard residual
+
 
 @dataclass
 class CostReport:
@@ -128,13 +130,13 @@ class MFCResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _feedback_from_value(spec: ModelSpec, grid: Grid, u: BSPDESolution) -> np.ndarray:
-    """The pointwise minimizer at the value field's gradient at every step:
-    (nt+1, nx) for a field on the line, (nt+1, nx, ny) on the half-plane."""
-    times = grid.times(spec.T)
+def _feedback_from_value(spec: ModelSpec, u: BSPDESolution) -> np.ndarray:
+    """The pointwise minimizer at the value field's gradient at every step of
+    its grid: (nt+1, nx) on the line, (nt+1, nx, ny) on the half-plane."""
+    grid = u.grid
     out = np.empty(u.u.shape)
-    for k in range(grid.nt + 1):
-        out[k] = StepOperators(spec, grid, times[k]).control(central_grad(u.u[k], grid.dx))
+    for k, t in enumerate(u.times):
+        out[k] = StepOperators(spec, grid, t).control(central_grad(u.u[k], grid.dx))
     return out
 
 
@@ -170,10 +172,11 @@ class _ValueSolves:
     """The value field of one Picard loop's sweeps and its feedback
     (`_feedback_from_value`): `solve_backward_1d` on the sweep's
     population.  A call given the last sweep's Picard residual r asks for
-    the inner tolerance max(tol_fp, tol_fp * r / tol_pi), so that every
-    sweep solves with the inner/outer ratio of the loop's last one.  The
-    first call of a coupled loop (`spec.coupled`) takes r to be the width
-    hi - lo of the control box, the largest residual a sweep can have; any
+    the inner tolerance max(tol_fp, min(tol_fp / tol_pi, INNER_RATIO_MAX) *
+    r): every sweep solves with the inner/outer ratio of the loop's last
+    one, capped so that it stays below its residual.  The first call of a
+    coupled loop (`spec.coupled`) takes r to be the width hi - lo of the
+    control box, the largest residual a sweep can have; any
     other call given None (an uncoupled loop's first sweep, whose field may
     be reused as the final one, or the field after the loop) asks for
     tol_fp.  The stored field is reused when `population_inputs` equal
@@ -190,10 +193,8 @@ class _ValueSolves:
     inner fixed-point iterations, 0 for a reused field, and
     `inner_tolerances` the tolerance each call asked for."""
 
-    def __init__(self, spec: ModelSpec, grid: Grid,
-                 noise: CommonNoisePath | None, tol_fp: float, tol_pi: float):
-        self.spec, self.grid, self.noise = spec, grid, noise
-        self.tol_fp, self.tol_pi = tol_fp, tol_pi
+    def __init__(self, spec: ModelSpec, tol_fp: float, tol_pi: float):
+        self.spec, self.tol_fp, self.tol_pi = spec, tol_fp, tol_pi
         self.solves = 0
         self.tol = None
         self.inner_iterations = []
@@ -210,18 +211,19 @@ class _ValueSolves:
             residual = float(hi - lo)
         tol = self.tol_fp
         if residual is not None:
-            tol = max(tol, self.tol_fp * residual / self.tol_pi)
-        x = self.grid.x
+            tol = max(tol, min(self.tol_fp * residual / self.tol_pi,
+                               INNER_RATIO_MAX * residual))
+        x = nu_traj.grid.x
         terminal = np.asarray(
             self.spec.dpsi(NuHandle(x, nu_traj.values[-1]), x), dtype=float
         )
-        inputs = population_inputs(self.spec, self.grid, nu_traj, terminal)
+        inputs = population_inputs(self.spec, nu_traj, terminal)
         inputs = None if inputs is None else inputs.tobytes()
         if inputs is None or inputs != self._inputs or self.tol > tol:
             previous = None if self._last is None else self._last[0].u
-            u = solve_backward_1d(self.spec, self.grid, nu_traj, terminal,
-                                  self.noise, tol_fp=tol, previous=previous)
-            self._last = u, _feedback_from_value(self.spec, self.grid, u)
+            u = solve_backward_1d(self.spec, nu_traj.grid, nu_traj, terminal,
+                                  tol_fp=tol, previous=previous)
+            self._last = u, _feedback_from_value(self.spec, u)
             self._inputs, self.tol = inputs, tol
             self.solves += 1
             self.inner_iterations.append(sum(u.fixed_point.iterations))
@@ -258,9 +260,10 @@ def solve_mfc(
     `population_inputs`), the value field and its feedback are solved
     once and reused; `diagnostics["backward_solves"]` counts the solves
     made.  Each later value solve starts from the last sweep's field.
-    Sweep s's value solve asks for max(tol_fp, tol_fp * r / tol_pi), r
-    being the residual of sweep s-1, so its inner error shrinks with the
-    outer one.  The first sweep has no residual: for a coupled model
+    Sweep s's value solve asks for max(tol_fp, min(tol_fp / tol_pi,
+    INNER_RATIO_MAX) * r), r being the residual of sweep s-1, so its inner
+    error shrinks with, and stays below, the outer one.  The first sweep
+    has no residual: for a coupled model
     (`spec.coupled`) r is the control box's width, which bounds every
     sweep's residual, and otherwise its solve asks for tol_fp, because
     that field may be reused as the final one.  A field solved after a
@@ -276,7 +279,7 @@ def solve_mfc(
     `initial_marginal`; the outputs are those of evaluating them afresh,
     bit for bit.
     """
-    value = _ValueSolves(spec, grid, noise, tol_fp, tol_pi)
+    value = _ValueSolves(spec, tol_fp, tol_pi)
     initial = initial_marginal(spec, grid)
     costs = []
     best = last = None
@@ -339,7 +342,7 @@ def separable_lift(u_1d: BSPDESolution, grid: Grid) -> BSPDESolution:
     grid.check_field(u_1d, "u_1d", joint=False)
     u2 = u_1d.u[:, :, None] * grid.ey
     q2 = u_1d.q[:, :, None] * grid.ey
-    return BSPDESolution(grid, u_1d.times, u2, q2, u2[-1])
+    return BSPDESolution(grid, u_1d.times, u2, q2)
 
 
 def separability_gap(u2: BSPDESolution, u1: BSPDESolution) -> float:
@@ -389,12 +392,12 @@ def smp_residual(
 def gateaux_derivative(
     spec: ModelSpec,
     g: FeedbackControl,
-    h: np.ndarray | FeedbackControl,
+    h: np.ndarray,
     mu_traj: ForwardTrajectory2D,
     adjoint_2d: BSPDESolution,
     quadrature: str = "dual",
 ) -> float:
-    """Directional derivative of the closed-loop cost at feedback g.
+    """Directional derivative of the closed-loop cost at feedback g along h.
 
     Time-space quadrature of <mu, (b1_factor du + e^{-y} df1(g)) h>.
     quadrature="dual" integrates the drift part on cell faces against the
@@ -410,7 +413,7 @@ def gateaux_derivative(
     """
     grid = mu_traj.grid
     x, dx, dt, nt = grid.x, grid.dx, grid.dt(spec.T), grid.nt
-    h_vals = h.values if isinstance(h, FeedbackControl) else np.asarray(h, dtype=float)
+    h_vals = np.asarray(h, dtype=float)
     grid.check_field(g, "feedback")
     grid.check_field(h_vals, "direction")
     grid.check_field(adjoint_2d, "adjoint_2d", joint=True)
@@ -443,7 +446,7 @@ def gateaux_derivative(
         if k == nt - 1:
             # the stored terminal slice is the raw psi data; restore the
             # half-weight running-cost injection carried by the dual state
-            v = v + terminal_cost_injection(spec, g, mu_traj, cw[nt])
+            v = v + terminal_cost_injection(spec, g, mu_traj)
         if offsets is not None:
             v = shift_density(v, -offsets[k], dx)
         b_face = ops.face_drift(y_column(g.at_step(k)))
@@ -484,7 +487,7 @@ def solve_mfc_2d(
     does not depend on the measure from one `steps.step_table`, as in
     `solve_mfc`.
     """
-    value = _ValueSolves(spec, grid, noise, TOL_FP, tol_pi)
+    value = _ValueSolves(spec, TOL_FP, tol_pi)
     last = (None, None, None)
 
     def sweep(g2, residual):
@@ -492,10 +495,10 @@ def solve_mfc_2d(
         mu_traj = solve_forward_2d(spec, grid, g2, noise)
         u1, g_fb = value(mu_traj.marginal(), residual)
         adj = solve_backward_2d(spec, grid, mu_traj, g=g2,
-                                terminal=grid.ey * u1.terminal[:, None], noise=noise)
+                                terminal=grid.ey * u1.terminal[:, None])
         last = adj, mu_traj, u1
         return np.where(mu_traj.values > MU_FLOOR,
-                        _feedback_from_value(spec, grid, adj), g_fb[:, :, None])
+                        _feedback_from_value(spec, adj), g_fb[:, :, None])
 
     g0 = FeedbackControl.constant(float(spec.box_array[0].mean()), grid, spec, two_d=True)
     with step_table(spec, grid):

@@ -236,10 +236,10 @@ def validate_model(spec: ModelSpec, n_samples: int = 1000) -> ModelSpec:
     # the one measure b0 and f0 are probed at: a standard normal density
     nu_probe = NuHandle(x_probe, np.exp(-0.5 * x_probe**2) / math.sqrt(2.0 * math.pi))
     box = spec.box_array
-    if box.shape != (1, 2):
+    if box.shape != (1, 2) or not (np.isfinite(box).all() and box[0, 0] <= box[0, 1]):
         raise ModelValidationError(
-            f"control box must be one interval (lo, hi); got shape {box.shape}"
-        )
+            "control box must be one interval (lo, hi), finite with lo <= hi; "
+            f"got {spec.control_box}")
 
     for t in t_probe:
         sig = np.asarray(spec.sigma(t, x_probe), dtype=float)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -116,11 +117,10 @@ def test_2d_slices_match_1d_bit_exact_without_intensity(noisy):
     term2 = np.outer(term1, np.exp(-grid.y))
     # run the inner loops to the full iteration budget so the stopping
     # rule (a max over all columns in 2d) cannot desynchronize slices
-    cols = [solve_backward_1d(spec, grid, nu_traj, term2[:, j], noise, tol_fp=0.0)
+    cols = [solve_backward_1d(spec, grid, nu_traj, term2[:, j], tol_fp=0.0)
             for j in range(grid.ny_total)]
-    u1d = solve_backward_1d(spec, grid, nu_traj, term1, noise, tol_fp=0.0)
-    sol2 = solve_backward_2d(spec, grid, mu, u_1d=u1d, terminal=term2, noise=noise,
-                             tol_fp=0.0)
+    u1d = solve_backward_1d(spec, grid, nu_traj, term1, tol_fp=0.0)
+    sol2 = solve_backward_2d(spec, grid, mu, u_1d=u1d, terminal=term2, tol_fp=0.0)
     assert np.array_equal(sol2.u, np.stack([c.u for c in cols], axis=-1))
     assert np.array_equal(sol2.q, np.stack([c.q for c in cols], axis=-1))
 
@@ -243,6 +243,53 @@ def test_grid_mismatch():
         solve_backward_1d(spec, grid, tr, np.zeros(41), previous=np.zeros((20, 41)))
 
 
+def test_noise_path_is_read_from_the_trajectory_only():
+    # the backward solves take the path their trajectory moved under; an
+    # old call that passes a path fifth raises instead of binding it to
+    # tol_fp, and the half-plane solve has no noise keyword
+    spec = mk.make_model("lq_killing", sigma0=0.4)
+    grid = mk.build_grid(-4, 4, 41, 2.4, 8, 20)
+    g = FeedbackControl.constant(0.1, grid, spec)
+    noise = CommonNoisePath.from_seed(5, grid.nt, grid.dt(spec.T))
+    tr = mk.solve_forward_1d(spec, grid, g, noise)
+    mu = mk.solve_forward_2d(spec, grid, g, noise)
+    term = np.asarray(spec.dpsi(None, grid.x), dtype=float)
+    term2 = np.exp(-grid.y)[None, :] * term[:, None]
+    with pytest.raises(TypeError):
+        solve_backward_1d(spec, grid, tr, term, noise)
+    with pytest.raises(TypeError):
+        solve_backward_2d(spec, grid, mu, g=g, terminal=term2, noise=noise)
+    assert np.abs(solve_backward_1d(spec, grid, tr, term).q[:-1]).max() > 0.0
+
+
+@pytest.mark.parametrize("plane", [False, True])
+def test_terminal_is_the_solutions_own_slice(plane):
+    # sol.terminal is u[nt], the solve's copy of the data: editing the
+    # caller's array after the solve moves neither it nor the energy
+    # computed on first read
+    spec = mk.make_model("lq_killing")
+    grid = mk.build_grid(-4, 4, 41, 2.4, 8, 20)
+    g = FeedbackControl.constant(0.1, grid, spec)
+    term = np.asarray(spec.dpsi(None, grid.x), dtype=float)
+    if plane:
+        mu = mk.solve_forward_2d(spec, grid, g)
+        term = np.exp(-grid.y)[None, :] * term[:, None]
+
+        def solve(data):
+            return solve_backward_2d(spec, grid, mu, g=g, terminal=data)
+    else:
+        tr = mk.solve_forward_1d(spec, grid, g)
+
+        def solve(data):
+            return solve_backward_1d(spec, grid, tr, data)
+    kept = term.copy()
+    sol = solve(term)
+    term[...] = 7.0
+    assert sol.terminal is not term and np.array_equal(sol.terminal, sol.u[-1])
+    assert np.array_equal(sol.terminal, kept)
+    assert sol.energy == energy_report(solve(kept))
+
+
 @pytest.mark.parametrize("n_increments", [15, 25])
 def test_noise_path_length_mismatch(n_increments):
     # a path longer than grid.nt is not cut, and a shorter one is not read
@@ -257,12 +304,15 @@ def test_noise_path_length_mismatch(n_increments):
     term2 = np.exp(-grid.y)[None, :] * term[:, None]
     u1 = solve_backward_1d(spec, grid, tr, term)
     noise = CommonNoisePath.from_seed(5, n_increments, grid.dt(spec.T))
+    # the backward solves read the path from their trajectory: hand-built
+    # records carry the wrong-length one
+    tr, mu = (dataclasses.replace(traj, noise=noise) for traj in (tr, mu))
     with pytest.raises(GridMismatch, match="noise path"):
-        solve_backward_1d(spec, grid, tr, term, noise)
+        solve_backward_1d(spec, grid, tr, term)
     with pytest.raises(GridMismatch, match="noise path"):
-        solve_backward_2d(spec, grid, mu, g=g, terminal=term2, noise=noise)
+        solve_backward_2d(spec, grid, mu, g=g, terminal=term2)
     with pytest.raises(GridMismatch, match="noise path"):
-        solve_backward_2d(spec, grid, mu, u_1d=u1, terminal=term2, noise=noise)
+        solve_backward_2d(spec, grid, mu, u_1d=u1, terminal=term2)
     with pytest.raises(GridMismatch, match="noise path"):
         mk.simulate_particles(spec, g, 100, 1, grid, noise)
 
@@ -284,11 +334,11 @@ def test_noise_offsets_built_once_per_solve(monkeypatch):
     mu = mk.solve_forward_2d(spec, grid, g, noise)
     term = np.asarray(spec.dpsi(None, grid.x), dtype=float)
     term2 = np.exp(-grid.y)[None, :] * term[:, None]
-    u1 = solve_backward_1d(spec, grid, tr, term, noise)
+    u1 = solve_backward_1d(spec, grid, tr, term)
     assert len(calls) == 1
-    solve_backward_2d(spec, grid, mu, u_1d=u1, terminal=term2, noise=noise)
+    solve_backward_2d(spec, grid, mu, u_1d=u1, terminal=term2)
     assert len(calls) == 2
-    solve_backward_2d(spec, grid, mu, g=g, terminal=term2, noise=noise)
+    solve_backward_2d(spec, grid, mu, g=g, terminal=term2)
     assert len(calls) == 3
 
 
@@ -302,8 +352,8 @@ def test_solve_started_from_its_own_field(noisy):
     noise = CommonNoisePath.from_seed(5, grid.nt, grid.dt(spec.T)) if noisy else None
     tr = mk.solve_forward_1d(spec, grid, FeedbackControl.constant(0.1, grid, spec), noise)
     term = np.asarray(spec.dpsi(mk.NuHandle(grid.x, tr.values[-1]), grid.x), dtype=float)
-    cold = solve_backward_1d(spec, grid, tr, term, noise)
-    warm = solve_backward_1d(spec, grid, tr, term, noise, previous=cold.u)
+    cold = solve_backward_1d(spec, grid, tr, term)
+    warm = solve_backward_1d(spec, grid, tr, term, previous=cold.u)
     assert min(cold.fixed_point.iterations) > 2
     assert max(warm.fixed_point.iterations) <= 2 and warm.fixed_point.capped == 0
     assert np.abs(warm.u - cold.u).max() <= 1e-9
@@ -345,7 +395,7 @@ def test_q_field_convention():
     spec_n = mk.make_model("lq_killing", sigma0=0.4)
     noise = CommonNoisePath.from_seed(5, grid.nt, grid.dt(spec_n.T))
     tr_n = mk.solve_forward_1d(spec_n, grid, g, noise=noise)
-    sol_n = solve_backward_1d(spec_n, grid, tr_n, term, noise=noise)
+    sol_n = solve_backward_1d(spec_n, grid, tr_n, term)
     assert np.abs(sol_n.q[:-1]).max() > 0.0
 
 
@@ -391,7 +441,7 @@ def test_fixed_feedback_duality_with_measure_dependent_cost(noisy):
     mu = mk.solve_forward_2d(spec, grid, g, noise)
     nu_T = mk.s_map(mu.at(grid.nt))
     term = np.exp(-y)[None, :] * np.asarray(spec.dpsi(nu_T, x))[:, None]
-    adj = solve_backward_2d(spec, grid, mu, g=g, terminal=term, noise=noise)
+    adj = solve_backward_2d(spec, grid, mu, g=g, terminal=term)
     dt, cell = grid.dt(spec.T), grid.dx * grid.dy
     cost = float((mu.values[-1] * term).sum()) * cell
     for k in range(grid.nt + 1):
@@ -561,7 +611,7 @@ def test_line_map_matches_pointwise_composition(monkeypatch):
     # StepOperators members; a second application repeats it
     spec, grid, noise, tr, term = line_case(81, 40)
     apply_map, w, above = step_map_of(monkeypatch, 3, solve_backward_1d,
-                                      spec, grid, tr, term, noise)
+                                      spec, grid, tr, term)
     k = grid.nt - 4
     dx, dt = grid.dx, grid.dt(spec.T)
     v = shift_density(above, -noise_offsets(spec, grid, noise)[k], dx)
@@ -580,9 +630,8 @@ def test_golden_section_solve_matches_closed_form():
     # closed-form one (measured 3.2e-10 apart with max|u| = 8, in 696
     # against 694 inner iterations)
     spec, grid, noise, tr, term = line_case(101, 20)
-    closed = solve_backward_1d(spec, grid, tr, term, noise)
-    golden = solve_backward_1d(spec.with_params(control_minimizer=None), grid, tr, term,
-                               noise)
+    closed = solve_backward_1d(spec, grid, tr, term)
+    golden = solve_backward_1d(spec.with_params(control_minimizer=None), grid, tr, term)
     assert np.abs(golden.u - closed.u).max() <= 4e-10 * np.abs(closed.u).max()
     assert sum(golden.fixed_point.iterations) <= 1.02 * sum(closed.fixed_point.iterations)
 
@@ -660,7 +709,7 @@ def test_inner_map_allocates_few_fields(monkeypatch, plane):
     else:
         spec, grid, noise, tr, term = line_case(801, 120)
         apply_map, w, _ = step_map_of(monkeypatch, 0, solve_backward_1d,
-                                      spec, grid, tr, term, noise)
+                                      spec, grid, tr, term)
         bound = 2.5
     for _ in range(2):
         apply_map(w)

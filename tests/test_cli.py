@@ -205,6 +205,28 @@ def test_refine_flag(tmp_path):
     assert man["grid"]["nt"] == 120
 
 
+def test_negative_refine_exit_2(tmp_path, capsys):
+    # a negative count used to be ignored, running on the unrefined grid
+    cfg = small_config(tmp_path, experiment="forward")
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "--out", str(out), "--refine", "-1"]) == 2
+    assert capsys.readouterr().err == "error: --refine must be >= 0, not -1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment", ["forward", "solve"])
+@pytest.mark.parametrize("box", [[1.0, -1.0], [-float("inf"), float("inf")],
+                                 [float("nan"), 1.0]], ids=["inverted", "infinite", "nan"])
+def test_bad_control_box_exit_2(tmp_path, capsys, experiment, box):
+    # a box the model validation refuses is a configuration error, not a
+    # numpy traceback from inside it
+    cfg = small_config(tmp_path, experiment=experiment,
+                       model={"name": "lq_killing", "params": {"control_box": box}})
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "finite with lo <= hi" in err and err.count("\n") == 1
+
+
 def test_smp_experiment(tmp_path):
     cfg = small_config(tmp_path, experiment="smp-check",
                        solver={"tol_pi": 1e-7})

@@ -269,15 +269,19 @@ def _noise_callers(spec, grid, noise):
     mu = mk.solve_forward_2d(spec, grid, g)
     term2 = np.exp(-grid.y)[None, :] * np.ones((grid.nx, 1))
     adj = mk.solve_backward_2d(spec, grid, mu, g=g, terminal=term2)
+    # the backward solves and gateaux_derivative read the path from their
+    # trajectory: hand-built records carry it
+    nu_noisy = mk.ForwardTrajectory1D(grid, nu.times, nu.values, g, noise, nu.mass_series,
+                                      nu.energy, 0.0)
     mu_noisy = mk.ForwardTrajectory2D(grid, mu.times, mu.values, g, noise, mu.mass_series,
                                       mu.energy, 0.0)
     return {
         "solve_forward_1d": lambda: mk.solve_forward_1d(spec, grid, g, noise=noise),
         "solve_forward_2d": lambda: mk.solve_forward_2d(spec, grid, g, noise=noise),
-        "solve_backward_1d": lambda: mk.solve_backward_1d(spec, grid, nu, np.ones(grid.nx),
-                                                          noise=noise),
-        "solve_backward_2d": lambda: mk.solve_backward_2d(spec, grid, mu, g=g,
-                                                          terminal=term2, noise=noise),
+        "solve_backward_1d": lambda: mk.solve_backward_1d(spec, grid, nu_noisy,
+                                                          np.ones(grid.nx)),
+        "solve_backward_2d": lambda: mk.solve_backward_2d(spec, grid, mu_noisy, g=g,
+                                                          terminal=term2),
         "solve_mfc": lambda: mk.solve_mfc(spec, grid, noise=noise),
         "gateaux_derivative": lambda: mk.gateaux_derivative(spec, g, 0.0 * g.values,
                                                             mu_noisy, adj),
@@ -335,8 +339,10 @@ def test_default_initial_is_initial_marginal():
     assert np.array_equal(default.mass_series, passed.mass_series)
 
 
-@pytest.mark.parametrize("solver", [mk.solve_forward_1d, mk.solve_forward_2d])
-@pytest.mark.parametrize("shape", [(40,), (41, 2), (41, 1)])  # nx = 41, ny_total > 2
+# only the march on the line takes an initial density; the joint one
+# starts from the model's initial_density_2d
+@pytest.mark.parametrize("solver", [mk.solve_forward_1d])
+@pytest.mark.parametrize("shape", [(40,), (41, 2), (41, 1)])  # nx = 41
 def test_wrong_initial_shape_raises(solver, shape):
     spec = mk.make_model("lq_killing")
     grid = mk.build_grid(-4.0, 4.0, 41, 2.4, 8, 20)

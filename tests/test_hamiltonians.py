@@ -5,7 +5,7 @@ import pytest
 
 import mfckill as mk
 from mfckill.errors import NonfiniteInput
-from mfckill.hamiltonians import _INVPHI, _golden_min, f_nu, minimize_hamiltonian
+from mfckill.hamiltonians import GOLDEN_TOL, _INVPHI, _golden_min, f_nu, minimize_hamiltonian
 from mfckill.measures import Density2D, NuHandle, SubProb1D, trapezoid_weights
 from mfckill.model import lq_killing
 from mfckill.steps import StepOperators
@@ -49,10 +49,10 @@ def test_golden_search_evaluates_one_point_per_iteration():
         calls.append(g.shape)
         return (g - np.linspace(-0.5, 0.5, 5)) ** 2
 
-    g = _golden_min(obj, np.full(5, -1.0), np.full(5, 1.0), tol=1e-9)
-    iterations = math.ceil(math.log(1e-9 / 2.0) / math.log(_INVPHI))
+    g = _golden_min(obj, np.full(5, -1.0), np.full(5, 1.0))
+    iterations = math.ceil(math.log(GOLDEN_TOL / 2.0) / math.log(_INVPHI))
     assert len(calls) == 2 + iterations
-    assert np.abs(g - np.linspace(-0.5, 0.5, 5)).max() < 1e-9
+    assert np.abs(g - np.linspace(-0.5, 0.5, 5)).max() < GOLDEN_TOL
 
 
 def test_minimize_vectorized_matches_scalar():

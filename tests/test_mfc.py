@@ -74,7 +74,7 @@ def test_solve_mfc_returns_pointwise_minimizer(lq_mfc):
     from mfckill.mfc import _feedback_from_value
 
     spec = mk.make_model("lq_killing")
-    g_new = _feedback_from_value(spec, grid, res.u)
+    g_new = _feedback_from_value(spec, res.u)
     assert np.array_equal(g_new, res.g_star.values)
 
 
@@ -316,16 +316,32 @@ def test_mean_field_flag_changes_solution():
 
 
 def test_stall_flag_and_strict_raise():
-    # an unattainable tolerance parks the residual at the rounding floor,
-    # which the plateau detector reports as a stall; the coupled model
-    # (the uncoupled one reaches residual 0.0 at sweep 2)
+    # an unattainable tolerance: once INNER_RATIO_MAX * r falls below
+    # tol_fp, every value solve asks for tol_fp itself, so the residual
+    # wanders at the error that tolerance leaves (4e-11 to 9e-11 over the
+    # last sweeps), which the plateau detector reports as a stall; the
+    # coupled model (the uncoupled one reaches residual 0.0 at sweep 2)
     spec = mk.make_model("lq_mean_field")
     grid = mk.build_grid(-4, 4, 61, 2.4, 8, 40)
     res = solve_mfc(spec, grid, tol_pi=1e-18, max_iter=150)
     assert res.diagnostics["stalled"]
     assert res.diagnostics["picard_iterations"] < 150
+    assert res.diagnostics["final_residual"] < 1e-8
     with pytest.raises(PicardStalled):
         solve_mfc(spec, grid, tol_pi=1e-18, max_iter=150, strict=True)
+
+
+def test_inner_tolerance_stays_below_residual():
+    # with tol_pi <= tol_fp, the inner tolerance tol_fp * r / tol_pi is at
+    # least the residual r itself: each value solve stopped after one
+    # damped iteration per step, and the loop stalled after 30 sweeps at
+    # residual 1.65; the cap asks for at most INNER_RATIO_MAX * r
+    spec = mk.make_model("lq_mean_field")
+    grid = mk.build_grid(-4, 4, 61, 2.4, 8, 40)
+    d = solve_mfc(spec, grid, tol_pi=1e-10, max_iter=150).diagnostics
+    assert d["converged"] or d["final_residual"] < 1e-8
+    assert all(tol <= max(backward_mod.TOL_FP, mfc_mod.INNER_RATIO_MAX * r)
+               for tol, r in zip(d["inner_tolerances"][1:], d["residual_trace"]))
 
 
 def test_intensity_diag_flat_and_linear():
@@ -556,7 +572,7 @@ def test_field_solved_looser_than_asked_is_solved_again():
     grid = mk.build_grid(-4, 4, 61, 2.4, 8, 40)
     tol_fp = backward_mod.TOL_FP
     nu = mk.solve_forward_1d(spec, grid, FeedbackControl.constant(0.1, grid, spec))
-    value = mfc_mod._ValueSolves(spec, grid, None, tol_fp, 1e-6)
+    value = mfc_mod._ValueSolves(spec, tol_fp, 1e-6)
     loose, _ = value(nu, 1e-2)
     reused, _ = value(nu, 1e-1)
     final, _ = value(nu, None)
@@ -761,7 +777,7 @@ def test_full_step_uncoupled_converges_in_two_sweeps_bit_identical():
     grid = mk.build_grid(-4, 4, 61, 2.4, 8, 40)
     res = solve_mfc(spec, grid)
     assert res.diagnostics["converged"] and res.diagnostics["picard_iterations"] == 2
-    assert np.array_equal(res.g_star.values, mfc_mod._feedback_from_value(spec, grid, res.u))
+    assert np.array_equal(res.g_star.values, mfc_mod._feedback_from_value(spec, res.u))
 
 
 def test_full_step_coupled_matches_tight_solve():

@@ -73,7 +73,17 @@ def test_vector_control_box_rejected():
         mk.validate_model(spec)
 
 
+@pytest.mark.parametrize("box", [(1.0, -1.0), (-np.inf, np.inf), (np.nan, 1.0), (0.0, np.inf)],
+                         ids=["inverted", "infinite", "nan", "half-infinite"])
+def test_inverted_or_nonfinite_control_box_rejected(box):
+    # refused before the convexity probe draws controls from the box, where
+    # numpy raised ValueError (inverted) or OverflowError (non-finite)
+    with pytest.raises(ModelValidationError, match="finite with lo <= hi"):
+        mk.validate_model(lq_killing(control_box=box))
+
+
 def test_constant_intensity_warns_not_fails():
+    # const_kill's default control box is the single point (0, 0)
     spec = mk.make_model("const_kill", kappa=0.8)
     with pytest.warns(UserWarning):
         assert mk.validate_model(spec) is spec
