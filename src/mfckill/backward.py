@@ -438,7 +438,9 @@ def solve_backward_2d(
             expl = expl + y_transport_adjoint_rate(v, ops.lam[:, None] / dy, decay)
             if coupled:
                 expl = expl + ops.nonlocal_term(central_grad(v, dx))
-            out = diffuse(v + dt * expl, ops.matrix)
+            # LAPACK returns the solve in Fortran order; the C-ordered copy
+            # makes the cost sum and every later step read rows contiguously
+            out = np.ascontiguousarray(diffuse(v + dt * expl, ops.matrix))
             return out + cost_weights[k] * dt * ey * ops.cost(gv), (1, 0.0, False)
 
         # the march carries the dual state with the terminal half-weight cost

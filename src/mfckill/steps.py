@@ -21,18 +21,27 @@ transpose, so a fixed-feedback backward step is the algebraic transpose of
 a forward step.  The stencils that the inner iterations and the forward
 step on the line call write into an `out` array when given one, and the
 upwind pair keeps its face temporaries in a `work` pair.
+
+`diffuse` solves with scipy's LAPACK routines `dgtsv`, `dpttrf` and
+`dpttrs`, read from its compiled `scipy.linalg._flapack` module; mfckill
+never imports `scipy.linalg`, whose package init (it imports `numpy.f2py`
+and `numpy.testing`) would cost every process about 0.2 s and 25 MB.
 """
 
 from __future__ import annotations
 
+import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
+from importlib.machinery import EXTENSION_SUFFIXES
+from importlib.util import module_from_spec, spec_from_file_location
 from operator import attrgetter
+from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs
+import scipy
+from numpy.linalg import LinAlgError
 
 from .errors import GridMismatch, NonfiniteInput
 from .hamiltonians import all_finite, bound_minimizer, nonlocal_kernels
@@ -48,6 +57,29 @@ __all__ = [
     "face_flux_divergence", "upwind_flux_divergence", "upwind_transport_adjoint",
     "upwind_flux_derivative", "y_transport", "y_transport_adjoint_rate",
 ]
+
+
+def _load_flapack():
+    """`scipy.linalg._flapack`, the compiled module whose routines
+    `scipy.linalg.lapack` exports: the loaded one if a caller imported
+    `scipy.linalg`, else loaded from its file without that package's init,
+    which the extension does not need."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    directory = Path(scipy.__path__[0]) / "linalg"
+    for suffix in EXTENSION_SUFFIXES:
+        path = directory / f"_flapack{suffix}"
+        if path.is_file():
+            spec = spec_from_file_location(name, path)
+            module = module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(f"no compiled _flapack module in {directory}")
+
+
+_flapack = _load_flapack()
+dgtsv, dpttrf, dpttrs = _flapack.dgtsv, _flapack.dpttrf, _flapack.dpttrs
 
 
 class _lazy:

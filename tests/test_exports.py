@@ -1,6 +1,9 @@
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -85,3 +88,35 @@ def test_every_import_is_used(name):
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     read.update(getattr(importlib.import_module(f"mfckill.{name}"), "__all__", ()))
     assert sorted(imported - read) == []
+
+
+def _fresh(code):
+    """What `code` prints in a fresh interpreter that imports this mfckill:
+    the test process has imported scipy.linalg itself."""
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return run.stdout.strip()
+
+
+def test_import_skips_scipy_linalg_init():
+    # steps loads scipy's compiled LAPACK module from its file; the package
+    # init of scipy.linalg, and the numpy.f2py and numpy.testing it pulls
+    # in, cost every process ~0.2 s and 25 MB
+    code = ("import sys, mfckill\n"
+            "print([m for m in ('scipy.linalg', 'numpy.f2py', 'numpy.testing') "
+            "if m in sys.modules])")
+    assert _fresh(code) == "[]"
+
+
+@pytest.mark.parametrize("first", ["mfckill", "scipy.linalg"])
+def test_diffusion_solves_call_scipys_lapack(first):
+    # whichever package a process imports first, the diffusion solves call
+    # the routines scipy.linalg.lapack exports and raise its LinAlgError
+    code = (f"import {first}\n"
+            "import scipy.linalg, scipy.linalg.lapack as lapack\n"
+            "from mfckill import steps\n"
+            "print([getattr(steps, n) is getattr(lapack, n) for n in ('dgtsv', 'dpttrf', 'dpttrs')]"
+            " + [steps.LinAlgError is scipy.linalg.LinAlgError])")
+    assert _fresh(code) == "[True, True, True, True]"
