@@ -81,14 +81,13 @@ WINDOW_CELLS = 16384
 @dataclass
 class FixedPointStats:
     iterations: list
-    contraction: float
     capped: int             # steps stopped at MAX_FP with the residual above tol_fp
 
     @classmethod
     def from_steps(cls, steps: list) -> "FixedPointStats":
-        """From (iterations, contraction, capped) per step, in marching order."""
-        its, contr, capped = zip(*steps[::-1])
-        return cls(list(its), float(np.median(contr)), sum(capped))
+        """From (iterations, capped) per step, in marching order."""
+        its, capped = zip(*steps[::-1])
+        return cls(list(its), sum(capped))
 
 
 @dataclass
@@ -97,7 +96,7 @@ class BSPDESolution:
     times: np.ndarray
     u: np.ndarray           # (nt+1, nx) or (nt+1, nx, ny_total)
     q: np.ndarray           # same shape; zero when no noise path was given
-    fixed_point: FixedPointStats | None = None
+    fixed_point: FixedPointStats | None = None  # None for a linear solve
 
     @property
     def terminal(self) -> np.ndarray:  # u[nt], the solve's own copy of the data
@@ -158,8 +157,7 @@ def _run_fixed_point(apply_map, u_init, t_k, tol_fp):
 
     Each iteration moves w by FP_DAMPING times the residual cand - w.
     Returns the field and the step's record for `FixedPointStats`: the
-    iteration count, the geometric contraction estimate of the residual
-    sequence, and whether it stopped at MAX_FP above tol_fp.
+    iteration count and whether it stopped at MAX_FP above tol_fp.
     """
     w = u_init.copy()
     # the residual and the update run over the blocks of rows that the
@@ -173,7 +171,6 @@ def _run_fixed_point(apply_map, u_init, t_k, tol_fp):
     weight = float(np.exp(ETA * t_k))
     prev_res = np.inf
     grow = 0
-    residuals = []
     for it in range(1, MAX_FP + 1):
         cand = apply_map(w)
         res = 0.0
@@ -183,7 +180,6 @@ def _run_fixed_point(apply_map, u_init, t_k, tol_fp):
             d *= FP_DAMPING
             wb += d
         res = weight * float(res)
-        residuals.append(res)
         if res > prev_res * (1.0 + 1e-12) and res > 1e-13:
             grow += 1
             if grow >= 5:
@@ -195,10 +191,7 @@ def _run_fixed_point(apply_map, u_init, t_k, tol_fp):
         if res <= tol_fp:
             break
         prev_res = res
-    contraction = 0.0
-    if len(residuals) >= 3 and residuals[0] > 0:
-        contraction = (residuals[-1] / residuals[0]) ** (1.0 / (len(residuals) - 1))
-    return w, (it, contraction, residuals[-1] > tol_fp)
+    return w, (it, res > tol_fp)
 
 
 def _row_windows(nx: int, ny: int) -> list:
@@ -234,10 +227,11 @@ def _march(spec: ModelSpec, grid: Grid, terminal: np.ndarray,
            ) -> BSPDESolution:
     """The backward time loop of every finite-difference marcher: from
     k = nt-1 down to 0, undo the common-noise shift of the slice above, take
-    u[k] and its `FixedPointStats` record from `step(k, t, v, u, shift)` (u
-    holds the slices above k, `shift` is the solve's one `_noise_shift`)
-    and, under noise, set q[k] = sigma0 du/dx.  u[nt] is the terminal data;
-    the march starts from `carry` instead when given."""
+    u[k] and its `FixedPointStats` record, None for a linear step, from
+    `step(k, t, v, u, shift)` (u holds the slices above k, `shift` is the
+    solve's one `_noise_shift`) and, under noise, set q[k] = sigma0 du/dx.
+    u[nt] is the terminal data; the march starts from `carry` instead when
+    given."""
     nt = grid.nt
     shift = _noise_shift(spec, grid, noise)
     times = grid.times(spec.T)
@@ -256,7 +250,8 @@ def _march(spec: ModelSpec, grid: Grid, terminal: np.ndarray,
         if shift is not None:
             central_grad(v, grid.dx, out=q[k])
             q[k] *= spec.sigma0(t)
-    return BSPDESolution(grid, times, u, q, FixedPointStats.from_steps(steps))
+    stats = None if steps[0] is None else FixedPointStats.from_steps(steps)
+    return BSPDESolution(grid, times, u, q, stats)
 
 
 def _fixed_point_step(step_map, tol_fp: float, previous: np.ndarray | None = None):
@@ -441,7 +436,7 @@ def solve_backward_2d(
             # LAPACK returns the solve in Fortran order; the C-ordered copy
             # makes the cost sum and every later step read rows contiguously
             out = np.ascontiguousarray(diffuse(v + dt * expl, ops.matrix))
-            return out + cost_weights[k] * dt * ey * ops.cost(gv), (1, 0.0, False)
+            return out + cost_weights[k] * dt * ey * ops.cost(gv), None
 
         # the march carries the dual state with the terminal half-weight cost
         # injection; the stored terminal slice stays the psi data

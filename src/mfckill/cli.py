@@ -304,8 +304,8 @@ def _run_particles(cfg: RunConfig, spec, out: Path) -> int:
         raise ConfigError(f"particles: {exc}") from exc
     j_soft, ci_soft = estimate_cost_mc(spec, g, ens, mode="soft")
     j_hard, ci_hard = estimate_cost_mc(spec, g, ens, mode="hard")
-    nu_hard = empirical_subprob(ens, "hard", grid)
-    nu_soft = empirical_subprob(ens, "soft", grid)
+    nu_hard = empirical_subprob(ens, "hard")
+    nu_soft = empirical_subprob(ens, "soft")
     nu_hard.to_csv(out / "empirical_hard.csv")
     nu_soft.to_csv(out / "empirical_soft.csv")
     _write_csv(out / "ensemble_T.csv", "x,intensity,weight,alive", [
@@ -357,7 +357,7 @@ def _run_smp(cfg: RunConfig, spec, out: Path) -> int:
     lift = separable_lift(res.u, cfg.grid)
     resid = smp_residual(spec, res.g_star, res.mu_traj, lift)
     rng = np.random.default_rng(cfg.seed)
-    lo, hi = spec.box_array[0]
+    lo, hi = spec.control_box
     derivs = []
     for _ in range(8):
         width = np.minimum(res.g_star.values - lo, hi - res.g_star.values)

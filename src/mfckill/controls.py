@@ -52,11 +52,10 @@ class FeedbackControl:
     @classmethod
     def constant(cls, value: float, grid: Grid, spec: ModelSpec,
                  two_d: bool = False) -> "FeedbackControl":
-        lo, hi = spec.box_array[0]
+        lo, hi = spec.control_box
         shape = (grid.nt + 1, grid.nx, grid.ny_total) if two_d else (grid.nt + 1, grid.nx)
-        return cls(np.full(shape, float(np.clip(value, lo, hi))), (lo, hi))
+        return cls(np.full(shape, float(np.clip(value, lo, hi))), spec.control_box)
 
     @classmethod
     def from_array(cls, values: np.ndarray, spec: ModelSpec) -> "FeedbackControl":
-        lo, hi = spec.box_array[0]
-        return cls(np.asarray(values, dtype=float), (lo, hi))
+        return cls(np.asarray(values, dtype=float), spec.control_box)

@@ -11,8 +11,8 @@ The splitting order is fixed so that the linear backward stepper is the
 exact algebraic transpose of a forward step; the step operators and
 stencils, each beside its transpose, are in steps.py.  Both marchers run
 in one time loop, `_march`.  Each step reads what does not depend on the
-density (the diffusion matrix, lam and its kill factor, b1_factor and
-the box) from `steps.StepOperators`, which takes them from the control
+density (the diffusion matrix, lam and its kill factor and b1_factor)
+from `steps.StepOperators`, which takes them from the control
 loop's `steps.step_table` when one is active, and its weights from the
 `Grid`; like every half-plane step, the joint one hands it a `Density2D`
 and the model reads nu = `s_map` of it.  A control loop builds the default
@@ -121,20 +121,22 @@ class ForwardTrajectory2D(_ForwardTrajectory):
 
 
 def _drift(ops: StepOperators, g: FeedbackControl, k: int,
-           dy: float | None = None, work: tuple | None = None) -> np.ndarray:
+           work: tuple | None = None) -> np.ndarray:
     """Node drift of the feedback at step k, after checking that it stays
-    in the box and that the step meets the advective CFL condition, with
-    the y transport when `dy` is given.  On the line `work` may hold two
-    node arrays, for the drift and its magnitude."""
+    in the control box and that the step meets the advective CFL
+    condition, with the y transport on the half-plane (a step whose
+    `ops.mu` is set).  On the line `work` may hold two node arrays, for
+    the drift and its magnitude."""
     gv = g.at_step(k)
-    lo, hi = ops.box
+    lo, hi = ops.spec.control_box
     if not (lo - 1e-12 <= gv.min() and gv.max() <= hi + 1e-12):
         raise ControlOutOfBox("control leaves the box at step %d" % k)
+    joint = ops.mu is not None
     drift, speed = (None, None) if work is None else work
-    b = ops.drift(gv if dy is None else y_column(gv), out=drift)
+    b = ops.drift(y_column(gv) if joint else gv, out=drift)
     bmax = float(np.max(np.abs(b, out=speed)))
-    lmax = 0.0 if dy is None else float(ops.lam.max())
-    cfl = bmax * ops.dt / ops.dx + (0.0 if dy is None else lmax * ops.dt / dy)
+    lmax = float(ops.lam.max()) if joint else 0.0
+    cfl = bmax * ops.dt / ops.dx + (lmax * ops.dt / ops.grid.dy if joint else 0.0)
     if cfl > 1.0 + 1e-12:
         raise CFLViolation(
             f"advective CFL number {cfl:.3f} > 1 (max|b|={bmax:.3g}, "
@@ -254,7 +256,7 @@ def solve_forward_2d(
 
     def step(k, t, mu):
         ops = StepOperators(spec, grid, t, noise=noise, mu=Density2D(grid, mu))
-        b = _drift(ops, g, k, dy)
+        b = _drift(ops, g, k)
         mu = diffuse(mu, ops.matrix)
         expl = upwind_flux_divergence(mu, face_average(b), dx)
         return y_transport(mu, ops.lam, dt, dy) + dt * expl

@@ -1,10 +1,10 @@
 """The box-constrained control minimizer and the nonlocal kernels.
 
 `bound_minimizer` is the one box-constrained control minimizer, bound to
-a time and box once, and `nonlocal_kernels` the one evaluation of the
-Db0/Df0 kernels.  The solvers call both through `steps.StepOperators`,
-which also evaluates the Hamiltonians themselves: the kernels once per
-time step, the minimizer in every inner iteration of a value solve.
+a time once (the box is the model's), and `nonlocal_kernels` the one
+evaluation of the Db0/Df0 kernels.  The solvers call both through
+`steps.StepOperators`, which also evaluates the Hamiltonians themselves:
+the kernels once per time step, the minimizer in every inner iteration.
 `minimize_hamiltonian`, `minimize_k_tilde` and `f_nu` evaluate the same
 minimizer and kernels at arbitrary points; they stay only for the
 benchmark tracer (`perfbench/tracer.py`) and as oracles in the tests.
@@ -66,17 +66,17 @@ def _golden_min(obj, lo: np.ndarray, hi: np.ndarray, out=None) -> np.ndarray:
     return np.multiply(0.5, np.add(a, b, out=out), out=out)
 
 
-def bound_minimizer(spec: ModelSpec, t: float, box: tuple):
+def bound_minimizer(spec: ModelSpec, t: float):
     """`minimize(x, p, fac, scale, out=None)`: the pointwise minimizer over
-    the box (lo, hi) of h -> fac h p + scale f1(t, x, h), written into
-    `out` when given.
+    the control box (lo, hi) of h -> fac h p + scale f1(t, x, h), written
+    into `out` when given.
 
     `fac` is b1_factor at `x`; `scale` is 1 for the marginal Hamiltonian
     and e^{-y} for the joint one.  The model's closed-form
     `control_minimizer` when it has one, clipped to the box; vectorized
     golden-section search otherwise.  A non-finite `p` raises.
     """
-    lo, hi = box
+    lo, hi = spec.control_box
     closed, f1 = spec.control_minimizer, spec.f1
 
     def minimize(x, p, fac, scale, out=None):
@@ -97,7 +97,7 @@ def minimize_hamiltonian(t, x, p, spec: ModelSpec):
     """Minimizer over the control box of h -> b1(t,x,h) p + f1(t,x,h)."""
     if not np.all(np.isfinite(x)):
         raise NonfiniteInput("minimize_hamiltonian received a non-finite state")
-    return minimize_k_tilde(t, x, 0.0, p, None, spec)  # e^{-0} = 1
+    return minimize_k_tilde(t, x, 0.0, p, spec)  # e^{-0} = 1
 
 
 def nonlocal_kernels(t, x, nu: NuHandle, z, spec: ModelSpec) -> tuple:
@@ -106,11 +106,6 @@ def nonlocal_kernels(t, x, nu: NuHandle, z, spec: ModelSpec) -> tuple:
     xb, zr = x[:, None], z[None, :]
     return tuple(None if d is None else np.asarray(d(t, xb, nu, zr), dtype=float)
                  for d in (spec.db0, spec.df0))
-
-
-def integrate_kernel(kern, weights):
-    """weights @ kern over the integration nodes; 0.0 without a kernel."""
-    return 0.0 if kern is None else weights @ kern
 
 
 def f_nu(t, x_eval, nu: SubProb1D, dxu_field: np.ndarray, spec: ModelSpec):
@@ -128,13 +123,13 @@ def f_nu(t, x_eval, nu: SubProb1D, dxu_field: np.ndarray, spec: ModelSpec):
         raise GridMismatch("gradient field must live on nu's grid")
     kb, kf = nonlocal_kernels(t, nu.x, nu, x_eval, spec)
     w = nu.weights
-    return (integrate_kernel(kb, nu.values * dxu_field * w)
-            + integrate_kernel(kf, nu.values * w))
+    return ((0.0 if kb is None else nu.values * dxu_field * w @ kb)
+            + (0.0 if kf is None else nu.values * w @ kf))
 
 
-def minimize_k_tilde(t, x, y, p, nu: NuHandle, spec: ModelSpec):
+def minimize_k_tilde(t, x, y, p, spec: ModelSpec):
     """Minimizer over the box of h -> b1(h) p + e^{-y} f1(h), vectorized."""
     x = np.asarray(x, dtype=float)
     fac = np.asarray(spec.b1_factor(t, x), dtype=float)
-    minimize = bound_minimizer(spec, t, spec.box_array[0])
+    minimize = bound_minimizer(spec, t)
     return minimize(x, np.asarray(p, dtype=float), fac, np.exp(-np.asarray(y, dtype=float)))

@@ -207,7 +207,7 @@ class _ValueSolves:
         if residual is None and self._last is None and self.spec.coupled:
             # no field of a coupled loop is reused, and no sweep's residual
             # exceeds the box width: iterate and feedback both lie in it
-            lo, hi = self.spec.box_array[0]
+            lo, hi = self.spec.control_box
             residual = float(hi - lo)
         tol = self.tol_fp
         if residual is not None:
@@ -273,8 +273,8 @@ def solve_mfc(
     the loop did not converge, and `diagnostics["inner_tolerances"]` the
     tolerance each of those value solves asked for.
     For the length of the call, every step of every solve and cost the
-    loop makes reads sigma, lam, its kill factor, b1_factor, the box and
-    the diffusion matrix from one `steps.step_table`, evaluated once
+    loop makes reads sigma, lam, its kill factor, b1_factor and the
+    diffusion matrix from one `steps.step_table`, evaluated once
     per time node, and every forward solve starts from one
     `initial_marginal`; the outputs are those of evaluating them afresh,
     bit for bit.
@@ -295,7 +295,8 @@ def solve_mfc(
         last = u
         return g_new
 
-    g0 = FeedbackControl.constant(float(spec.box_array[0].mean()), grid, spec)
+    lo, hi = spec.control_box
+    g0 = FeedbackControl.constant(0.5 * (lo + hi), grid, spec)
     with step_table(spec, grid):
         g, residuals, converged, stalled = _picard(sweep, g0, spec, tol_pi, max_iter)
         if stalled and strict:
@@ -417,7 +418,7 @@ def gateaux_derivative(
     grid.check_field(g, "feedback")
     grid.check_field(h_vals, "direction")
     grid.check_field(adjoint_2d, "adjoint_2d", joint=True)
-    lo, hi = spec.box_array[0]
+    lo, hi = spec.control_box
     eps = 1e-9
     probe = g.values + eps * (h_vals if h_vals.ndim == g.values.ndim else h_vals[..., None])
     if not (lo - 1e-15 <= probe.min() and probe.max() <= hi + 1e-15):
@@ -500,7 +501,8 @@ def solve_mfc_2d(
         return np.where(mu_traj.values > MU_FLOOR,
                         _feedback_from_value(spec, adj), g_fb[:, :, None])
 
-    g0 = FeedbackControl.constant(float(spec.box_array[0].mean()), grid, spec, two_d=True)
+    lo, hi = spec.control_box
+    g0 = FeedbackControl.constant(0.5 * (lo + hi), grid, spec, two_d=True)
     with step_table(spec, grid):
         g2, residuals, converged, stalled = _picard(sweep, g0, spec, tol_pi, max_iter)
     adj, mu_traj, u1 = last

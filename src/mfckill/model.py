@@ -68,7 +68,7 @@ class ModelSpec:
     dpsi: Coeff                      # (nu, x) -> derivative of psi at x
     db0: Coeff | None                # (t, x, nu, z) -> functional derivative of b0
     df0: Coeff | None                # (t, x, nu, z) -> functional derivative of f0
-    control_box: tuple[float, float]  # a single interval: controls are scalar
+    control_box: tuple[float, float]  # (lo, hi), read here by every solver: controls are scalar
     T: float
     initial_density_2d: Callable[[np.ndarray, np.ndarray], np.ndarray]
     # optional analytic helpers
@@ -82,11 +82,6 @@ class ModelSpec:
     control_minimizer: Callable[..., np.ndarray] | None = None
     name: str = "custom"
     params: dict = field(default_factory=dict)
-
-    @property
-    def box_array(self) -> np.ndarray:
-        """Control box as an array of shape (1, 2)."""
-        return np.atleast_2d(np.asarray(self.control_box, dtype=float))
 
     @property
     def coupled(self) -> bool:
@@ -210,7 +205,14 @@ def build_grid(
     nt: int,
     extension_ell: float = 0.0,
 ) -> Grid:
-    """Build a uniform grid; node coordinates are reproducible bit-exactly."""
+    """Build a uniform grid; node coordinates are reproducible bit-exactly.
+    `DegenerateRange` refuses non-finite bounds or `extension_ell`, and
+    counts that are not whole numbers."""
+    if not all(map(math.isfinite, (x_min, x_max, y_max, extension_ell))):
+        raise DegenerateRange(f"bounds not finite: x [{x_min}, {x_max}], y_max {y_max}, "
+                              f"extension_ell {extension_ell}")
+    if any(n % 1 for n in (nx, ny, nt)):
+        raise DegenerateRange(f"counts must be whole numbers, got nx={nx}, ny={ny}, nt={nt}")
     if not (x_max > x_min) or not (y_max > 0.0):
         raise DegenerateRange(f"bounds not ordered: x [{x_min}, {x_max}], y_max {y_max}")
     if nx < 2 or ny < 2 or nt < 2:
@@ -226,20 +228,25 @@ def validate_model(spec: ModelSpec, n_samples: int = 1000) -> ModelSpec:
     sigma0 must be finite on t_probe, sigma and lam finite on t_probe x
     x_probe, and b0 and f0 finite there at a standard normal probe measure.
 
-    Returns spec itself.  Raises the first violated assumption; emits a
+    Returns spec itself.  Raises the first violated assumption, starting
+    with a horizon T that is not finite and positive and a control box
+    that is not one finite interval (lo, hi) with lo <= hi; emits a
     warning (not an error) when the intensity is nonzero for x >= 0, since
     several test configurations use a spatially constant intensity.
     """
+    if not (spec.T > 0.0 and math.isfinite(spec.T)):
+        raise ModelValidationError(f"horizon T must be finite and positive; got {spec.T}")
+    box = np.asarray(spec.control_box)
+    if box.shape != (2,) or box.dtype.kind not in "fiu" or not (
+            np.isfinite(box).all() and box[0] <= box[1]):
+        raise ModelValidationError(
+            "control box must be one interval (lo, hi) of real numbers, finite with lo <= hi; "
+            f"got {spec.control_box}")
     rng = np.random.default_rng(0)
     x_probe = np.linspace(-5.0, 5.0, 41)
     t_probe = np.linspace(0.0, spec.T, 7)
     # the one measure b0 and f0 are probed at: a standard normal density
     nu_probe = NuHandle(x_probe, np.exp(-0.5 * x_probe**2) / math.sqrt(2.0 * math.pi))
-    box = spec.box_array
-    if box.shape != (1, 2) or not (np.isfinite(box).all() and box[0, 0] <= box[0, 1]):
-        raise ModelValidationError(
-            "control box must be one interval (lo, hi), finite with lo <= hi; "
-            f"got {spec.control_box}")
 
     for t in t_probe:
         sig = np.asarray(spec.sigma(t, x_probe), dtype=float)
@@ -278,7 +285,7 @@ def validate_model(spec: ModelSpec, n_samples: int = 1000) -> ModelSpec:
         )
 
     # midpoint convexity of f1 on random triples (t, x, pair of controls)
-    lo, hi = box[0]
+    lo, hi = box
     for _ in range(n_samples):
         t = float(rng.uniform(0.0, spec.T))
         x = float(rng.uniform(x_probe[0], x_probe[-1]))

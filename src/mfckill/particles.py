@@ -7,7 +7,8 @@ size, and the common-noise increments are shared across particles.
 
 Each run records both killing conventions on the same trajectory: hard
 kills against a per-particle exponential clock drawn once at time zero,
-and multiplicative survival weights e^{-Lambda}.
+and multiplicative survival weights e^{-Lambda}.  The ensemble drives
+itself: the coefficients read its own smoothed weighted histogram.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controls import FeedbackControl
-from .errors import SeedRequired
-from .forward import CommonNoisePath, ForwardTrajectory1D
+from .errors import ModelValidationError, SeedRequired
+from .forward import CommonNoisePath
 from .measures import NuHandle, SubProb1D
 from .model import Grid, ModelSpec
 from .steps import noise_offsets
@@ -212,16 +213,16 @@ def simulate_particles(
     seed: int | None,
     grid: Grid,
     noise: CommonNoisePath | None = None,
-    nu_traj: ForwardTrajectory1D | None = None,
 ) -> ParticleEnsemble:
     """Euler-Maruyama ensemble with cumulative-intensity bookkeeping.
 
-    The coefficients read their measure argument from `nu_traj` when it
-    is given, and otherwise from the ensemble's own smoothed weighted
-    histogram, built anew in each step whose coefficients read it.
-    Raises ValueError for fewer than 10 particles (one per batch of the
-    cost estimate), and `GridMismatch` for a feedback, noise path or
-    `nu_traj` off the grid.
+    The coefficients read their measure argument from the ensemble's own
+    smoothed weighted histogram, built anew in each step whose
+    coefficients read it.  Raises `SeedRequired` without a seed,
+    `ModelValidationError` for a model without an `initial_sampler`,
+    ValueError for fewer than 10 particles (one per batch of the cost
+    estimate), and `GridMismatch` for a feedback or noise path off the
+    grid.
 
     One helper thread draws the Brownian normals of the next steps while
     the current step runs (every variate depends only on seed, particle,
@@ -231,12 +232,10 @@ def simulate_particles(
     if seed is None:
         raise SeedRequired("particle simulations require an explicit seed")
     if spec.initial_sampler is None:
-        raise SeedRequired("model provides no initial sampler")
+        raise ModelValidationError("model provides no initial sampler")
     if n < _N_BATCH:
         raise ValueError(f"n = {n} particles cannot fill {_N_BATCH} batches")
     grid.check_field(g, "feedback", joint=False)
-    if nu_traj is not None:
-        grid.check_field(nu_traj, "nu trajectory", joint=False)
     offsets = noise_offsets(spec, grid, noise)
     nt = grid.nt
     dt = grid.dt(spec.T)
@@ -263,11 +262,6 @@ def simulate_particles(
     mean_weight = np.empty(nt + 1)
     rc = np.zeros(2 * _N_BATCH)
 
-    def nu_handle_at(k: int) -> NuHandle:
-        if nu_traj is not None:
-            return NuHandle(grid.x, nu_traj.values[k])
-        return _EnsembleNu(grid.x, lambda: _smooth3(_histogram(x_pos, weights, n, grid)))
-
     with ThreadPoolExecutor(1) as pool:
         def draw_from(k: int):
             """Start drawing the normals of loop steps k, k + 1, ..."""
@@ -292,7 +286,7 @@ def simulate_particles(
             np.less(lam_cum, theta, out=alive)
             alive_fraction[k] = alive.mean()
             mean_weight[k] = weights.mean()
-            nu = nu_handle_at(k)
+            nu = _EnsembleNu(grid.x, lambda: _smooth3(_histogram(x_pos, weights, n, grid)))
             gk = g.at_step(k)
             gp = _interp_uniform(x_pos, grid.x, gk)
             f_run = np.asarray(spec.f0(t, x_pos, nu), dtype=float) + np.asarray(
@@ -337,8 +331,8 @@ def simulate_particles(
     )
 
 
-def empirical_subprob(ens: ParticleEnsemble, mode: str, grid: Grid) -> SubProb1D:
-    """Histogram subprobability of the final ensemble state.
+def empirical_subprob(ens: ParticleEnsemble, mode: str) -> SubProb1D:
+    """Histogram subprobability of the final ensemble state on its grid.
 
     Hard mode bins living particles with unit weight, soft mode bins all
     particles with weight e^{-Lambda}; both normalize by the full count.
@@ -349,7 +343,7 @@ def empirical_subprob(ens: ParticleEnsemble, mode: str, grid: Grid) -> SubProb1D
         w = ens.weights
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return SubProb1D(grid.x, _histogram(ens.positions, w, ens.n, grid))
+    return SubProb1D(ens.grid.x, _histogram(ens.positions, w, ens.n, ens.grid))
 
 
 def estimate_cost_mc(

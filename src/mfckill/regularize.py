@@ -83,8 +83,9 @@ class ApproxFamily:
     certified: dict
 
 
-def _estimate_cost_modulus(spec: ModelSpec, n: int, x_probe: np.ndarray) -> float:
-    """Sampled Lipschitz-type modulus of f0/psi w.r.t. the d2 metric.
+def _estimate_cost_modulus(spec: ModelSpec, n: int) -> float:
+    """Sampled Lipschitz-type modulus of f0/psi w.r.t. the d2 metric, f0
+    probed at x = -4, -3, ..., 4.
 
     The construction only needs an upper envelope of the modulus to pick
     the dyadic resolution; a sampled slope estimate stands in for the
@@ -107,7 +108,7 @@ def _estimate_cost_modulus(spec: ModelSpec, n: int, x_probe: np.ndarray) -> floa
         if d < 1e-9:
             continue
         df = 0.0
-        for xq in x_probe[:: max(1, x_probe.size // 8)]:
+        for xq in np.arange(-4.0, 5.0):
             fa = float(np.asarray(spec.f0(0.0, np.array([xq]), a))[0])
             fb = float(np.asarray(spec.f0(0.0, np.array([xq]), b))[0])
             df = max(df, abs(fa - fb))
@@ -158,8 +159,7 @@ def build_approx_family(spec: ModelSpec, n: int) -> ApproxFamily:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    box = spec.box_array
-    lo, hi = float(box[0, 0]), float(box[0, 1])
+    lo, hi = spec.control_box
     width = max(hi - lo, 1e-12)
     gg = np.linspace(lo, hi, G_GRID_SIZE)
     dg = gg[1] - gg[0]
@@ -169,8 +169,7 @@ def build_approx_family(spec: ModelSpec, n: int) -> ApproxFamily:
     eps_n = max(2.5 * dg, width / (8.0 * n))
     env_m = mollify(env, dg, eps_n)
 
-    x_probe = np.linspace(-4.0, 4.0, 81)
-    slope = _estimate_cost_modulus(spec, n, x_probe)
+    slope = _estimate_cost_modulus(spec, n)
     if slope > 0.0:
         k_n = 1
         while slope * 2.0 ** (-k_n) > 1.0 / n and k_n < K_CAP:
@@ -247,13 +246,12 @@ def build_approx_family(spec: ModelSpec, n: int) -> ApproxFamily:
         params=dict(spec.params, approx_index=n),
     )
 
-    certified = _certify(spec, spec_n, n, gg, env_m)
+    certified = _certify(spec, spec_n, n, gg)
     return ApproxFamily(n=n, spec_n=spec_n, k_n=k_n, eps_n=eps_n,
                         modulus_estimate=slope, certified=certified)
 
 
-def _certify(spec: ModelSpec, spec_n: ModelSpec, n: int, gg: np.ndarray,
-             env_m: np.ndarray) -> dict:
+def _certify(spec: ModelSpec, spec_n: ModelSpec, n: int, gg: np.ndarray) -> dict:
     """Sampled checks of the approximation properties."""
     import warnings
 
@@ -282,7 +280,7 @@ def _certify(spec: ModelSpec, spec_n: ModelSpec, n: int, gg: np.ndarray,
         gap = max(gap, float(np.abs(
             np.asarray(spec_n.lam(t, xs)) - np.asarray(spec.lam(t, xs))
         ).max()))
-        g_test = rng.uniform(spec.box_array[0, 0], spec.box_array[0, 1], 8)
+        g_test = rng.uniform(*spec.control_box, 8)
         for gq in g_test:
             gap = max(gap, float(np.abs(
                 np.asarray(spec_n.f1(t, xs, gq)) - np.asarray(spec.f1(t, xs, gq))

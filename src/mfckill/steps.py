@@ -2,13 +2,13 @@
 
 `StepOperators` evaluates the model at one time and measure.  What a step
 reads of the model apart from the measure (sigma, lam and its kill factor,
-b1_factor, the control box, the minimizer bound to the node's time and box
-and the diffusion matrix) lives in a `NodeInputs` for that time node; the
-quadrature weights and e^{-y} it reads from the `Grid`, which builds them
-once; every half-plane step passes its density as a `Density2D` and reads
-nu as `s_map` of it.  While
-`step_table(spec, grid)` is active, as it is for the whole of a `solve_mfc` or
-`solve_mfc_2d` call, every `StepOperators` of that model and grid at one
+b1_factor, the minimizer bound to the node's time, and the diffusion
+matrix) lives in a `NodeInputs` for that time node, and the control box
+is the model's one pair `spec.control_box`; the quadrature weights and
+e^{-y} it reads from the `Grid`, which builds them once; every half-plane
+step passes its density as a `Density2D` and reads nu as `s_map` of it.
+While `step_table(spec, grid)` is active, as it is for the whole of a
+`solve_mfc` or `solve_mfc_2d` call, every `StepOperators` of that model and grid at one
 of its time nodes shares the table's `NodeInputs`, so each member is
 evaluated once per node for the call, not once per sweep and marcher; the
 table goes when the call returns.  Elsewhere each `StepOperators` makes
@@ -155,15 +155,9 @@ class NodeInputs:
         return self._coeff(self.spec.b1_factor)
 
     @_lazy
-    def box(self) -> tuple:
-        """(lo, hi) of the control box."""
-        lo, hi = self.spec.box_array[0]
-        return lo, hi
-
-    @_lazy
     def minimize(self):
         """The box-constrained minimizer at this time (`bound_minimizer`)."""
-        return bound_minimizer(self.spec, self.t, self.box)
+        return bound_minimizer(self.spec, self.t)
 
     @_lazy
     def columns(self) -> tuple:
@@ -208,7 +202,7 @@ def _from_node(name: str) -> property:
 class StepOperators:
     """What one time step of a solver reads from the model.
 
-    The measure-free members (`lam`, `kill`, `fac`, `box` and `matrix`)
+    The measure-free members (`lam`, `kill`, `fac` and `matrix`)
     come from the step's `NodeInputs`, e^{-y} and the survival quadrature
     from the grid.  The step itself evaluates what reads its measure (`nu`,
     or the survival marginal of a joint density `mu`): b0, f0, the
@@ -233,7 +227,6 @@ class StepOperators:
     lam = _from_node("lam")
     kill = _from_node("kill")
     fac = _from_node("fac")
-    box = _from_node("box")
 
     @_lazy
     def matrix(self) -> Tridiagonal:

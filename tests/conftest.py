@@ -27,5 +27,5 @@ def lq_mfc(lq_spec):
 
 
 def tanh_feedback(grid, spec, scale=0.5):
-    gv = np.clip(-scale * np.tanh(grid.x), *spec.box_array[0])
+    gv = np.clip(-scale * np.tanh(grid.x), *spec.control_box)
     return FeedbackControl.from_array(np.tile(gv, (grid.nt + 1, 1)), spec)

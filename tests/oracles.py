@@ -23,9 +23,9 @@ def solve_backward_1d_galerkin(spec, grid, nu_traj, terminal, n_modes=48) -> np.
     coefficients itself, the diffusion (sigma^2 + sigma0^2)/2 included, and
     suits problems whose solution decays at the ends of the interval.
     """
-    box = spec.box_array
-    assert abs(box[0, 1] - box[0, 0]) <= 1e-14, "needs a singleton control box"
-    g0 = float(box[0, 0])
+    lo, hi = spec.control_box
+    assert abs(hi - lo) <= 1e-14, "needs a singleton control box"
+    g0 = float(lo)
     x = grid.x
     dt = grid.dt(spec.T)
     nt = grid.nt

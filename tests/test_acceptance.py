@@ -126,7 +126,7 @@ def lattice_dp(spec, nxl=50, ntl=50, nc=101, xlim=4.0):
     x_lat = np.linspace(-xlim, xlim, nxl)
     dxl = x_lat[1] - x_lat[0]
     dtl = spec.T / ntl
-    controls = np.linspace(spec.box_array[0, 0], spec.box_array[0, 1], nc)
+    controls = np.linspace(*spec.control_box, nc)
     v = np.asarray(spec.dpsi(None, x_lat), dtype=float)
     feedback = np.zeros((ntl, nxl))
     for k in reversed(range(ntl)):
@@ -229,15 +229,15 @@ def test_criterion_6_particle_pde_consistency():
     c_cal = 0.25  # frozen from the refinement study (observed <= 0.13)
     ens = simulate_particles(spec, g, n, 42, grid)
     budget = 3.0 / math.sqrt(n) + c_cal * (grid.dx + grid.dt(spec.T))
-    d_hard = metric_dp(empirical_subprob(ens, "hard", grid), tr.at(grid.nt), p=1)
-    d_soft = metric_dp(empirical_subprob(ens, "soft", grid), tr.at(grid.nt), p=1)
+    d_hard = metric_dp(empirical_subprob(ens, "hard"), tr.at(grid.nt), p=1)
+    d_soft = metric_dp(empirical_subprob(ens, "soft"), tr.at(grid.nt), p=1)
 
     n_small = 4096
     gaps = []
     for seed in range(50):
         e = simulate_particles(spec, g, n_small, 1000 + seed, grid)
-        gaps.append(metric_dp(empirical_subprob(e, "hard", grid),
-                              empirical_subprob(e, "soft", grid), p=1))
+        gaps.append(metric_dp(empirical_subprob(e, "hard"),
+                              empirical_subprob(e, "soft"), p=1))
     mean_gap = float(np.mean(gaps))
     elapsed = time.time() - t0
     ok = (d_hard <= budget and d_soft <= budget

@@ -122,12 +122,17 @@ def test_removed_solver_keys_exit_2(tmp_path, capsys, key):
     {"control": True},
     {"seed": True},
     {"seed": -1},
+    {"grid": {"x_min": -4.0, "x_max": 4.0, "nx": 21, "y_max": 2.4, "ny": 10, "nt": 60,
+              "extension_ell": float("nan")}},
+    {"grid": {"x_min": -float("inf"), "x_max": 4.0, "nx": 21, "y_max": 2.4, "ny": 10,
+              "nt": 60}},
+    {"model": {"name": "lq_killing", "params": {"T": -0.8}}},
 ], ids=["solver-string", "grid-string", "model-unknown-param", "model-params-list",
         "grid-too-coarse", "sigma0-string", "kappa-string", "x0-string", "kappa-bool",
         "kappa-pair", "box-string", "sigma0-nan",
         "kappa-nan", "indices-string", "indices-fraction", "particles-fraction",
         "max-iter-fraction", "tol-pi-bool", "grid-count-fraction", "control-bool",
-        "seed-bool", "seed-negative"])
+        "seed-bool", "seed-negative", "extension-nan", "x-min-infinite", "T-negative"])
 def test_bad_config_value_exit_2(tmp_path, capsys, overrides):
     # a configuration error exits 2 with one line, not 1 with a traceback,
     # before the experiment reads a coefficient

@@ -120,3 +120,39 @@ def test_diffusion_solves_call_scipys_lapack(first):
             "print([getattr(steps, n) is getattr(lapack, n) for n in ('dgtsv', 'dpttrf', 'dpttrs')]"
             " + [steps.LinAlgError is scipy.linalg.LinAlgError])")
     assert _fresh(code) == "[True, True, True, True]"
+
+
+# Parameters that stay unread, each with the reason it stays.
+UNREAD_PARAMETERS = {
+    ("particles", "estimate_cost_mc", "g"): "perfbench/workloads.py passes it positionally",
+    ("steps", "_lazy.__set_name__", "owner"): "the descriptor protocol passes it",
+    ("steps", "_lazy.__get__", "owner"): "the descriptor protocol passes it",
+}
+
+
+def _functions(body, prefix=""):
+    """(qualified name, node) of each module-level function and method;
+    nested functions are left out: model coefficients keep their fixed
+    (t, x, nu) signature whether or not they read every argument."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + node.name, node
+        elif isinstance(node, ast.ClassDef):
+            yield from _functions(node.body, f"{prefix}{node.name}.")
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_parameter_is_read(name):
+    # a value the code can read from what it is given is not an argument,
+    # and a parameter that nothing reads is a second input that can only
+    # disagree with the first
+    tree = ast.parse((SRC / f"{name}.py").read_text())
+    unread = set()
+    for qualname, fn in _functions(tree.body):
+        args = fn.args
+        params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                  args.vararg, args.kwarg) if a is not None]
+        read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread.update((name, qualname, p) for p in params if p not in read)
+    assert unread == {key for key in UNREAD_PARAMETERS if key[0] == name}

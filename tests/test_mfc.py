@@ -127,7 +127,7 @@ def test_gateaux_inward_nonnegative_at_optimum(lq_mfc):
     spec = mk.make_model("lq_killing")
     lift = separable_lift(res.u, grid)
     rng = np.random.default_rng(4)
-    lo, hi = spec.box_array[0]
+    lo, hi = spec.control_box
     for _ in range(20):
         room_up = hi - res.g_star.values
         room_dn = res.g_star.values - lo
@@ -225,8 +225,6 @@ TRAJECTORY_READERS = {
         spec, grid, mu, g=g, terminal=u1.u[-1, :, None] * np.exp(-grid.y)),
     "solve_backward_2d-u_1d": lambda spec, grid, g, u1, nu, mu: solve_backward_2d(
         spec, grid, mu, u_1d=u1, terminal=u1.u[-1, :, None] * np.exp(-grid.y)),
-    "simulate_particles": lambda spec, grid, g, u1, nu, mu: mk.simulate_particles(
-        spec, g, 100, 1, grid, nu_traj=nu),
 }
 
 
@@ -522,7 +520,7 @@ def test_inner_tolerance_follows_picard_residual(seed):
     assert d["converged"]
     tols = d["inner_tolerances"]
     assert len(tols) == len(d["inner_iterations"]) == d["picard_iterations"]
-    lo, hi = spec.box_array[0]
+    lo, hi = spec.control_box
     assert tols[0] == max(tol_fp, tol_fp * (hi - lo) / tol_pi)
     assert tols[1:] == [max(tol_fp, tol_fp * r / tol_pi) for r in d["residual_trace"][:-1]]
     assert sum(d["inner_iterations"]) <= 0.7 * INNER_AT_TOL_FP[seed]
@@ -549,7 +547,7 @@ def test_coupled_first_sweep_follows_box_width(monkeypatch, noisy):
     assert spec.coupled
     res = solve_mfc(spec, grid, noise=noise)
     d = res.diagnostics
-    lo, hi = spec.box_array[0]
+    lo, hi = spec.control_box
     assert d["inner_tolerances"][0] == max(backward_mod.TOL_FP,
                                            backward_mod.TOL_FP * (hi - lo) / 1e-6)
     # the first solve at tol_fp, cold as every first solve; the later ones

@@ -82,6 +82,22 @@ def test_inverted_or_nonfinite_control_box_rejected(box):
         mk.validate_model(lq_killing(control_box=box))
 
 
+@pytest.mark.parametrize("box", [[(-1.0, 1.0)], ("-1", "1")], ids=["nested", "strings"])
+def test_control_box_not_a_pair_of_reals_rejected(box):
+    # the solvers read the box as the model's pair: lo, hi = spec.control_box
+    with pytest.raises(ModelValidationError, match="one interval"):
+        mk.validate_model(lq_killing(control_box=box))
+
+
+@pytest.mark.parametrize("T", [-0.8, 0.0, np.nan, np.inf],
+                         ids=["negative", "zero", "nan", "infinite"])
+def test_horizon_not_finite_and_positive_rejected(T):
+    # refused before the probes, where numpy raised ValueError (negative)
+    # or OverflowError (nan), and a zero horizon validated
+    with pytest.raises(ModelValidationError, match="horizon T"):
+        mk.validate_model(lq_killing(T=T))
+
+
 def test_constant_intensity_warns_not_fails():
     # const_kill's default control box is the single point (0, 0)
     spec = mk.make_model("const_kill", kappa=0.8)
@@ -108,6 +124,14 @@ def test_build_grid_extension_includes_negative_node():
     (-5, 5, 1, 2, 5, 10, 0),
     (-5, 5, 11, -2, 5, 10, 0),
     (-5, 5, 11, 2, 5, 1, 0),
+    # non-finite bounds or extension, and counts that are not whole, which
+    # were built and failed (or were cut) later
+    (-np.inf, 5, 11, 2, 5, 10, 0),
+    (-5, 5, 11, np.inf, 5, 10, 0),
+    (-5, 5, 11, 2, 5, 10, np.nan),
+    (-5, 5, 11, 2, 5, 10, -np.inf),
+    (-5, 5, 10.5, 2, 5, 10, 0),
+    (-5, 5, 11, 2, 5, np.nan, 0),
 ])
 def test_build_grid_degenerate(args):
     with pytest.raises(DegenerateRange):

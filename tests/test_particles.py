@@ -10,7 +10,7 @@ import pytest
 import mfckill as mk
 import mfckill.particles as particles_mod
 from mfckill.controls import FeedbackControl
-from mfckill.errors import GridMismatch, SeedRequired
+from mfckill.errors import GridMismatch, ModelValidationError, SeedRequired
 from mfckill.measures import metric_dp
 from mfckill.mfc import evaluate_cost
 from mfckill.particles import (
@@ -81,7 +81,7 @@ def test_empirical_all_mass_at_one_node():
         running_cost_hard=np.zeros(10), running_cost_soft=np.zeros(10),
         batch_index=np.arange(n) % 10, noise=None,
     )
-    nu = empirical_subprob(ens, "hard", grid)
+    nu = empirical_subprob(ens, "hard")
     assert abs(nu.mass - 1.0) < 1e-12
     assert np.argmax(nu.values) == 40
 
@@ -92,8 +92,8 @@ def test_hard_soft_gap_single_seed():
     g = tanh_feedback(grid, spec)
     n = 4096
     ens = simulate_particles(spec, g, n, 21, grid)
-    gap = metric_dp(empirical_subprob(ens, "hard", grid),
-                    empirical_subprob(ens, "soft", grid), p=1)
+    gap = metric_dp(empirical_subprob(ens, "hard"),
+                    empirical_subprob(ens, "soft"), p=1)
     assert gap <= 3.0 / math.sqrt(n)
 
 
@@ -121,11 +121,11 @@ def test_exchangeability_of_histogram():
     spec = mk.make_model("lq_killing")
     grid = mk.build_grid(-4, 4, 101, 2.4, 11, 80)
     ens = simulate_particles(spec, tanh_feedback(grid, spec), 5000, 2, grid)
-    nu = empirical_subprob(ens, "soft", grid)
+    nu = empirical_subprob(ens, "soft")
     perm = np.random.default_rng(0).permutation(ens.n)
     ens.positions = ens.positions[perm]
     ens.weights = ens.weights[perm]
-    nu2 = empirical_subprob(ens, "soft", grid)
+    nu2 = empirical_subprob(ens, "soft")
     assert np.allclose(nu.values, nu2.values, atol=1e-15)
 
 
@@ -134,6 +134,14 @@ def test_seed_required():
     grid = mk.build_grid(-4, 4, 41, 2.4, 11, 20)
     with pytest.raises(SeedRequired):
         simulate_particles(spec, tanh_feedback(grid, spec), 100, None, grid)
+
+
+def test_model_without_initial_sampler_is_refused():
+    # the model, not the seed, lacks what the ensemble starts from
+    spec = mk.make_model("lq_killing").with_params(initial_sampler=None)
+    grid = mk.build_grid(-4, 4, 41, 2.4, 11, 20)
+    with pytest.raises(ModelValidationError, match="initial sampler"):
+        simulate_particles(spec, tanh_feedback(grid, spec), 100, 1, grid)
 
 
 def test_cost_zero_data():
@@ -176,18 +184,16 @@ def test_empirical_coupling_runs_deterministically():
     assert np.isfinite(a.positions).all()
 
 
-def test_pde_handle_coupling_close_to_empirical():
-    # feeding the population from the grid solver vs the smoothed
-    # histogram gives nearby ensembles for a mean-field drift
+def test_self_driven_ensemble_close_to_pde_marginal():
+    # under a mean-field drift the ensemble, whose coefficients read its own
+    # smoothed histogram, ends near the marginal the grid solver marches
     spec = mk.validate_model(mk.make_model("lq_mean_field"))
     grid = mk.build_grid(-4, 4, 121, 2.4, 11, 120)
     g = FeedbackControl.constant(0.1, grid, spec)
     tr = mk.solve_forward_1d(spec, grid, g)
     n = 20000
-    ens_pde = simulate_particles(spec, g, n, 41, grid, nu_traj=tr)
-    ens_emp = simulate_particles(spec, g, n, 41, grid)
-    d = metric_dp(empirical_subprob(ens_pde, "soft", grid),
-                  empirical_subprob(ens_emp, "soft", grid), p=1)
+    ens = simulate_particles(spec, g, n, 41, grid)
+    d = metric_dp(empirical_subprob(ens, "soft"), tr.at(grid.nt), p=1)
     assert d <= 3.0 / math.sqrt(n) + 0.25 * (grid.dx + grid.dt(spec.T))
 
 
@@ -367,18 +373,15 @@ def test_invalid_arguments_raise():
 
 @pytest.mark.parametrize("nx, nt", [(31, 40), (41, 20)], ids=["31-nodes", "20-steps"])
 def test_nu_traj_off_the_grid_raises(nx, nt):
-    # a trajectory from another grid is refused at entry, as
-    # solve_backward_1d refuses it: not run unnoticed on the wrong nodes,
-    # nor stopped by an IndexError after its last step
+    # solve_backward_1d refuses a trajectory from another grid at entry: it
+    # is not run unnoticed on the wrong nodes, nor stopped by an IndexError
+    # after its last step
     spec = mk.make_model("lq_killing")
     grid = mk.build_grid(-4, 4, 41, 2.4, 8, 40)
     other = mk.build_grid(-4, 4, nx, 2.4, 8, nt)
     tr = mk.solve_forward_1d(spec, other, FeedbackControl.constant(0.1, other, spec))
-    g = FeedbackControl.constant(0.1, grid, spec)
     with pytest.raises(GridMismatch, match="nu trajectory"):
         mk.solve_backward_1d(spec, grid, tr, np.zeros(grid.nx))
-    with pytest.raises(GridMismatch, match="nu trajectory"):
-        simulate_particles(spec, g, 100, 1, grid, nu_traj=tr)
 
 
 def test_coefficients_returning_their_input_read_the_step_start_positions():
